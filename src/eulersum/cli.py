@@ -1,7 +1,6 @@
 """Command-line front end.
 
     eulersum verify [--tol X] [--filter PREFIX] [--output text|json]
-                    [--no-parallel]
     eulersum eval NAME PARAMS...
     eulersum list
 
@@ -52,11 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    verify.add_argument(
-        "--no-parallel",
-        action="store_true",
-        help="run cases sequentially",
     )
     verify.add_argument(
         "--inject-failure",
@@ -120,7 +114,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(
         id_prefix=args.filter,
         tol_override=args.tol,
-        parallel=not args.no_parallel,
         cases=cases,
     )
     if args.output == "json":

@@ -21,7 +21,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactmath import bernoulli
+from .exactmath import bernoulli, harmonic_exact, weighted_power_sum
 
 __all__ = ["ZetaTable", "zeta", "zeta_table", "euler_gamma"]
 
@@ -46,25 +46,35 @@ class ZetaTable:
     certified_abs_error: float
 
 
-def _zeta_fraction_accelerated(s: int, n: int = _ACCEL_TERMS) -> Fraction:
+def _chebyshev_weights(n: int) -> tuple[int, ...]:
+    """The acceleration weights d_0..d_n, which do not depend on s.
+
+    d_i = n sum_{j <= i} (n+j-1)! 4^j / ((n-j)! (2j)!) stems from Chebyshev
+    polynomial coefficients; every summand n (n+j-1)! 4^j / ((n-j)! (2j)!)
+    is an integer, so the weights are exact integers.
+    """
+    d: list[int] = []
+    acc = 0
+    for j in range(n + 1):
+        acc += n * factorial(n + j - 1) * 4**j // (factorial(n - j) * factorial(2 * j))
+        d.append(acc)
+    return tuple(d)
+
+
+_WEIGHTS = _chebyshev_weights(_ACCEL_TERMS)
+
+
+def _zeta_fraction_accelerated(s: int) -> Fraction:
     """Accelerated eta-series value of zeta(s) as an exact rational.
 
-    The weights d_k stem from Chebyshev polynomial coefficients; computing
-    them as exact fractions keeps the whole evaluation rational, so the
-    only floating-point error is the final rounding by the caller.
+    The weights are integers, so the whole evaluation stays rational and
+    the only floating-point error is the final rounding by the caller.
     """
-    d: list[Fraction] = []
-    acc = Fraction(0)
-    for i in range(n + 1):
-        acc += Fraction(
-            factorial(n + i - 1) * 4**i,
-            factorial(n - i) * factorial(2 * i),
-        )
-        d.append(n * acc)
-    total = Fraction(0)
-    for k in range(n):
-        term = Fraction(d[k] - d[n], (k + 1) ** s)
-        total += -term if k % 2 == 0 else term
+    d = _WEIGHTS
+    n = len(d) - 1
+    total = weighted_power_sum(
+        ((d[n] - d[k]) if k % 2 == 0 else (d[k] - d[n]) for k in range(n)), s
+    )
     # eta -> zeta: divide by 1 - 2^(1-s) = (2^(s-1) - 1) / 2^(s-1).
     eta_to_zeta = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))
     return total / (d[n] * eta_to_zeta)
@@ -72,8 +82,7 @@ def _zeta_fraction_accelerated(s: int, n: int = _ACCEL_TERMS) -> Fraction:
 
 def _zeta_fraction_direct(s: int) -> Fraction:
     """Plain partial sum for large s; tail below 1e-33 already at s = 21."""
-    cutoff = 40
-    return sum(Fraction(1, k**s) for k in range(1, cutoff + 1))
+    return harmonic_exact(40, s)
 
 
 _TABLE = ZetaTable(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from typing import Iterable
 
 # Exact rational type used across the package. fractions.Fraction already
 # maintains the canonical form the equality checks rely on: fully reduced
@@ -25,6 +26,7 @@ __all__ = [
     "alt_binomial_sum",
     "moment_integral_exact",
     "bernoulli",
+    "weighted_power_sum",
 ]
 
 
@@ -37,13 +39,28 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def weighted_power_sum(weights: Iterable[int], p: int) -> Rational:
+    """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n.
+
+    Every term is an integer over the common denominator lcm(1..n)^p, so
+    the sum is one integer numerator and a single reduction at the end
+    instead of a gcd per term.
+    """
+    weights = list(weights)
+    denominator = lcm(*range(1, len(weights) + 1))
+    numerator = sum(
+        w * (denominator // k) ** p for k, w in enumerate(weights, start=1)
+    )
+    return Fraction(numerator, denominator**p)
+
+
 def harmonic_exact(n: int, r: int = 1) -> Rational:
     """Generalised harmonic number sum_{k=1..n} 1/k^r as an exact fraction."""
     if n < 1:
         raise ValueError(f"harmonic_exact requires n >= 1, got {n}")
     if r < 1:
         raise ValueError(f"harmonic_exact requires r >= 1, got {r}")
-    return sum(Fraction(1, k**r) for k in range(1, n + 1))
+    return weighted_power_sum([1] * n, r)
 
 
 def alt_binomial_sum(n: int, p: int) -> Rational:
@@ -55,11 +72,9 @@ def alt_binomial_sum(n: int, p: int) -> Rational:
         raise ValueError(f"alt_binomial_sum requires n >= 1, got {n}")
     if p < 1:
         raise ValueError(f"alt_binomial_sum requires p >= 1, got {p}")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        term = Fraction(comb(n, k), k**p)
-        total += -term if k % 2 else term
-    return total
+    return weighted_power_sum(
+        ((-1) ** k * comb(n, k) for k in range(1, n + 1)), p
+    )
 
 
 def moment_integral_exact(n: int, p: int) -> Rational:
@@ -78,10 +93,7 @@ def moment_integral_exact(n: int, p: int) -> Rational:
         raise ValueError(f"moment_integral_exact requires p >= 1, got {p}")
     # (-1)^(p+1) * n * sum_j C(n-1, j) (-1)^j (-1)^p p!/(j+1)^(p+1)
     # collapses to -n * p! * sum_j C(n-1, j) (-1)^j / (j+1)^(p+1).
-    total = Fraction(0)
-    for j in range(n):
-        term = Fraction(comb(n - 1, j), (j + 1) ** (p + 1))
-        total += -term if j % 2 else term
+    total = weighted_power_sum(((-1) ** j * comb(n - 1, j) for j in range(n)), p + 1)
     return -n * factorial(p) * total
 
 

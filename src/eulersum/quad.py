@@ -13,6 +13,14 @@ whose floating-point position would collide with an endpoint is dropped on
 that side only (integrands with endpoint singularities cannot be evaluated
 there, and the skipped weights are negligible), while its mirror twin on
 the other side keeps contributing.
+
+The iterated 2-D rule (Takahasi and Mori, 1974) is evaluated level by
+level over whole node sets, as in Bailey, Jeyabalan and Li (2005): all
+outer nodes new at a level form the rows of one block, each inner level
+evaluates the integrand once on (rows still running) x (new inner nodes),
+and a row leaves the block as soon as its inner integral passes the same
+test a lone 1-D call applies. The 1-D rule is the one-row case of the
+same kernel.
 """
 
 from __future__ import annotations
@@ -102,6 +110,109 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
         return table
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # also rejects NaN
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
+def _block(evaluate, x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """evaluate(x, live) as a float array of shape (len(live), len(x))."""
+    values = np.asarray(evaluate(x, live), dtype=float)
+    shape = (live.size, x.size)
+    # An integrand that returns a constant gives a single value.
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
+def _integrate_rows(
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows: int,
+    a: float,
+    b: float,
+    tol: float,
+    relative: bool,
+    max_level: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Tanh-sinh over (a, b) for `rows` integrands at once.
+
+    evaluate(x, live) returns the integrands of the rows listed in live at
+    the abscissas x, shaped (len(live), len(x)). Each level evaluates its
+    new nodes for every row still running as one block; a row leaves the
+    block at the level where it passes the convergence test, so its value,
+    estimate and evaluation count are those a lone integrate() call on it
+    would report. Returns per-row (value, abs_error_estimate, evaluations,
+    message), the message being "" for a converged row.
+    """
+    scale = b - a
+    value_out = np.zeros(rows)
+    estimate_out = np.full(rows, math.inf)
+    evals_out = np.zeros(rows, dtype=np.int64)
+    messages = [""] * rows
+    # State of the rows still running, aligned with live. Every live row
+    # has run the same levels, so one evaluation count serves them all.
+    live = np.arange(rows)
+    acc = np.zeros(rows)
+    prev = np.zeros(rows)
+    diff = np.full(rows, math.inf)
+    count = 0
+
+    def finish(keep: np.ndarray, values: np.ndarray, estimates: np.ndarray) -> None:
+        """Record the rows not in keep as finished and drop them from live."""
+        nonlocal live, acc, prev, diff
+        gone = live[~keep]
+        value_out[gone] = values[~keep]
+        estimate_out[gone] = estimates[~keep]
+        evals_out[gone] = count
+        live, acc, prev, diff = live[keep], acc[keep], prev[keep], diff[keep]
+
+    for level in range(1, max_level + 1):
+        if live.size == 0:
+            break
+        h = 2.0**-level
+        deltas, weights = _level_table(level)
+        x_lo = a + scale * deltas
+        x_hi = b - scale * deltas
+        # Collision guards apply per side: a node whose floating position
+        # lands on an endpoint is dropped, but its mirror twin is kept (the
+        # twin can carry real mass when the integrand is large near the
+        # other end).
+        keep_lo = x_lo > a
+        keep_hi = x_hi < b
+        x_lo, w_lo = x_lo[keep_lo], weights[keep_lo]
+        x_hi, w_hi = x_hi[keep_hi], weights[keep_hi]
+        count += x_lo.size + x_hi.size
+        block = (w_lo * _block(evaluate, x_lo, live)).sum(axis=1) + (
+            w_hi * _block(evaluate, x_hi, live)
+        ).sum(axis=1)
+
+        finite = np.isfinite(block)
+        if not finite.all():
+            for row in live[~finite].tolist():
+                messages[row] = "non-finite integrand value at an interior node"
+            # A failed row keeps the previous level's value.
+            finish(finite, prev, np.full(live.size, math.inf))
+            block = block[finite]
+        acc += block
+        value = h * scale * acc
+        if level > 1:
+            diff = np.abs(value - prev)
+            # Roundoff floor: a level difference of exactly zero does not
+            # certify anything below one rounding of the result.
+            reported = np.maximum(diff, _EPS * (1.0 + np.abs(value)))
+            threshold = tol * np.maximum(1.0, np.abs(value)) if relative else tol
+            passed = reported < threshold
+            if passed.any():
+                finish(~passed, value, reported)
+                value = value[~passed]
+        prev = value
+
+    for row in live.tolist():
+        messages[row] = f"no convergence within {max_level} refinement levels"
+    value_out[live] = prev
+    estimate_out[live] = diff
+    evals_out[live] = count
+    return value_out, estimate_out, evals_out, messages
+
+
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -116,79 +227,36 @@ def integrate(
 
     f is never evaluated at a or b; singularities of log-power type at the
     endpoints are fine. With vectorized=True, f must accept a numpy array
-    of abscissas and return the corresponding array of values (used by the
-    2-D kernels, where per-point Python calls would dominate the runtime).
-    relative=True switches the convergence test to tol * max(1, |value|);
-    integrate2d uses it for inner integrals whose magnitude varies over
-    hundreds of orders across the outer nodes.
+    of abscissas and return the corresponding array of values (the
+    integral routes of eulersums evaluate their polylog integrands this
+    way, where per-point Python calls would dominate the runtime).
+    relative=True switches the convergence test to tol * max(1, |value|).
 
     A non-finite integrand value at an interior node yields a failure
     result (converged False, infinite error estimate), never an exception.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration requires finite limits, got ({a}, {b})")
     if not a < b:
         raise ValueError(f"integration requires a < b, got ({a}, {b})")
 
-    scale = b - a
-    acc = 0.0
-    evals = 0
-    prev: float | None = None
-    value = 0.0
-    estimate = math.inf
+    if vectorized:
+        def evaluate(x, live):
+            return np.asarray(f(x), dtype=float).reshape(1, -1)
+    else:
+        def evaluate(x, live):
+            return np.fromiter((f(t) for t in x), dtype=float, count=len(x)).reshape(1, -1)
 
-    for level in range(1, max_level + 1):
-        h = 2.0**-level
-        deltas, weights = _level_table(level)
-        x_lo = a + scale * deltas
-        x_hi = b - scale * deltas
-        # Collision guards apply per side: a node whose floating position
-        # lands on an endpoint is dropped, but its mirror twin is kept (the
-        # twin can carry real mass when the integrand is large near the
-        # other end).
-        keep_lo = x_lo > a
-        keep_hi = x_hi < b
-        x_lo, w_lo = x_lo[keep_lo], weights[keep_lo]
-        x_hi, w_hi = x_hi[keep_hi], weights[keep_hi]
-        if vectorized:
-            f_lo = np.asarray(f(x_lo), dtype=float)
-            f_hi = np.asarray(f(x_hi), dtype=float)
-        else:
-            f_lo = np.fromiter((f(x) for x in x_lo), dtype=float, count=len(x_lo))
-            f_hi = np.fromiter((f(x) for x in x_hi), dtype=float, count=len(x_hi))
-        evals += len(x_lo) + len(x_hi)
-        block = float(np.sum(w_lo * f_lo) + np.sum(w_hi * f_hi))
-        if not math.isfinite(block):
-            return QuadratureResult(
-                value=value,
-                abs_error_estimate=math.inf,
-                evaluations=evals,
-                converged=False,
-                message="non-finite integrand value at an interior node",
-            )
-        acc += block
-        value = h * scale * acc
-        if prev is not None:
-            estimate = abs(value - prev)
-            # Roundoff floor: a level difference of exactly zero does not
-            # certify anything below one rounding of the result.
-            reported = max(estimate, _EPS * (1.0 + abs(value)))
-            threshold = tol * max(1.0, abs(value)) if relative else tol
-            if reported < threshold:
-                return QuadratureResult(
-                    value=value,
-                    abs_error_estimate=reported,
-                    evaluations=evals,
-                    converged=True,
-                )
-        prev = value
-
+    value, estimate, evals, messages = _integrate_rows(
+        evaluate, 1, a, b, tol, relative, max_level
+    )
     return QuadratureResult(
-        value=value,
-        abs_error_estimate=estimate,
-        evaluations=evals,
-        converged=False,
-        message=f"no convergence within {max_level} refinement levels",
+        value=float(value[0]),
+        abs_error_estimate=float(estimate[0]),
+        evaluations=int(evals[0]),
+        converged=not messages[0],
+        message=messages[0],
     )
 
 
@@ -207,13 +275,22 @@ def integrate2d(
     distance to the boundary). The reported error estimate adds the
     weighted sum of inner estimates to the outer level difference, and
     convergence is declared on that combined figure. Any inner failure
-    makes the whole result non-converged.
+    makes the whole result non-converged; the message names the first
+    failing outer node.
 
-    With vectorized_inner=True, f(t, u) must accept a numpy array for t.
+    All outer nodes new at a level are integrated together: each inner
+    level evaluates f once on the (outer rows x inner nodes) block of rows
+    still running, and a row drops out when it meets its inner test, so
+    the evaluation count and every inner result are those of one inner
+    integrate() call per outer node.
+
+    With vectorized_inner=True, f(t, u) must broadcast over numpy arrays
+    (it is called with a row of t values against a column of u values);
+    otherwise f takes two scalars and is applied through np.vectorize.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     inner_tol = tol / 10.0
+    kernel = f if vectorized_inner else np.vectorize(f, otypes=[float])
 
     acc_val = 0.0
     acc_err = 0.0
@@ -222,36 +299,37 @@ def integrate2d(
     value = 0.0
     estimate = math.inf
 
-    def inner(u: float) -> QuadratureResult:
-        return integrate(
-            lambda t: f(t, u),
-            0.0,
-            1.0,
-            inner_tol,
-            vectorized=vectorized_inner,
-            relative=True,
-            max_level=max_level,
-        )
-
     for level in range(1, max_level + 1):
         h = 2.0**-level
         deltas, weights = _level_table(level)
-        for delta, w in zip(deltas.tolist(), weights.tolist()):
-            for u in (delta, 1.0 - delta):
-                if not 0.0 < u < 1.0:
-                    continue  # endpoint collision guard
-                r = inner(u)
-                evals += r.evaluations
-                if not r.converged:
-                    return QuadratureResult(
-                        value=value,
-                        abs_error_estimate=math.inf,
-                        evaluations=evals,
-                        converged=False,
-                        message=f"inner integral failed at u={u!r}: {r.message}",
-                    )
-                acc_val += w * r.value
-                acc_err += w * r.abs_error_estimate
+        # Outer nodes in visiting order: delta, then its mirror 1 - delta.
+        us = np.column_stack((deltas, 1.0 - deltas)).ravel()
+        ws = np.repeat(weights, 2)
+        keep = (us > 0.0) & (us < 1.0)  # endpoint collision guard
+        us, ws = us[keep], ws[keep]
+        column = us[:, None]
+
+        def evaluate(t, live):
+            return kernel(t[None, :], column[live])
+
+        values, estimates, counts, messages = _integrate_rows(
+            evaluate, us.size, 0.0, 1.0, inner_tol, True, max_level
+        )
+        for u, w, v, e, n, message in zip(
+            us.tolist(), ws.tolist(), values.tolist(), estimates.tolist(),
+            counts.tolist(), messages,
+        ):
+            evals += n
+            if message:
+                return QuadratureResult(
+                    value=value,
+                    abs_error_estimate=math.inf,
+                    evaluations=evals,
+                    converged=False,
+                    message=f"inner integral failed at u={u!r}: {message}",
+                )
+            acc_val += w * v
+            acc_err += w * e
         value = h * acc_val
         inner_bound = h * acc_err
         if prev is not None:

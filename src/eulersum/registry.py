@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import eulersums
 from .constants import zeta
 from .exactmath import alt_binomial_sum, harmonic_exact, moment_integral_exact
 from .quad import QuadratureError, QuadratureResult, integrate
-from .specfun import dilog_neg_ratio, polylog
+from .specfun import dilog_neg_ratio, polylog_array
 
 __all__ = [
     "IdentityCase",
@@ -180,25 +181,21 @@ def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseRe
 def run_suite(
     id_prefix: Optional[str] = None,
     tol_override: Optional[float] = None,
-    parallel: bool = True,
     cases: Optional[list[IdentityCase]] = None,
 ) -> VerificationReport:
-    """Run all (or id-prefix filtered) cases and assemble the report.
+    """Run all (or id-prefix filtered) cases in order and assemble the report.
 
-    Cases are independent and may run concurrently; the report is always
-    ordered by case id, so two runs of the same build produce identical
-    statuses and residuals whatever the scheduling.
+    The report is ordered by case id, so two runs of the same build produce
+    identical statuses and residuals. Cases run one after another: they
+    are pure Python and numpy work under one interpreter lock, so a thread
+    pool only adds scheduling overhead.
     """
     if cases is None:
         cases = builtin_registry()
     if id_prefix is not None:
         cases = [c for c in cases if c.id.startswith(id_prefix)]
     start = time.perf_counter()
-    if parallel and len(cases) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda c: run_case(c, tol_override), cases))
-    else:
-        results = [run_case(c, tol_override) for c in cases]
+    results = [run_case(c, tol_override) for c in cases]
     suite_elapsed = (time.perf_counter() - start) * 1e3
     results.sort(key=lambda r: r.id)
     summary = {
@@ -269,16 +266,14 @@ def _landen_max_residual() -> float:
 
     The stable form is compared against an independent polylog evaluation,
     which is only possible where the raw argument lies in [-1, 0], hence
-    the grid on [0.51, 0.999].
+    the grid on [0.51, 0.999]. Both sides are evaluated over the whole grid
+    as arrays.
     """
     lo, hi = 0.51, 0.999
-    worst = 0.0
-    for i in range(1000):
-        u = lo + (hi - lo) * i / 999.0
-        direct = polylog(2, -(1.0 - u) / u)
-        stable = dilog_neg_ratio(u)
-        worst = max(worst, abs(direct - stable))
-    return worst
+    u = lo + (hi - lo) * np.arange(1000) / 999.0
+    direct = polylog_array(2, -(1.0 - u) / u)
+    stable = dilog_neg_ratio(u)
+    return float(np.max(np.abs(direct - stable)))
 
 
 def builtin_registry() -> list[IdentityCase]:

@@ -80,10 +80,8 @@ class TestVerify:
             }
 
     def test_text_and_json_statuses_agree(self):
-        _, json_out, _ = run_cli(
-            "verify", "--filter", "gp-", "--output", "json", "--no-parallel"
-        )
-        _, text_out, _ = run_cli("verify", "--filter", "gp-", "--no-parallel")
+        _, json_out, _ = run_cli("verify", "--filter", "gp-", "--output", "json")
+        _, text_out, _ = run_cli("verify", "--filter", "gp-")
         payload = json.loads(json_out)
         for case in payload["cases"]:
             matching = [l for l in text_out.splitlines() if l.startswith(case["id"])]

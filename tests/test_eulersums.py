@@ -79,6 +79,39 @@ class TestSumSeries:
             sum_series(EulerSumSpec(1, 2), cutoff=10)
 
 
+class TestSeriesAgainstClosedForms:
+    """sum_series at its default cutoff against closed forms in mpmath."""
+
+    @staticmethod
+    def mp():
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        return mpmath
+
+    @pytest.mark.parametrize("q", range(2, 12))
+    def test_euler_1775_formula(self, q):
+        # S(1;q) = (1 + q/2) zeta(q+1) - 1/2 sum_{j=1}^{q-2} zeta(j+1) zeta(q-j)
+        mp = self.mp()
+        exact = (1 + mp.mpf(q) / 2) * mp.zeta(q + 1) - sum(
+            (mp.zeta(j + 1) * mp.zeta(q - j) for j in range(1, q - 1)), mp.mpf(0)
+        ) / 2
+        value = sum_series(EulerSumSpec(1, q))
+        assert abs(value - float(exact)) <= 1e-15 * float(exact)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_squared_harmonic_closed_forms(self, q):
+        # de Doelder 1991; Borwein, Borwein & Girgensohn 1995
+        mp = self.mp()
+        z = mp.zeta
+        exact = {
+            2: mp.mpf(17) / 4 * z(4),
+            3: mp.mpf(7) / 2 * z(5) - z(2) * z(3),
+            4: mp.mpf(97) / 24 * z(6) - 2 * z(3) ** 2,
+        }[q]
+        value = sum_series(EulerSumSpec(2, q))
+        assert abs(value - float(exact)) <= 1e-15 * float(exact)
+
+
 class TestGpClosedForm:
     def test_p1_single_term(self):
         assert abs(sum_gp_closed_form(1) - HALF_ZETA2_SQ) <= 1e-16

@@ -1,7 +1,7 @@
 """Exact arithmetic layer: oracles are independent recurrences."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -149,6 +149,26 @@ class TestBernoulli:
             bernoulli(3)
         with pytest.raises(ValueError):
             bernoulli(-2)
+
+
+class TestCommonDenominatorSums:
+    """The lcm-denominator sums against their plain Fraction definitions."""
+
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=4))
+    def test_harmonic(self, n, p):
+        assert harmonic_exact(n, p) == sum(Fraction(1, k**p) for k in range(1, n + 1))
+
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=4))
+    def test_alt_binomial_sum(self, n, p):
+        plain = sum(Fraction((-1) ** k * comb(n, k), k**p) for k in range(1, n + 1))
+        assert alt_binomial_sum(n, p) == plain
+
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=4))
+    def test_moment_integral(self, n, p):
+        plain = sum(
+            Fraction((-1) ** j * comb(n - 1, j), (j + 1) ** (p + 1)) for j in range(n)
+        )
+        assert moment_integral_exact(n, p) == -n * factorial(p) * plain
 
 
 class TestRationalArithmetic:

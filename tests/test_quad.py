@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from eulersum.constants import zeta
-from eulersum.quad import QuadratureError, QuadratureResult, integrate, integrate2d
+from eulersum.eulersums import double_integral_kernel
+from eulersum.quad import (
+    MAX_LEVEL,
+    QuadratureError,
+    QuadratureResult,
+    _level_table,
+    integrate,
+    integrate2d,
+)
 
 
 def battery():
@@ -115,6 +123,11 @@ class TestIntegrate:
             integrate(lambda t: 1.0, 1.0, 0.0, 1e-10)
         with pytest.raises(ValueError):
             integrate(lambda t: 1.0, 0.5, 0.5, 1e-10)
+        with pytest.raises(ValueError):
+            integrate(lambda t: 1.0, 0.0, 1.0, math.nan)
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                integrate(lambda t: 1.0, a, b, 1e-10)
 
     def test_unreachable_tolerance_reports_non_convergence(self):
         r = integrate(lambda t: math.log(t), 0.0, 1.0, 1e-18)
@@ -154,6 +167,88 @@ class TestIntegrate2d:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             integrate2d(lambda t, u: 1.0, 0.0)
+        with pytest.raises(ValueError):
+            integrate2d(lambda t, u: 1.0, math.nan)
+
+
+def per_node_integrate2d(f, tol, *, vectorized_inner=False, max_level=MAX_LEVEL):
+    """Reference 2-D rule: one integrate() call per outer node, in the order
+    delta, 1 - delta over each level's table, stopping at the first inner
+    failure. integrate2d must reproduce its counts, values and messages."""
+    acc_val = acc_err = 0.0
+    evals = 0
+    prev = None
+    value = 0.0
+    for level in range(1, max_level + 1):
+        h = 2.0**-level
+        deltas, weights = _level_table(level)
+        for delta, w in zip(deltas.tolist(), weights.tolist()):
+            for u in (delta, 1.0 - delta):
+                if not 0.0 < u < 1.0:
+                    continue
+                r = integrate(lambda t: f(t, u), 0.0, 1.0, tol / 10.0,
+                              vectorized=vectorized_inner, relative=True,
+                              max_level=max_level)
+                evals += r.evaluations
+                if not r.converged:
+                    return QuadratureResult(
+                        value, math.inf, evals, False,
+                        f"inner integral failed at u={u!r}: {r.message}",
+                    )
+                acc_val += w * r.value
+                acc_err += w * r.abs_error_estimate
+        value = h * acc_val
+        if prev is not None:
+            estimate = abs(value - prev) + h * acc_err
+            if max(estimate, 2.0**-52 * (1.0 + abs(value))) < tol:
+                return QuadratureResult(value, estimate, evals, True)
+        prev = value
+    return QuadratureResult(value, math.inf, evals, False, "outer levels exhausted")
+
+
+class TestIntegrate2dBlocks:
+    """The block evaluation against the per-node loop it replaces."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_kernels_match_per_node_loop(self, q):
+        kernel = double_integral_kernel(q)
+        block = integrate2d(kernel, 1e-8, vectorized_inner=True)
+        loop = per_node_integrate2d(kernel, 1e-8, vectorized_inner=True)
+        assert block.converged and loop.converged
+        assert block.evaluations == loop.evaluations
+        assert abs(block.value - loop.value) <= block.abs_error_estimate
+
+    def test_scalar_integrand_matches_per_node_loop(self):
+        def f(t, u):
+            return math.sqrt(t) * math.log(u) / (1.0 + t * u)
+
+        block = integrate2d(f, 1e-9)
+        loop = per_node_integrate2d(f, 1e-9)
+        assert block.converged and loop.converged
+        assert block.evaluations == loop.evaluations
+        assert abs(block.value - loop.value) <= block.abs_error_estimate
+
+    def test_first_failing_node_in_visiting_order(self):
+        # Fails on both sides of the square: in visiting order the first
+        # failure is a mirror node 1 - delta, not the smallest delta.
+        def bad(t, u):
+            return math.nan if u < 0.05 or u > 0.8 else t * u
+
+        block = integrate2d(bad, 1e-9)
+        loop = per_node_integrate2d(bad, 1e-9)
+        assert not block.converged
+        assert block.message == loop.message
+        assert block.evaluations == loop.evaluations
+        assert block.abs_error_estimate == math.inf
+
+    def test_inner_non_convergence_names_node(self):
+        kernel = double_integral_kernel(2)
+        block = integrate2d(kernel, 1e-8, vectorized_inner=True, max_level=3)
+        loop = per_node_integrate2d(kernel, 1e-8, vectorized_inner=True, max_level=3)
+        assert not block.converged
+        assert "no convergence within 3 refinement levels" in block.message
+        assert block.message == loop.message
+        assert block.evaluations == loop.evaluations
 
 
 class TestResultTypes:

@@ -3,6 +3,7 @@ serve as oracles for the fast evaluation paths."""
 
 import math
 
+import numpy as np
 import pytest
 
 from eulersum.constants import zeta
@@ -13,9 +14,12 @@ from eulersum.specfun import (
     dilog_neg_ratio,
     harmonic_float,
     polylog,
+    polylog_array,
     polylog_eval,
     polylog_one_minus,
 )
+
+EPS = np.finfo(float).eps
 
 
 def brute_force_series(s: int, x: float, n_terms: int = 4000) -> float:
@@ -50,6 +54,71 @@ class TestPolylogValues:
         # log-expansion and argument-squaring branches against the plain
         # definition.
         assert abs(polylog(s, x) - brute_force_series(s, x)) <= POLYLOG_ABS_ERROR
+
+
+class TestHighOrder:
+    @pytest.mark.parametrize("x", [0.51, 0.75, 0.9, 0.999999, -0.51, -0.75, -0.9, -0.999999])
+    def test_orders_172_to_200_against_mpmath(self, x):
+        # Both expansion branches; the head term z^(s-1)/(s-1)! must
+        # underflow instead of overflowing in the factorial.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for s in range(172, 201):
+            reference = float(mpmath.polylog(s, mpmath.mpf(x)))
+            assert abs(polylog(s, x) - reference) <= POLYLOG_ABS_ERROR, s
+
+
+def branch_grid() -> np.ndarray:
+    """Points through +-1/2 and +-1 and on both sides of every branch switch."""
+    edges = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    near = [np.nextafter(e, d) for e in edges for d in (-2.0, 2.0)]
+    points = np.concatenate([np.linspace(-1.0, 1.0, 201), edges, near, [1e-300, -1e-300]])
+    return points[np.abs(points) <= 1.0]
+
+
+class TestPolylogArray:
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 10, 60])
+    def test_matches_scalar_polylog(self, s):
+        x = branch_grid()
+        if s < 2:
+            x = x[x < 1.0]
+        values = polylog_array(s, x)
+        assert values.shape == x.shape
+        for xi, vi in zip(x.tolist(), values.tolist()):
+            reference = polylog(s, xi)
+            # Same kernels; numpy's log may round differently by an ulp.
+            assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), xi
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_one_minus_matches_scalar(self, s):
+        t = np.array([1e-300, 1e-12, 1e-3, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0])
+        values = polylog_one_minus(s, t)
+        for ti, vi in zip(t.tolist(), values.tolist()):
+            reference = polylog_one_minus(s, ti)
+            assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), ti
+
+    def test_dilog_neg_ratio_matches_scalar(self):
+        u = np.array([1e-200, 1e-6, 0.3, 0.5, 0.51, 0.9, 1.0])
+        values = dilog_neg_ratio(u)
+        for ui, vi in zip(u.tolist(), values.tolist()):
+            reference = dilog_neg_ratio(ui)
+            assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), ui
+
+    def test_domain(self):
+        for bad in ([0.5, 1.5], [math.nan], [-1.0000001]):
+            with pytest.raises(ValueError):
+                polylog_array(2, np.array(bad))
+        for s in (0, 1):
+            with pytest.raises(ValueError):
+                polylog_array(s, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            polylog_array(2.0, np.array([0.5]))  # type: ignore[arg-type]
+        with pytest.raises(ValueError):
+            polylog_one_minus(2, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            polylog_one_minus(1, np.array([0.0, 0.5]))
+        with pytest.raises(ValueError):
+            dilog_neg_ratio(np.array([0.0, 0.5]))
 
 
 class TestPolylogInvariants:
@@ -143,6 +212,8 @@ class TestPolylogNearOne:
             polylog_one_minus(2, -0.1)
         with pytest.raises(ValueError):
             polylog_one_minus(2, 1.1)
+        with pytest.raises(ValueError):
+            polylog_one_minus(0, 0.0)  # diverges like 1/t
 
 
 class TestDilogNegRatio:
