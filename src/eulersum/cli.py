@@ -19,10 +19,27 @@ from typing import Optional, Sequence
 
 from . import eulersums
 from .constants import zeta
+from .quad import QuadratureError
 from .registry import VerificationReport, builtin_registry, inject_failure, run_suite
 from .specfun import polylog
 
 __all__ = ["main"]
+
+
+def _tolerance(text: str) -> float:
+    """--tol value: a finite number with 0 < X < 1.
+
+    At 1 and above the relative criterion |l - r| <= X max(|l|, |r|)
+    accepts any two values of the same sign, so no identity could fail.
+    """
+    message = f"must be a finite number with 0 < X < 1, got {text!r}"
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not 0.0 < value < 1.0:  # also rejects NaN and both infinities
+        raise argparse.ArgumentTypeError(message)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,10 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the identity verification suite")
     verify.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         metavar="X",
-        help="loosen every numeric tolerance to at least X (default: per-case)",
+        help="loosen every numeric tolerance to at least X, 0 < X < 1 "
+        "(default: per-case)",
     )
     verify.add_argument(
         "--filter",
@@ -150,7 +168,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         else:  # integral
             (q,) = want(1)
             value = eulersums.sum_via_integral(int(q))
-    except ValueError as exc:
+    except (ValueError, OverflowError, QuadratureError) as exc:
         print(f"eulersum: eval {name}: {exc}", file=sys.stderr)
         return 2
     print(_format_number(value))

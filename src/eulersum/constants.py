@@ -5,7 +5,9 @@ the classical Chebyshev/binomial-weight acceleration: about 50 weighted
 terms replace the ~10^15 raw terms that s = 2 would need for 1e-15. The
 accelerated sum is evaluated in exact rational arithmetic and rounded to
 a double exactly once at the end, so the certified error is one rounding
-step plus a provable truncation bound of order 1e-37.
+step plus a provable truncation bound of order 1e-37. That serves the
+table s <= S_MAX built at import; above it the plain series needs at most
+eight terms and is summed in floats (see _zeta_float_direct).
 
 The Euler constant is produced the same spirit: harmonic number minus
 log with Bernoulli-weighted corrections, all in exact rationals (log 128
@@ -14,19 +16,19 @@ via a rational artanh series), rounded once.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactmath import bernoulli, harmonic_exact, weighted_power_sum
+from .exactmath import bernoulli, weighted_power_sum
 
 __all__ = ["ZetaTable", "zeta", "zeta_table", "euler_gamma"]
 
 # Largest index precomputed at import; above this the direct series
-# already converges in a handful of terms and is computed on demand.
+# already converges in at most eight terms and is summed in floats on demand.
 S_MAX = 20
 
 # Number of accelerated terms. Truncation error of the weighted eta sum
@@ -80,9 +82,24 @@ def _zeta_fraction_accelerated(s: int) -> Fraction:
     return total / (d[n] * eta_to_zeta)
 
 
-def _zeta_fraction_direct(s: int) -> Fraction:
-    """Plain partial sum for large s; tail below 1e-33 already at s = 21."""
-    return harmonic_exact(40, s)
+def _zeta_float_direct(s: int) -> float:
+    """zeta(s) for s > S_MAX as math.fsum of the float terms k^-s >= 2^-60.
+
+    Each term is within one rounding of k^-s (at most 2^-53 k^-s), and fsum
+    rounds their exact sum once (at most 1.2e-16 in [1, 2)). The dropped
+    tail sum_{k > K} k^-s is below (K+1)^-s (1 + (K+1)/(s-1)) < 1.4 * 2^-60,
+    since K + 1 <= 8 for s >= 21. Together that stays within
+    CERTIFIED_ABS_ERROR, and s = 20000 costs two terms instead of an exact
+    sum over lcm(1..40)^s.
+    """
+    terms = []
+    k = 1
+    term = 1.0
+    while term >= 2.0**-60:
+        terms.append(term)
+        k += 1
+        term = k ** -float(s)
+    return math.fsum(terms)
 
 
 _TABLE = ZetaTable(
@@ -91,9 +108,6 @@ _TABLE = ZetaTable(
     ),
     certified_abs_error=CERTIFIED_ABS_ERROR,
 )
-
-_EXTRA_LOCK = threading.Lock()
-_EXTRA: dict[int, float] = {}
 
 
 def zeta_table() -> ZetaTable:
@@ -109,10 +123,7 @@ def zeta(s: int) -> float:
         raise ValueError(f"zeta requires s >= 2, got {s}")
     if s <= S_MAX:
         return _TABLE.values[s]
-    with _EXTRA_LOCK:
-        if s not in _EXTRA:
-            _EXTRA[s] = float(_zeta_fraction_direct(s))
-        return _EXTRA[s]
+    return _zeta_float_direct(s)
 
 
 def _euler_gamma_fraction() -> Fraction:

@@ -291,14 +291,20 @@ def double_integral_kernel(q: int) -> Callable:
 
     Only q = 2 and q = 3 are supported; both reduce to elementary closed
     forms of the product (1-t)(1-u), written with 1 - (1-t)(1-u) expanded
-    as t + u - t u to avoid cancellation near the singular corner. The
-    kernels accept numpy arrays (needed to keep the 2-D quadrature fast)
-    and are symmetric in (t, u).
+    as t + u - t u (q = 3) or t (1-u) + u (q = 2, one pass over the block
+    fewer) to avoid cancellation near the singular corner. The kernels
+    accept numpy arrays (needed to keep the 2-D quadrature fast) and are
+    symmetric in (t, u) up to rounding.
     """
     if q == 2:
-        # Li_0(w)/w = 1/(1-w) with w = (1-t)(1-u).
+        # Li_0(w)/w = 1/(1-w) with w = (1-t)(1-u). In place, so a block
+        # holds two full-size arrays at a time instead of four.
         def kernel(t, u):
-            return np.log(t) * np.log(u) / (t + u - t * u)
+            denominator = t * (1.0 - u)
+            denominator += u
+            value = np.log(t) * np.log(u)
+            value /= denominator
+            return value
 
     elif q == 3:
         # Li_1(w)/w = -log(1-w)/w.

@@ -48,10 +48,22 @@ def weighted_power_sum(weights: Iterable[int], p: int) -> Rational:
     """
     weights = list(weights)
     denominator = lcm(*range(1, len(weights) + 1))
-    numerator = sum(
-        w * (denominator // k) ** p for k, w in enumerate(weights, start=1)
-    )
-    return Fraction(numerator, denominator**p)
+    shares = [denominator // k for k in range(1, len(weights) + 1)]
+    if p != 1:
+        shares = [m**p for m in shares]
+        denominator **= p
+    numerator = sum([w * m for w, m in zip(weights, shares)])
+    return Fraction(numerator, denominator)
+
+
+def _signed_binomials(n: int) -> list[int]:
+    """(-1)^k C(n, k) for k = 0..n, by the running ratio C(n, k) / C(n, k-1)."""
+    row = [1]
+    c = 1
+    for k in range(1, n + 1):
+        c = c * (n - k + 1) // k
+        row.append(-c if k % 2 else c)
+    return row
 
 
 def harmonic_exact(n: int, r: int = 1) -> Rational:
@@ -72,9 +84,7 @@ def alt_binomial_sum(n: int, p: int) -> Rational:
         raise ValueError(f"alt_binomial_sum requires n >= 1, got {n}")
     if p < 1:
         raise ValueError(f"alt_binomial_sum requires p >= 1, got {p}")
-    return weighted_power_sum(
-        ((-1) ** k * comb(n, k) for k in range(1, n + 1)), p
-    )
+    return weighted_power_sum(_signed_binomials(n)[1:], p)
 
 
 def moment_integral_exact(n: int, p: int) -> Rational:
@@ -93,7 +103,7 @@ def moment_integral_exact(n: int, p: int) -> Rational:
         raise ValueError(f"moment_integral_exact requires p >= 1, got {p}")
     # (-1)^(p+1) * n * sum_j C(n-1, j) (-1)^j (-1)^p p!/(j+1)^(p+1)
     # collapses to -n * p! * sum_j C(n-1, j) (-1)^j / (j+1)^(p+1).
-    total = weighted_power_sum(((-1) ** j * comb(n - 1, j) for j in range(n)), p + 1)
+    total = weighted_power_sum(_signed_binomials(n - 1), p + 1)
     return -n * factorial(p) * total
 
 

@@ -14,9 +14,12 @@ that side only (integrands with endpoint singularities cannot be evaluated
 there, and the skipped weights are negligible), while its mirror twin on
 the other side keeps contributing.
 
-The iterated 2-D rule (Takahasi and Mori, 1974) is evaluated level by
-level over whole node sets, as in Bailey, Jeyabalan and Li (2005): all
-outer nodes new at a level form the rows of one block, each inner level
+Each level's whole node set is evaluated in one pass, as in Bailey,
+Jeyabalan and Li (2005): the abscissas of both halves of the interval are
+built once per interval and level, a level is one integrand call on all of
+them, and the weighted sum is one matrix-vector product. The iterated 2-D
+rule (Takahasi and Mori, 1974) extends this to whole blocks: all outer
+nodes new at a level form the rows of one block, each inner level
 evaluates the integrand once on (rows still running) x (new inner nodes),
 and a row leaves the block as soon as its inner integral passes the same
 test a lone 1-D call applies. The 1-D rule is the one-row case of the
@@ -26,8 +29,8 @@ same kernel.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -72,8 +75,9 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
-_TABLE_LOCK = threading.Lock()
-_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied to each element of x, as a float array."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
 def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,30 +88,52 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     either endpoint (the rule is symmetric); the weight is
     pi cosh(t) delta (1 - delta), with the center node t = 0 halved because
     the symmetric pair sum would count it twice.
+
+    The elementary functions come from the math module, mapped over the
+    whole level: delta = 1 / (1 + exp(pi sinh t)) turns a one-ulp change
+    in sinh into hundreds of ulps near the endpoints, so the nodes do not
+    depend on how numpy's vector sinh rounds.
     """
-    if level in _TABLES:
-        return _TABLES[level]
-    with _TABLE_LOCK:
-        if level in _TABLES:
-            return _TABLES[level]
-        h = 2.0**-level
-        ks = range(0, 1_000_000) if level == 1 else range(1, 2_000_000, 2)
-        deltas: list[float] = []
-        weights: list[float] = []
-        for k in ks:
-            t = k * h
-            y = math.pi * math.sinh(t)  # = 2 * (pi/2) sinh t
-            delta = math.exp(-y) if y > 700.0 else 1.0 / (1.0 + math.exp(y))
-            if delta < _MIN_DELTA:
-                break
-            w = math.pi * math.cosh(t) * delta * (1.0 - delta)
-            if k == 0:
-                w *= 0.5
-            deltas.append(delta)
-            weights.append(w)
-        table = (np.asarray(deltas), np.asarray(weights))
-        _TABLES[level] = table
-        return table
+    h = 2.0**-level
+    first, step = (0, 1) if level == 1 else (1, 2)
+    # Every t with pi sinh(t) < 700; delta < 1e-304 beyond, and the mask
+    # below cuts at _MIN_DELTA.
+    t = h * np.arange(first, math.asinh(700.0 / math.pi) / h, step)
+    y = math.pi * _map(math.sinh, t)
+    delta = 1.0 / (1.0 + _map(math.exp, y))
+    keep = delta >= _MIN_DELTA
+    t, delta = t[keep], delta[keep]
+    weight = math.pi * _map(math.cosh, t) * delta * (1.0 - delta)
+    if level == 1:
+        weight[0] *= 0.5
+    return delta, weight
+
+
+@lru_cache(maxsize=2 * MAX_LEVEL)
+def _interval_nodes(
+    a: float, b: float, level: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Abscissas, weights and low-side count of one level on (a, b).
+
+    The low side a + (b - a) delta comes first, then the mirrored high side
+    b - (b - a) delta, each in table order. The collision guards apply per
+    side: a node whose floating position lands on an endpoint is dropped,
+    but its mirror twin is kept (the twin can carry real mass when the
+    integrand is large near the other end). delta falls along the table,
+    so each side keeps a prefix of it. Built once per interval and level
+    (every suite integral is on (0, 1)) and read-only.
+    """
+    deltas, weights = _level_table(level)
+    scale = b - a
+    x_lo = a + scale * deltas
+    x_hi = b - scale * deltas
+    keep_lo = x_lo > a
+    keep_hi = x_hi < b
+    x = np.concatenate((x_lo[keep_lo], x_hi[keep_hi]))
+    w = np.concatenate((weights[keep_lo], weights[keep_hi]))
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w, int(keep_lo.sum())
 
 
 def _check_tol(tol: float) -> None:
@@ -131,22 +157,24 @@ def _integrate_rows(
     tol: float,
     relative: bool,
     max_level: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """Tanh-sinh over (a, b) for `rows` integrands at once.
 
     evaluate(x, live) returns the integrands of the rows listed in live at
-    the abscissas x, shaped (len(live), len(x)). Each level evaluates its
-    new nodes for every row still running as one block; a row leaves the
-    block at the level where it passes the convergence test, so its value,
-    estimate and evaluation count are those a lone integrate() call on it
-    would report. Returns per-row (value, abs_error_estimate, evaluations,
-    message), the message being "" for a converged row.
+    the abscissas x, shaped (len(live), len(x)). Each level makes one such
+    call on all of its new nodes, both halves of the interval, for every
+    row still running, and weights the block by one matrix-vector product;
+    a row leaves the block at the level where it passes the convergence
+    test, so its value, estimate and evaluation count are those a lone
+    integrate() call on it would report. Returns per-row (value,
+    abs_error_estimate, evaluations) and a map from each failed row to its
+    message.
     """
     scale = b - a
     value_out = np.zeros(rows)
     estimate_out = np.full(rows, math.inf)
     evals_out = np.zeros(rows, dtype=np.int64)
-    messages = [""] * rows
+    failures: dict[int, str] = {}
     # State of the rows still running, aligned with live. Every live row
     # has run the same levels, so one evaluation count serves them all.
     live = np.arange(rows)
@@ -167,38 +195,28 @@ def _integrate_rows(
     for level in range(1, max_level + 1):
         if live.size == 0:
             break
-        h = 2.0**-level
-        deltas, weights = _level_table(level)
-        x_lo = a + scale * deltas
-        x_hi = b - scale * deltas
-        # Collision guards apply per side: a node whose floating position
-        # lands on an endpoint is dropped, but its mirror twin is kept (the
-        # twin can carry real mass when the integrand is large near the
-        # other end).
-        keep_lo = x_lo > a
-        keep_hi = x_hi < b
-        x_lo, w_lo = x_lo[keep_lo], weights[keep_lo]
-        x_hi, w_hi = x_hi[keep_hi], weights[keep_hi]
-        count += x_lo.size + x_hi.size
-        block = (w_lo * _block(evaluate, x_lo, live)).sum(axis=1) + (
-            w_hi * _block(evaluate, x_hi, live)
-        ).sum(axis=1)
+        x, w, _ = _interval_nodes(a, b, level)
+        count += x.size
+        # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
+        # resident buffers on its first call, for no gain at these sizes.
+        sums = np.einsum("ij,j->i", _block(evaluate, x, live), w)
 
-        finite = np.isfinite(block)
+        finite = np.isfinite(sums)
         if not finite.all():
             for row in live[~finite].tolist():
-                messages[row] = "non-finite integrand value at an interior node"
+                failures[row] = "non-finite integrand value at an interior node"
             # A failed row keeps the previous level's value.
             finish(finite, prev, np.full(live.size, math.inf))
-            block = block[finite]
-        acc += block
-        value = h * scale * acc
+            sums = sums[finite]
+        acc += sums
+        value = 2.0**-level * scale * acc
         if level > 1:
             diff = np.abs(value - prev)
+            size = np.abs(value)
             # Roundoff floor: a level difference of exactly zero does not
             # certify anything below one rounding of the result.
-            reported = np.maximum(diff, _EPS * (1.0 + np.abs(value)))
-            threshold = tol * np.maximum(1.0, np.abs(value)) if relative else tol
+            reported = np.maximum(diff, _EPS * (1.0 + size))
+            threshold = tol * np.maximum(1.0, size) if relative else tol
             passed = reported < threshold
             if passed.any():
                 finish(~passed, value, reported)
@@ -206,11 +224,11 @@ def _integrate_rows(
         prev = value
 
     for row in live.tolist():
-        messages[row] = f"no convergence within {max_level} refinement levels"
+        failures[row] = f"no convergence within {max_level} refinement levels"
     value_out[live] = prev
     estimate_out[live] = diff
     evals_out[live] = count
-    return value_out, estimate_out, evals_out, messages
+    return value_out, estimate_out, evals_out, failures
 
 
 def integrate(
@@ -248,15 +266,16 @@ def integrate(
         def evaluate(x, live):
             return np.fromiter((f(t) for t in x), dtype=float, count=len(x)).reshape(1, -1)
 
-    value, estimate, evals, messages = _integrate_rows(
+    value, estimate, evals, failures = _integrate_rows(
         evaluate, 1, a, b, tol, relative, max_level
     )
+    message = failures.get(0, "")
     return QuadratureResult(
         value=float(value[0]),
         abs_error_estimate=float(estimate[0]),
         evaluations=int(evals[0]),
-        converged=not messages[0],
-        message=messages[0],
+        converged=not message,
+        message=message,
     )
 
 
@@ -301,35 +320,34 @@ def integrate2d(
 
     for level in range(1, max_level + 1):
         h = 2.0**-level
-        deltas, weights = _level_table(level)
-        # Outer nodes in visiting order: delta, then its mirror 1 - delta.
-        us = np.column_stack((deltas, 1.0 - deltas)).ravel()
-        ws = np.repeat(weights, 2)
-        keep = (us > 0.0) & (us < 1.0)  # endpoint collision guard
-        us, ws = us[keep], ws[keep]
+        us, ws, n_low = _interval_nodes(0.0, 1.0, level)
         column = us[:, None]
 
         def evaluate(t, live):
             return kernel(t[None, :], column[live])
 
-        values, estimates, counts, messages = _integrate_rows(
+        values, estimates, counts, failures = _integrate_rows(
             evaluate, us.size, 0.0, 1.0, inner_tol, True, max_level
         )
-        for u, w, v, e, n, message in zip(
-            us.tolist(), ws.tolist(), values.tolist(), estimates.tolist(),
-            counts.tolist(), messages,
-        ):
-            evals += n
-            if message:
-                return QuadratureResult(
-                    value=value,
-                    abs_error_estimate=math.inf,
-                    evaluations=evals,
-                    converged=False,
-                    message=f"inner integral failed at u={u!r}: {message}",
-                )
-            acc_val += w * v
-            acc_err += w * e
+        if failures:
+            # Outer nodes are visited in table order, each delta before its
+            # mirror 1 - delta; the evaluations counted are those made up
+            # to the first failing node in that order.
+            position = np.concatenate(
+                (2 * np.arange(n_low), 2 * np.arange(us.size - n_low) + 1)
+            )
+            row = min(failures, key=position.__getitem__)
+            return QuadratureResult(
+                value=value,
+                abs_error_estimate=math.inf,
+                evaluations=evals + int(counts[position <= position[row]].sum()),
+                converged=False,
+                message=f"inner integral failed at u={float(us[row])!r}: "
+                f"{failures[row]}",
+            )
+        evals += int(counts.sum())
+        acc_val += float((ws * values).sum())
+        acc_err += float((ws * estimates).sum())
         value = h * acc_val
         inner_bound = h * acc_err
         if prev is not None:

@@ -252,9 +252,9 @@ def polylog_one_minus(s: int, t):
 
     For t < 1/2 this goes straight into the x = 1 expansion with
     z = log1p(-t), so t = 1e-300 is as accurate as t = 0.3; for t >= 1/2
-    the complement 1 - t is exact in floating point and the ordinary
-    polylog branches take over. A scalar t gives a float; an array of t
-    gives an array, evaluated branch by branch.
+    the complement 1 - t is exact in floating point and lies in [0, 1/2],
+    where the Taylor series serves it. A scalar t gives a float; an array
+    of t gives an array, evaluated branch by branch.
     """
     _check_order(s)
     if np.ndim(t):
@@ -279,17 +279,21 @@ def _polylog_one_minus_array(s: int, t: np.ndarray) -> np.ndarray:
         raise ValueError("polylog_one_minus requires t in [0, 1]")
     if s < 2 and np.any(t == 0.0):
         raise ValueError(f"polylog_one_minus({s}, 0) diverges")
+    if s == 0:
+        return (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
     out = np.empty_like(t)
     far = t >= 0.5
-    if far.any():
-        out[far] = polylog_array(s, 1.0 - t[far])
+    x = 1.0 - t[far]  # exact for t >= 1/2, and x <= 1/2
     near = ~far
     tn = t[near]
     if s == 1:
+        out[far] = -np.log1p(-x)
         out[near] = -np.log(tn)
-    elif s == 0:
-        out[near] = (1.0 - tn) / tn
-    else:
+        return out
+    # Each polynomial costs a few dozen numpy calls, so skip empty branches.
+    if x.size:
+        out[far] = _taylor(s, x)
+    if tn.size:
         values = np.full_like(tn, zeta(s))
         inside = tn > 0.0
         values[inside] = _log_expansion(s, np.log1p(-tn[inside]), np.log)

@@ -114,6 +114,68 @@ class TestVerify:
         assert json.loads(out)["cases"][0]["tol"] == 1e-3
 
 
+class TestTolValidation:
+    """--tol takes a finite X with 0 < X < 1; anything else exits 2."""
+
+    @pytest.mark.parametrize(
+        "value", ["inf", "-inf", "nan", "-1", "0", "1", "1e3", "abc"]
+    )
+    def test_rejected_values_exit_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--filter", "zeta", "--tol", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err
+        assert "Traceback" not in err
+
+    def test_inf_cannot_hide_injected_failure(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol", "inf", "--inject-failure", "euler-q2-series"])
+        assert exc.value.code == 2
+
+    def test_inf_json_is_a_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulersum", "verify", "--tol", "inf",
+             "--output", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "0 < X < 1" in proc.stderr.splitlines()[-1]
+
+
+class TestEvalErrors:
+    def test_overflow_exits_2(self):
+        code, out, err = run_cli("eval", "hsum", "2", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("eulersum: eval hsum: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_quadrature_failure_exits_2(self, monkeypatch):
+        from eulersum import eulersums
+        from eulersum.quad import QuadratureError, QuadratureResult
+
+        def no_convergence(q):
+            result = QuadratureResult(0.0, float("inf"), 10, False, "died")
+            raise QuadratureError(f"integral of S(1; {q}) did not converge", result)
+
+        monkeypatch.setattr(eulersums, "sum_via_integral", no_convergence)
+        code, out, err = run_cli("eval", "integral", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "eulersum: eval integral: integral of S(1; 2) did not converge\n"
+
+    def test_large_zeta_is_fast(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulersum", "eval", "gp", "100000"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0
+        assert float(proc.stdout) == 1.0
+
+
 class TestList:
     def test_lists_registry(self):
         code, out, _ = run_cli("list")

@@ -1,10 +1,11 @@
 """Constant tables: cross-checked against pi powers and Bernoulli forms."""
 
 import math
+import time
 
 import pytest
 
-from eulersum.constants import euler_gamma, zeta, zeta_table
+from eulersum.constants import CERTIFIED_ABS_ERROR, euler_gamma, zeta, zeta_table
 from eulersum.exactmath import bernoulli
 from eulersum.specfun import harmonic_float
 
@@ -75,6 +76,26 @@ class TestZeta:
             zeta(2.5)
         with pytest.raises(ValueError):
             zeta(True)
+
+
+class TestZetaAboveTable:
+    """The float direct sum that serves s > S_MAX."""
+
+    @pytest.mark.parametrize("s", [21, 25, 53, 54, 64, 1000, 20000])
+    def test_against_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.zeta(s)
+            assert abs(mpmath.mpf(zeta(s)) - exact) <= CERTIFIED_ABS_ERROR
+
+    @pytest.mark.parametrize("s", [21, 25, 53, 54, 64, 1000, 20000, 10**9])
+    def test_each_call_under_a_millisecond(self, s):
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            zeta(s)
+            best = min(best, time.perf_counter() - start)
+        assert best < 1e-3
 
 
 class TestZetaTable:

@@ -11,6 +11,7 @@ from eulersum.quad import (
     MAX_LEVEL,
     QuadratureError,
     QuadratureResult,
+    _interval_nodes,
     _level_table,
     integrate,
     integrate2d,
@@ -249,6 +250,102 @@ class TestIntegrate2dBlocks:
         assert "no convergence within 3 refinement levels" in block.message
         assert block.message == loop.message
         assert block.evaluations == loop.evaluations
+
+
+def math_level_table(level):
+    """The level table built node by node with the math module."""
+    h = 2.0**-level
+    ks = range(0, 1_000_000) if level == 1 else range(1, 2_000_000, 2)
+    deltas, weights = [], []
+    for k in ks:
+        t = k * h
+        y = math.pi * math.sinh(t)
+        delta = math.exp(-y) if y > 700.0 else 1.0 / (1.0 + math.exp(y))
+        if delta < 1e-300:
+            break
+        w = math.pi * math.cosh(t) * delta * (1.0 - delta)
+        deltas.append(delta)
+        weights.append(0.5 * w if k == 0 else w)
+    return np.array(deltas), np.array(weights)
+
+
+def node_counts(a=0.0, b=1.0):
+    """Number of nodes each level adds on (a, b), levels 1..MAX_LEVEL."""
+    return [_interval_nodes(a, b, level)[0].size for level in range(1, MAX_LEVEL + 1)]
+
+
+class TestLevelPasses:
+    """Each level is one integrand call over both halves of the interval."""
+
+    @pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
+    def test_level_table_matches_math_construction(self, level):
+        # Same elementary functions, same operation order: the same bits.
+        deltas, weights = _level_table(level)
+        ref_deltas, ref_weights = math_level_table(level)
+        assert np.array_equal(deltas, ref_deltas)
+        assert np.array_equal(weights, ref_weights)
+
+    def test_cached_nodes_are_read_only(self):
+        x, w, _ = _interval_nodes(0.0, 1.0, 3)
+        for array in (x, w):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, 0.3), (0.3, 1.0)])
+    def test_interval_nodes_are_both_halves(self, a, b):
+        deltas, weights = _level_table(4)
+        x, w, n_low = _interval_nodes(a, b, 4)
+        x_lo, x_hi = a + (b - a) * deltas, b - (b - a) * deltas
+        low, high = x_lo > a, x_hi < b  # the per-side collision guards
+        assert np.array_equal(x, np.concatenate((x_lo[low], x_hi[high])))
+        assert np.array_equal(w, np.concatenate((weights[low], weights[high])))
+        assert n_low == low.sum()
+
+    @pytest.mark.parametrize(
+        "f,a,b,tol",
+        [
+            (lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-12),
+            (lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-6),
+            (np.sin, 0.0, math.pi, 1e-13),
+        ],
+    )
+    def test_one_integrand_call_per_level(self, f, a, b, tol):
+        sizes = []
+
+        def counting(t):
+            sizes.append(t.size)
+            return f(t)
+
+        r = integrate(counting, a, b, tol, vectorized=True)
+        assert r.converged
+        assert sizes == node_counts(a, b)[: len(sizes)]
+        assert sum(sizes) == r.evaluations
+
+    def test_2d_kernel_called_once_per_inner_level(self):
+        counts = node_counts()
+        calls = []
+        kernel = double_integral_kernel(3)
+
+        def f(t, u):
+            calls.append((t.size, u.size))
+            return kernel(t, u)
+
+        r = integrate2d(f, 1e-8, vectorized_inner=True)
+        assert r.converged
+        # Outer level L is one block of all its nodes; inner levels 1, 2, ...
+        # each make one call on the rows still running, so the call sizes
+        # restart at inner level 1 exactly once per outer level.
+        runs = []
+        for t_size, rows in calls:
+            if t_size == counts[0]:
+                runs.append([])
+            runs[-1].append((t_size, rows))
+        for outer_level, run in enumerate(runs, start=1):
+            assert [t for t, _ in run] == counts[: len(run)]
+            rows = [n for _, n in run]
+            assert rows[0] == counts[outer_level - 1]
+            assert rows == sorted(rows, reverse=True)  # rows only leave
+        assert sum(t * n for t, n in calls) == r.evaluations
 
 
 class TestResultTypes:

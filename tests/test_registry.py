@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from eulersum.eulersums import double_integral_kernel
+from eulersum.quad import integrate2d
 from eulersum.registry import (
     IdentityCase,
     builtin_registry,
@@ -100,6 +102,24 @@ class TestRunCase:
         assert result.status == "pass"
         assert result.abs_residual == 0.0
         assert result.rel_residual == 0.0
+
+    def test_equal_exact_sides_report_zero_residuals(self, registry):
+        for case_id in ("binomial-exact/n=12,p=4", "altsum-harmonic/n=60"):
+            case = next(c for c in registry if c.id == case_id)
+            result = run_case(case)
+            assert result.status == "pass"
+            assert result.abs_residual == 0.0 and result.rel_residual == 0.0
+            assert type(result.abs_residual) is float
+            assert type(result.rel_residual) is float
+
+    def test_unequal_exact_sides_report_their_residual(self, registry):
+        cases = inject_failure(registry, "binomial-exact/n=3,p=2")
+        target = next(c for c in cases if c.id == "binomial-exact/n=3,p=2")
+        result = run_case(target)
+        assert result.status == "fail"
+        assert result.abs_residual == 1.0
+        rhs = Fraction(result.rhs_value)
+        assert result.rel_residual == float(1 / max(abs(rhs), abs(rhs - 1)))
 
     def test_corrupted_numeric_case_fails(self):
         case = IdentityCase(
@@ -222,6 +242,29 @@ class TestRunSuite:
         ]
         report = run_suite(cases=cases)
         assert report.summary == {"total": 2, "passed": 1, "failed": 0, "errored": 1}
+
+
+class TestEvaluationCounts:
+    """Integrand evaluations of the suite's quadrature routes, pinned."""
+
+    def test_one_dimensional_routes(self, fast_cases):
+        report = run_suite(cases=fast_cases)
+        counts = {c.id: c.evaluations for c in report.cases if c.evaluations}
+        assert counts == {
+            "euler-q2-quadrature": 75,
+            "inner-integral/u=0.1": 149,
+            "inner-integral/u=0.3": 149,
+            "inner-integral/u=0.5": 149,
+            "inner-integral/u=0.7": 75,
+            "inner-integral/u=0.9": 75,
+            "ref-log3-integral": 149,
+        }
+
+    @pytest.mark.parametrize("q,evaluations", [(2, 117_451), (3, 6_328)])
+    def test_two_dimensional_routes(self, q, evaluations):
+        result = integrate2d(double_integral_kernel(q), 1e-8, vectorized_inner=True)
+        assert result.converged
+        assert result.evaluations == evaluations
 
 
 class TestInjectFailure:

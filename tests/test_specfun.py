@@ -89,12 +89,19 @@ class TestPolylogArray:
             # Same kernels; numpy's log may round differently by an ulp.
             assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), xi
 
-    @pytest.mark.parametrize("s", [1, 2, 5])
+    @pytest.mark.parametrize("s", [0, 1, 2, 5])
     def test_one_minus_matches_scalar(self, s):
         t = np.array([1e-300, 1e-12, 1e-3, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0])
         values = polylog_one_minus(s, t)
         for ti, vi in zip(t.tolist(), values.tolist()):
             reference = polylog_one_minus(s, ti)
+            assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), ti
+
+    @pytest.mark.parametrize("t", [[1e-300, 0.25, 0.49], [0.5, 0.75, 1.0]])
+    def test_one_minus_single_branch_arrays(self, t):
+        values = polylog_one_minus(3, np.array(t))
+        for ti, vi in zip(t, values.tolist()):
+            reference = polylog_one_minus(3, ti)
             assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), ti
 
     def test_dilog_neg_ratio_matches_scalar(self):
