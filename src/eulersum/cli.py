@@ -5,8 +5,9 @@
     eulersum list
 
 verify exits 0 only when every case passed; any failure or error gives 1,
-bad arguments give 2. Reports go to stdout (text or schema-stable JSON),
-diagnostics to stderr. Numbers print with shortest round-trip precision.
+bad arguments (a --filter that matches no case among them) give 2.
+Reports go to stdout (text or schema-stable JSON), diagnostics to stderr.
+Numbers print with shortest round-trip precision.
 """
 
 from __future__ import annotations
@@ -134,6 +135,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         tol_override=args.tol,
         cases=cases,
     )
+    if report.summary["total"] == 0:
+        # a report of 0 cases would pass while checking nothing
+        print(f"eulersum: verify: no case id starts with {args.filter!r}", file=sys.stderr)
+        return 2
     if args.output == "json":
         print(json.dumps(report.as_dict(), indent=2, allow_nan=False))
     else:

@@ -21,13 +21,16 @@ two-dimensional quadrature (quadratic_sum_double_integral).
 
 The tail machinery manipulates expansions of the form
 sum c * log(x)^i * x^(-e) symbolically (as coefficient maps), which keeps
-the Euler-Maclaurin derivatives exact instead of finite-differenced.
+the Euler-Maclaurin derivatives exact instead of finite-differenced. The
+tables that do not depend on the sum being evaluated (H_1..H_cutoff, the
+expansion of H_x^m and each term's derivative chain) are built once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -108,9 +111,9 @@ def _expansion_derivative(p: _Expansion) -> _Expansion:
     return out
 
 
-def _expansion_value(p: _Expansion, x: float) -> float:
-    log_x = math.log(x)
-    return math.fsum(c * log_x**i * x ** (-float(e)) for (i, e), c in p.items())
+def _expansion_value(terms, x, log_x: float) -> float:
+    """Value of the expansion items ((i, e), c) at x, with log_x = log(x)."""
+    return math.fsum(c * log_x**i * x ** (-float(e)) for (i, e), c in terms)
 
 
 def _tail_integral(i: int, s: float, n: float) -> float:
@@ -121,66 +124,70 @@ def _tail_integral(i: int, s: float, n: float) -> float:
     return head + i / (s - 1.0) * _tail_integral(i - 1, s, n)
 
 
-def _tail_sum(p: _Expansion, q: int, n_cut: int) -> float:
+# Euler-Maclaurin weights B_2k / (2k)! of the odd derivatives, k = 1, 2, 3.
+_EM_WEIGHTS = tuple(
+    float(bernoulli(2 * k)) / math.factorial(2 * k) for k in (1, 2, 3)
+)
+
+
+@lru_cache(maxsize=128)
+def _derivative_chain(i: int, s: int) -> tuple:
+    """log(x)^i x^(-s) and its derivatives of orders 1, 3 and 5, as items."""
+    d: _Expansion = {(i, s): 1.0}
+    chain = [tuple(d.items())]
+    for order in range(1, 6):
+        d = _expansion_derivative(d)
+        if order % 2:
+            chain.append(tuple(d.items()))
+    return tuple(chain)
+
+
+def _tail_sum(p, q: int, n_cut: int) -> float:
     """sum_{n > n_cut} of p(n) / n^q by Euler-Maclaurin with terms to B_6.
 
-    For the expansions in play (exponents up to 4, log powers up to 2) the
-    first neglected correction, the B_8 term, is below 2e-21 at
-    n_cut = 200 for every q from 2 to 11.
+    p is an expansion as ((i, e), c) items. For the expansions in play
+    (exponents up to 4, log powers up to 2) the first neglected
+    correction, the B_8 term, is below 2e-21 at n_cut = 200 for every q
+    from 2 to 11.
     """
-    b_coeffs = tuple(
-        float(bernoulli(2 * k)) / math.factorial(2 * k) for k in (1, 2, 3)
-    )
+    log_n = math.log(n_cut)
     total = 0.0
-    for (i, e), c in p.items():
+    for (i, e), c in p:
         s = q + e
-        g: _Expansion = {(i, s): 1.0}
+        g, *derivatives = _derivative_chain(i, s)
         val = _tail_integral(i, float(s), float(n_cut))
-        val -= 0.5 * _expansion_value(g, n_cut)
-        d = g
-        order = 0
-        for k, b_over_fact in zip((1, 2, 3), b_coeffs):
-            while order < 2 * k - 1:
-                d = _expansion_derivative(d)
-                order += 1
-            val -= b_over_fact * _expansion_value(d, n_cut)
+        val -= 0.5 * _expansion_value(g, n_cut, log_n)
+        for weight, d in zip(_EM_WEIGHTS, derivatives):
+            val -= weight * _expansion_value(d, n_cut, log_n)
         total += c * val
     return total
 
 
-def _harmonic_expansion() -> _Expansion:
-    """H_x ~ log x + gamma + 1/(2x) - 1/(12 x^2) + 1/(120 x^4)."""
-    return {
+@lru_cache(maxsize=None)
+def _harmonic_power_expansion(m: int) -> tuple:
+    """Items of H_x^m for m in {1, 2}, from
+    H_x ~ log x + gamma + 1/(2x) - 1/(12 x^2) + 1/(120 x^4)."""
+    expansion = {
         (1, 0): 1.0,
         (0, 0): euler_gamma(),
         (0, 1): 0.5,
         (0, 2): -1.0 / 12.0,
         (0, 4): 1.0 / 120.0,
     }
+    if m == 2:
+        expansion = _expansion_product(expansion, expansion)
+    return tuple(expansion.items())
 
 
-def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTOFF) -> float:
-    """S(h_power; q) by direct summation with an Euler-Maclaurin tail.
+# The harmonic table of a cutoff up to this is memoised (4 tables of at
+# most 1024 pairs of doubles, ~64 KB each); larger ones are built per call.
+_MEMO_HARMONIC_MAX_CUTOFF = 1024
 
-    The partial sum runs to n = cutoff (200 by default) with compensated
-    accumulation of H_n; the tail sums the asymptotic form of H_n^m / n^q
-    (for m = 2 the squared expansion is truncated consistently at order
-    n^-4 inside the square; the first dropped term, 1/(120 n^5), sums to
-    about 2e-17 beyond n = 200). The achieved accuracy is near 1e-15 for every
-    in-scope sum, validated against the closed forms; tolerances below
-    1e-12 are not accepted.
-    """
-    if tol < _MIN_SERIES_TOL:
-        raise ValueError(f"sum_series supports tol >= {_MIN_SERIES_TOL}, got {tol}")
-    if spec.q < 2:
-        raise ValueError(f"series diverges for q < 2, got {spec.q}")
-    if cutoff < 100:
-        raise ValueError(f"cutoff too small for the asymptotic tail, got {cutoff}")
-    m, q = spec.h_power, spec.q
 
-    terms = []
+def _build_harmonic_table(cutoff: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     h = 0.0
     comp = 0.0  # Neumaier compensation for the running harmonic number
+    harmonics = []
     for n in range(1, cutoff + 1):
         t = 1.0 / n
         s = h + t
@@ -189,14 +196,41 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTO
         else:
             comp += (t - s) + h
         h = s
-        h_n = h + comp
-        terms.append(h_n**m / float(n) ** q)
-    partial = math.fsum(terms)
+        harmonics.append(h + comp)
+    return tuple(harmonics), tuple(float(n) for n in range(1, cutoff + 1))
 
-    expansion = _harmonic_expansion()
-    if m == 2:
-        expansion = _expansion_product(expansion, expansion)
-    return partial + _tail_sum(expansion, q, cutoff)
+
+_harmonic_table_memo = lru_cache(maxsize=4)(_build_harmonic_table)
+
+
+def _harmonic_table(cutoff: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(H_1..H_cutoff by compensated summation, 1.0..float(cutoff))."""
+    if cutoff <= _MEMO_HARMONIC_MAX_CUTOFF:
+        return _harmonic_table_memo(cutoff)
+    return _build_harmonic_table(cutoff)
+
+
+def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTOFF) -> float:
+    """S(h_power; q) by direct summation with an Euler-Maclaurin tail.
+
+    The partial sum runs to n = cutoff (200 by default) over a table of
+    H_n built once by compensated accumulation; the tail sums the
+    asymptotic form of H_n^m / n^q (for m = 2 the squared expansion is
+    truncated consistently at order n^-4 inside the square; the first
+    dropped term, 1/(120 n^5), sums to about 2e-17 beyond n = 200). The
+    achieved accuracy is near 1e-15 for every in-scope sum, validated
+    against the closed forms; tolerances below 1e-12 are not accepted.
+    """
+    if tol < _MIN_SERIES_TOL:
+        raise ValueError(f"sum_series supports tol >= {_MIN_SERIES_TOL}, got {tol}")
+    if spec.q < 2:
+        raise ValueError(f"series diverges for q < 2, got {spec.q}")
+    if cutoff < 100:
+        raise ValueError(f"cutoff too small for the asymptotic tail, got {cutoff}")
+    m, q = spec.h_power, spec.q
+    harmonics, ns = _harmonic_table(cutoff)
+    partial = math.fsum([h**m / n**q for h, n in zip(harmonics, ns)])
+    return partial + _tail_sum(_harmonic_power_expansion(m), q, cutoff)
 
 
 def sum_gp_closed_form(p: int) -> float:

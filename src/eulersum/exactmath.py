@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Iterable
 
 # Exact rational type used across the package. fractions.Fraction already
@@ -39,31 +41,66 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def weighted_power_sum(weights: Iterable[int], p: int) -> Rational:
-    """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n.
+# The memos below hold tables that do not depend on the identity being
+# checked. Each is bounded in bytes for any input, not only in entries:
+# C(n, k) < 2^n, so a memoised row holds at most 64 * 65 bits; and
+# log2 lcm(1..n) < 1.5 n (Rosser and Schoenfeld: psi(x) < 1.03883 x), so a
+# memoised share table (n^2 p <= 2^14) holds at most 1.5 * 2^14 bits, and
+# 128 of them stay under 1 MB with the integer and tuple headers. Larger
+# tables are built per call and dropped.
+_MEMO_ROW_MAX_N = 64
+_MEMO_SHARE_BITS = 1 << 14
+_MEMO_SHARE_TABLES = 128
 
-    Every term is an integer over the common denominator lcm(1..n)^p, so
-    the sum is one integer numerator and a single reduction at the end
-    instead of a gcd per term.
-    """
-    weights = list(weights)
-    denominator = lcm(*range(1, len(weights) + 1))
-    shares = [denominator // k for k in range(1, len(weights) + 1)]
+
+def _build_share_table(n: int, p: int) -> tuple[tuple[int, ...], int]:
+    denominator = lcm(*range(1, n + 1))
+    shares = tuple(denominator // k for k in range(1, n + 1))
     if p != 1:
-        shares = [m**p for m in shares]
+        shares = tuple(m**p for m in shares)
         denominator **= p
-    numerator = sum([w * m for w, m in zip(weights, shares)])
-    return Fraction(numerator, denominator)
+    return shares, denominator
 
 
-def _signed_binomials(n: int) -> list[int]:
-    """(-1)^k C(n, k) for k = 0..n, by the running ratio C(n, k) / C(n, k-1)."""
+_share_table_memo = lru_cache(maxsize=_MEMO_SHARE_TABLES)(_build_share_table)
+
+
+def _share_table(n: int, p: int) -> tuple[tuple[int, ...], int]:
+    """lcm(1..n)^p / k^p for k = 1..n, and lcm(1..n)^p.
+
+    Every term w_k / k^p is an integer share over the common denominator
+    lcm(1..n)^p, so a sum over k is one integer dot product and a single
+    reduction at the end instead of a gcd per term.
+    """
+    if 0 < p and n * n * p <= _MEMO_SHARE_BITS:
+        return _share_table_memo(n, p)
+    return _build_share_table(n, p)
+
+
+def weighted_power_sum(weights: Iterable[int], p: int) -> Rational:
+    """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n."""
+    weights = tuple(weights)
+    shares, denominator = _share_table(len(weights), p)
+    return Fraction(sum(map(mul, weights, shares)), denominator)
+
+
+def _build_signed_binomials(n: int) -> tuple[int, ...]:
     row = [1]
     c = 1
     for k in range(1, n + 1):
         c = c * (n - k + 1) // k
         row.append(-c if k % 2 else c)
-    return row
+    return tuple(row)
+
+
+_signed_binomials_memo = lru_cache(maxsize=None)(_build_signed_binomials)
+
+
+def _signed_binomials(n: int) -> tuple[int, ...]:
+    """(-1)^k C(n, k) for k = 0..n, by the running ratio C(n, k) / C(n, k-1)."""
+    if n <= _MEMO_ROW_MAX_N:
+        return _signed_binomials_memo(n)
+    return _build_signed_binomials(n)
 
 
 def harmonic_exact(n: int, r: int = 1) -> Rational:
@@ -72,7 +109,8 @@ def harmonic_exact(n: int, r: int = 1) -> Rational:
         raise ValueError(f"harmonic_exact requires n >= 1, got {n}")
     if r < 1:
         raise ValueError(f"harmonic_exact requires r >= 1, got {r}")
-    return weighted_power_sum([1] * n, r)
+    shares, denominator = _share_table(n, r)
+    return Fraction(sum(shares), denominator)
 
 
 def alt_binomial_sum(n: int, p: int) -> Rational:
@@ -103,13 +141,16 @@ def moment_integral_exact(n: int, p: int) -> Rational:
         raise ValueError(f"moment_integral_exact requires p >= 1, got {p}")
     # (-1)^(p+1) * n * sum_j C(n-1, j) (-1)^j (-1)^p p!/(j+1)^(p+1)
     # collapses to -n * p! * sum_j C(n-1, j) (-1)^j / (j+1)^(p+1).
-    total = weighted_power_sum(_signed_binomials(n - 1), p + 1)
-    return -n * factorial(p) * total
+    shares, denominator = _share_table(n, p + 1)
+    numerator = sum(map(mul, _signed_binomials(n - 1), shares))
+    return Fraction(-n * factorial(p) * numerator, denominator)
 
 
 # Bernoulli numbers by the defining recurrence
 #     sum_{k=0..m} C(m+1, k) B_k = 0        (with B_1 = -1/2)
 # memoised as a contiguous list so concurrent extension stays consistent.
+# The table grows on demand: import needs B_2..B_14 (for euler_gamma),
+# the polylog expansions ask for more as their orders require.
 _BERNOULLI_LOCK = threading.Lock()
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
@@ -137,9 +178,3 @@ def bernoulli(m: int) -> Rational:
     if m >= len(_BERNOULLI):
         _extend_bernoulli(m)
     return _BERNOULLI[m]
-
-
-# Populate the table through index 30 up front; everything the package
-# needs at runtime sits below that, and import-time construction keeps the
-# common path lock-free.
-_extend_bernoulli(30)

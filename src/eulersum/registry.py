@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Optional
 
@@ -117,13 +118,34 @@ def _eval_side(fn: Callable[[], object]) -> tuple[object, int]:
     return value, 0
 
 
+def _check_tol_override(tol_override: Optional[float]) -> None:
+    """Reject an override that could let every identity pass, or none.
+
+    At 1 and above the relative criterion |l - r| <= X max(|l|, |r|)
+    accepts any two values of the same sign; NaN would be dropped by max().
+    """
+    if tol_override is None:
+        return
+    try:
+        valid = 0.0 < tol_override < 1.0  # also rejects NaN and both infinities
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(
+            "tol_override must be a finite number with 0 < X < 1, "
+            f"got {tol_override!r}"
+        )
+
+
 def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseResult:
     """Evaluate both sides of a case and classify the outcome.
 
     tol_override can only loosen: the effective tolerance is the larger of
     the case's own tolerance and the override, so a suite-wide override
-    never makes a method fail a bar it was not designed to meet.
+    never makes a method fail a bar it was not designed to meet. It must be
+    a finite number with 0 < X < 1 (ValueError otherwise).
     """
+    _check_tol_override(tol_override)
     tol = case.tol
     if case.kind == "numeric" and tol_override is not None:
         tol = max(tol, tol_override)
@@ -190,10 +212,13 @@ def run_suite(
     The report is ordered by case id, so two runs of the same build produce
     identical statuses and residuals. Cases run one after another: they
     are pure Python and numpy work under one interpreter lock, so a thread
-    pool only adds scheduling overhead.
+    pool only adds scheduling overhead. Without `cases` it runs the builtin
+    cases, built once per process; every call still evaluates both sides of
+    every case. tol_override follows run_case (ValueError when invalid).
     """
+    _check_tol_override(tol_override)
     if cases is None:
-        cases = builtin_registry()
+        cases = _builtin_cases()
     if id_prefix is not None:
         cases = [c for c in cases if c.id.startswith(id_prefix)]
     start = time.perf_counter()
@@ -527,3 +552,9 @@ def builtin_registry() -> list[IdentityCase]:
     if len(ids) != len(set(ids)):
         raise RuntimeError("duplicate case ids in the builtin registry")
     return cases
+
+
+@lru_cache(maxsize=1)
+def _builtin_cases() -> tuple[IdentityCase, ...]:
+    """The builtin cases as one immutable tuple, for run_suite's default."""
+    return tuple(builtin_registry())

@@ -106,6 +106,15 @@ class TestVerify:
         assert code == 2
         assert "nope" in err
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_filter_matching_nothing_exits_2(self, output):
+        code, out, err = run_cli(
+            "verify", "--filter", "no-such-case", "--output", output
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "eulersum: verify: no case id starts with 'no-such-case'\n"
+
     def test_tol_override_loosens_only(self):
         code, out, _ = run_cli(
             "verify", "--filter", "landen", "--tol", "1e-3", "--output", "json"

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from eulersum.constants import zeta
+from eulersum import eulersums
+from eulersum.constants import euler_gamma, zeta
+from eulersum.exactmath import bernoulli
 from eulersum.eulersums import (
     EulerSumSpec,
     double_integral_kernel,
@@ -77,6 +79,86 @@ class TestSumSeries:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
             sum_series(EulerSumSpec(1, 2), cutoff=10)
+
+
+def reference_sum_series(m: int, q: int, cutoff: int) -> float:
+    """sum_series as a per-term Neumaier loop that re-derives every table.
+
+    The reference for the table-driven sum_series: the partial sum
+    accumulates H_n term by term, and the tail builds the expansion of
+    H_x^m and each term's Euler-Maclaurin derivatives on every call.
+    """
+    terms = []
+    h = 0.0
+    comp = 0.0
+    for n in range(1, cutoff + 1):
+        t = 1.0 / n
+        s = h + t
+        if abs(h) >= abs(t):
+            comp += (h - s) + t
+        else:
+            comp += (t - s) + h
+        h = s
+        terms.append((h + comp) ** m / float(n) ** q)
+    partial = math.fsum(terms)
+
+    expansion = {
+        (1, 0): 1.0,
+        (0, 0): euler_gamma(),
+        (0, 1): 0.5,
+        (0, 2): -1.0 / 12.0,
+        (0, 4): 1.0 / 120.0,
+    }
+    if m == 2:
+        expansion = eulersums._expansion_product(expansion, expansion)
+
+    def value(p, x):
+        log_x = math.log(x)
+        return math.fsum(c * log_x**i * x ** (-float(e)) for (i, e), c in p.items())
+
+    b_coeffs = [float(bernoulli(2 * k)) / math.factorial(2 * k) for k in (1, 2, 3)]
+    tail = 0.0
+    for (i, e), c in expansion.items():
+        s = q + e
+        d = {(i, s): 1.0}
+        val = eulersums._tail_integral(i, float(s), float(cutoff))
+        val -= 0.5 * value(d, cutoff)
+        order = 0
+        for k, b_over_fact in zip((1, 2, 3), b_coeffs):
+            while order < 2 * k - 1:
+                d = eulersums._expansion_derivative(d)
+                order += 1
+            val -= b_over_fact * value(d, cutoff)
+        tail += c * val
+    return partial + tail
+
+
+class TestSeriesTables:
+    """sum_series reads tables built once; its doubles must not change."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", range(2, 12))
+    def test_bit_identical_to_reference_loop(self, m, q):
+        expected = reference_sum_series(m, q, eulersums.SERIES_CUTOFF)
+        assert sum_series(EulerSumSpec(m, q)) == expected
+        assert sum_series(EulerSumSpec(m, q)) == expected  # memoised tables
+
+    @pytest.mark.parametrize("cutoff", [100, 333, 5000])
+    def test_other_cutoffs(self, cutoff):
+        for m, q in [(1, 2), (2, 3)]:
+            expected = reference_sum_series(m, q, cutoff)
+            assert sum_series(EulerSumSpec(m, q), cutoff=cutoff) == expected
+
+    def test_tables_are_immutable_and_bounded(self):
+        harmonics, ns = eulersums._harmonic_table(eulersums.SERIES_CUTOFF)
+        assert type(harmonics) is tuple and type(ns) is tuple
+        assert len(harmonics) == len(ns) == eulersums.SERIES_CUTOFF
+        chain = eulersums._derivative_chain(1, 3)
+        assert type(chain) is tuple and all(type(d) is tuple for d in chain)
+        assert type(eulersums._harmonic_power_expansion(2)) is tuple
+        before = eulersums._harmonic_table_memo.cache_info()
+        eulersums._harmonic_table(eulersums._MEMO_HARMONIC_MAX_CUTOFF + 1)
+        assert eulersums._harmonic_table_memo.cache_info() == before
 
 
 class TestSeriesAgainstClosedForms:

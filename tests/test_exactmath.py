@@ -1,11 +1,16 @@
 """Exact arithmetic layer: oracles are independent recurrences."""
 
+import gc
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from eulersum import exactmath
 from eulersum.exactmath import (
     alt_binomial_sum,
     bernoulli,
@@ -150,6 +155,24 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli(-2)
 
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for m in range(0, 61, 2):
+                b = bernoulli(m)
+                assert b == Fraction(*mpmath.bernfrac(m))
+                value = mpmath.mpf(b.numerator) / b.denominator
+                assert abs(value - mpmath.bernoulli(m)) <= 1e-50 * abs(value)
+
+    def test_import_builds_only_what_it_needs(self):
+        # euler_gamma needs B_2..B_14 at import; the rest is built on demand.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import eulersum; print(len(eulersum.exactmath._BERNOULLI))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert int(proc.stdout) <= 15
+
 
 class TestCommonDenominatorSums:
     """The lcm-denominator sums against their plain Fraction definitions."""
@@ -169,6 +192,63 @@ class TestCommonDenominatorSums:
             Fraction((-1) ** j * comb(n - 1, j), (j + 1) ** (p + 1)) for j in range(n)
         )
         assert moment_integral_exact(n, p) == -n * factorial(p) * plain
+
+
+class TestMemoisedTables:
+    """The exact sums read memoised share tables and binomial rows."""
+
+    @pytest.mark.parametrize("n, p", [(200, 3), (65, 1), (130, 1)])
+    def test_beyond_memo_range(self, n, p):
+        beyond_shares = n * n * p > exactmath._MEMO_SHARE_BITS
+        assert beyond_shares or n > exactmath._MEMO_ROW_MAX_N
+        harmonic = sum(Fraction(1, k**p) for k in range(1, n + 1))
+        alt = sum(Fraction((-1) ** k * comb(n, k), k**p) for k in range(1, n + 1))
+        moment = -n * factorial(p) * sum(
+            Fraction((-1) ** j * comb(n - 1, j), (j + 1) ** (p + 1)) for j in range(n)
+        )
+        for _ in range(2):
+            assert harmonic_exact(n, p) == harmonic
+            assert alt_binomial_sum(n, p) == alt
+            assert moment_integral_exact(n, p) == moment
+
+    def test_repeated_calls_are_equal(self):
+        for n, p in [(1, 1), (12, 4), (60, 1)]:
+            sums = (harmonic_exact, alt_binomial_sum, moment_integral_exact)
+            first = [f(n, p) for f in sums]
+            again = [f(n, p) for f in sums]
+            assert first == again
+            assert again[0] == sum(Fraction(1, k**p) for k in range(1, n + 1))
+
+    @pytest.mark.parametrize("n, p", [(12, 4), (200, 3)])
+    def test_tables_are_immutable(self, n, p):
+        shares, denominator = exactmath._share_table(n, p)
+        assert type(shares) is tuple and len(shares) == n
+        for k, m in enumerate(shares, 1):
+            assert type(m) is int and m * k**p == denominator
+        row = exactmath._signed_binomials(n)
+        assert type(row) is tuple
+        assert row == tuple((-1) ** k * comb(n, k) for k in range(n + 1))
+
+    def test_retained_memory_is_bounded(self):
+        exactmath._share_table_memo.cache_clear()
+        exactmath._signed_binomials_memo.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            harmonic_exact(2000, 4)  # ~3 MB of shares, too large to keep
+            assert tracemalloc.get_traced_memory()[0] - base < 50_000
+            for n in range(2, 130, 2):  # more memoisable keys than the memo holds
+                for p in (1, 2, 4):
+                    alt_binomial_sum(n, p)
+                    moment_integral_exact(n, p)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        memo = exactmath._share_table_memo.cache_info()
+        assert memo.currsize <= exactmath._MEMO_SHARE_TABLES
+        assert retained < 1_500_000
 
 
 class TestRationalArithmetic:

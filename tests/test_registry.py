@@ -1,9 +1,11 @@
 """Case registry: determinism, negative controls, error containment."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from eulersum import eulersums, exactmath, registry as registry_module
 from eulersum.eulersums import double_integral_kernel
 from eulersum.quad import integrate2d
 from eulersum.registry import (
@@ -185,6 +187,26 @@ class TestRunCase:
         assert run_case(case, tol_override=1e-3).tol == 1e-3
 
 
+class TestTolOverrideValidation:
+    """An override must be a finite number with 0 < X < 1, as on the CLI."""
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, 0.0, 1.0, -1e-3, 2.0, "1e-3"]
+    )
+    def test_rejected_before_any_case_runs(self, registry, value):
+        cases = inject_failure(registry, "euler-q2-series")
+        target = next(c for c in cases if c.id == "euler-q2-series")
+        with pytest.raises(ValueError, match="0 < X < 1"):
+            run_case(target, tol_override=value)
+        with pytest.raises(ValueError, match="0 < X < 1"):
+            run_suite("euler-q2-series", tol_override=value, cases=cases)
+
+    def test_valid_override_keeps_the_corrupted_case_failing(self, registry):
+        cases = inject_failure(registry, "euler-q2-series")
+        report = run_suite("euler-q2-series", tol_override=1e-12, cases=cases)
+        assert report.summary["failed"] == 1
+
+
 class TestRunSuite:
     def test_all_fast_cases_pass(self, fast_cases):
         report = run_suite(cases=fast_cases)
@@ -242,6 +264,55 @@ class TestRunSuite:
         ]
         report = run_suite(cases=cases)
         assert report.summary == {"total": 2, "passed": 1, "failed": 0, "errored": 1}
+
+
+class TestBuiltinCasesBuiltOnce:
+    """run_suite() reuses one case tuple but evaluates every case each call."""
+
+    def test_every_call_evaluates_every_case(self, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("alt_binomial_sum", "harmonic_exact", "moment_integral_exact"):
+            counted(registry_module, name)
+        counted(eulersums, "sum_series")
+        # one level down: a value memoised inside a kernel would skip these
+        counted(exactmath, "_share_table")
+        counted(eulersums, "_tail_sum")
+
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            report = run_suite()
+            assert report.summary["passed"] == report.summary["total"] == 131
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {
+            "alt_binomial_sum": 108,
+            "harmonic_exact": 60,
+            "moment_integral_exact": 48,
+            "sum_series": 7,
+            "_share_table": 216,
+            "_tail_sum": 7,
+        }
+
+    def test_returned_list_is_a_fresh_copy(self):
+        cases = builtin_registry()
+        cases[:] = inject_failure(cases, "zeta-product")
+        cases.append(
+            IdentityCase("zeta-bogus", "never run", lambda: 0.0, lambda: 1.0,
+                         "numeric", 1e-9)
+        )
+        report = run_suite(id_prefix="zeta")
+        assert [(c.id, c.status) for c in report.cases] == [("zeta-product", "pass")]
+        assert builtin_registry() is not builtin_registry()
 
 
 class TestEvaluationCounts:
