@@ -53,18 +53,28 @@ __all__ = [
     "double_integral_kernel",
     "quadratic_sum_double_integral",
     "SERIES_CUTOFF",
+    "MAX_Q",
 ]
 
 SERIES_CUTOFF = 200
 _MIN_SERIES_TOL = 1e-12
+
+# From this q on, S(m; q) - 1 <= sum_{n>=2} n^(m-q) = zeta(q-m) - 1 < 2^-61
+# for m <= 2 (H_n <= n), below half an ulp of 1, so the nearest double is
+# 1.0. The summed terms would overflow in n**q from q = 134 at n = 200.
+_Q_ROUNDS_TO_ONE = 64
+
+# Largest accepted q. Every sum rounds to 1.0 long before it, so larger
+# orders check nothing; beyond it an order is rejected as a domain error.
+MAX_Q = 2**20
 
 
 @dataclass(frozen=True)
 class EulerSumSpec:
     """One Euler sum: sum_{n>=1} [H_n]^h_power / n^q.
 
-    h_power is 1 or 2 (higher powers are out of scope) and q >= 2 so the
-    series converges.
+    h_power is 1 or 2 (higher powers are out of scope) and q is an integer
+    with 2 <= q <= MAX_Q (q >= 2 so the series converges).
     """
 
     h_power: int
@@ -73,8 +83,8 @@ class EulerSumSpec:
     def __post_init__(self) -> None:
         if self.h_power not in (1, 2):
             raise ValueError(f"h_power must be 1 or 2, got {self.h_power}")
-        if not isinstance(self.q, int) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        if not isinstance(self.q, int) or not 2 <= self.q <= MAX_Q:
+            raise ValueError(f"q must be an integer in [2, {MAX_Q}], got {self.q!r}")
 
 
 # --------------------------------------------------------------------------
@@ -220,6 +230,7 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTO
     dropped term, 1/(120 n^5), sums to about 2e-17 beyond n = 200). The
     achieved accuracy is near 1e-15 for every in-scope sum, validated
     against the closed forms; tolerances below 1e-12 are not accepted.
+    From q = 64 on the sum rounds to 1.0, which is returned directly.
     """
     if tol < _MIN_SERIES_TOL:
         raise ValueError(f"sum_series supports tol >= {_MIN_SERIES_TOL}, got {tol}")
@@ -228,6 +239,8 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTO
     if cutoff < 100:
         raise ValueError(f"cutoff too small for the asymptotic tail, got {cutoff}")
     m, q = spec.h_power, spec.q
+    if q >= _Q_ROUNDS_TO_ONE:
+        return 1.0
     harmonics, ns = _harmonic_table(cutoff)
     partial = math.fsum([h**m / n**q for h, n in zip(harmonics, ns)])
     return partial + _tail_sum(_harmonic_power_expansion(m), q, cutoff)

@@ -9,7 +9,6 @@ structural equality instead of tolerances.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -77,8 +76,16 @@ def _share_table(n: int, p: int) -> tuple[tuple[int, ...], int]:
     return _build_share_table(n, p)
 
 
+def _check_exponent(name: str, p: int, minimum: int) -> None:
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"{name} requires an integer exponent, got {p!r}")
+    if p < minimum:
+        raise ValueError(f"{name} requires an exponent >= {minimum}, got {p}")
+
+
 def weighted_power_sum(weights: Iterable[int], p: int) -> Rational:
-    """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n."""
+    """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n and p >= 0."""
+    _check_exponent("weighted_power_sum", p, 0)
     weights = tuple(weights)
     shares, denominator = _share_table(len(weights), p)
     return Fraction(sum(map(mul, weights, shares)), denominator)
@@ -107,8 +114,7 @@ def harmonic_exact(n: int, r: int = 1) -> Rational:
     """Generalised harmonic number sum_{k=1..n} 1/k^r as an exact fraction."""
     if n < 1:
         raise ValueError(f"harmonic_exact requires n >= 1, got {n}")
-    if r < 1:
-        raise ValueError(f"harmonic_exact requires r >= 1, got {r}")
+    _check_exponent("harmonic_exact", r, 1)
     shares, denominator = _share_table(n, r)
     return Fraction(sum(shares), denominator)
 
@@ -120,8 +126,7 @@ def alt_binomial_sum(n: int, p: int) -> Rational:
     """
     if n < 1:
         raise ValueError(f"alt_binomial_sum requires n >= 1, got {n}")
-    if p < 1:
-        raise ValueError(f"alt_binomial_sum requires p >= 1, got {p}")
+    _check_exponent("alt_binomial_sum", p, 1)
     return weighted_power_sum(_signed_binomials(n)[1:], p)
 
 
@@ -137,8 +142,7 @@ def moment_integral_exact(n: int, p: int) -> Rational:
     """
     if n < 1:
         raise ValueError(f"moment_integral_exact requires n >= 1, got {n}")
-    if p < 1:
-        raise ValueError(f"moment_integral_exact requires p >= 1, got {p}")
+    _check_exponent("moment_integral_exact", p, 1)
     # (-1)^(p+1) * n * sum_j C(n-1, j) (-1)^j (-1)^p p!/(j+1)^(p+1)
     # collapses to -n * p! * sum_j C(n-1, j) (-1)^j / (j+1)^(p+1).
     shares, denominator = _share_table(n, p + 1)
@@ -148,21 +152,17 @@ def moment_integral_exact(n: int, p: int) -> Rational:
 
 # Bernoulli numbers by the defining recurrence
 #     sum_{k=0..m} C(m+1, k) B_k = 0        (with B_1 = -1/2)
-# memoised as a contiguous list so concurrent extension stays consistent.
-# The table grows on demand: import needs B_2..B_14 (for euler_gamma),
-# the polylog expansions ask for more as their orders require.
-_BERNOULLI_LOCK = threading.Lock()
+# memoised as a contiguous list. The table grows on demand: import needs
+# B_2..B_14 (for euler_gamma), the polylog expansions ask for more as
+# their orders require.
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
 def _extend_bernoulli(m: int) -> None:
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= m:
-            idx = len(_BERNOULLI)
-            acc = sum(
-                Fraction(comb(idx + 1, k)) * _BERNOULLI[k] for k in range(idx)
-            )
-            _BERNOULLI.append(-acc / (idx + 1))
+    while len(_BERNOULLI) <= m:
+        idx = len(_BERNOULLI)
+        acc = sum(Fraction(comb(idx + 1, k)) * _BERNOULLI[k] for k in range(idx))
+        _BERNOULLI.append(-acc / (idx + 1))
 
 
 def bernoulli(m: int) -> Rational:

@@ -22,8 +22,11 @@ rule (Takahasi and Mori, 1974) extends this to whole blocks: all outer
 nodes new at a level form the rows of one block, each inner level
 evaluates the integrand once on (rows still running) x (new inner nodes),
 and a row leaves the block as soon as its inner integral passes the same
-test a lone 1-D call applies. The 1-D rule is the one-row case of the
-same kernel.
+test a lone 1-D call applies. The 1-D rule keeps its running sums and
+convergence test in Python floats: the same IEEE operations on one value,
+without a numpy call each. Every call runs at least levels 1 and 2 (the
+test needs a level difference), so both levels' nodes are evaluated in
+one pass: one integrand call in 1-D, one block of outer rows in 2-D.
 """
 
 from __future__ import annotations
@@ -136,15 +139,36 @@ def _interval_nodes(
     return x, w, int(keep_lo.sum())
 
 
+@lru_cache(maxsize=2)
+def _opening_nodes(a: float, b: float) -> np.ndarray:
+    """Abscissas of levels 1 and 2 on (a, b) as one read-only array."""
+    x = np.concatenate((_interval_nodes(a, b, 1)[0], _interval_nodes(a, b, 2)[0]))
+    x.flags.writeable = False
+    return x
+
+
+def _passes(a: float, b: float, max_level: int):
+    """(levels, abscissas) of each evaluation pass over (a, b), in order.
+
+    Levels 1 and 2 form the first pass when max_level allows both, with
+    the abscissas of level 1 first; every later level is a pass of its own.
+    """
+    first = 1
+    if max_level >= 2:
+        yield (1, 2), _opening_nodes(a, b)
+        first = 3
+    for level in range(first, max_level + 1):
+        yield (level,), _interval_nodes(a, b, level)[0]
+
+
 def _check_tol(tol: float) -> None:
     if not tol > 0.0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def _block(evaluate, x: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """evaluate(x, live) as a float array of shape (len(live), len(x))."""
-    values = np.asarray(evaluate(x, live), dtype=float)
-    shape = (live.size, x.size)
+def _block(values, shape: tuple[int, int]) -> np.ndarray:
+    """Integrand values as a float array of the given shape."""
+    values = np.asarray(values, dtype=float)
     # An integrand that returns a constant gives a single value.
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
@@ -158,7 +182,8 @@ def _integrate_rows(
     relative: bool,
     max_level: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-    """Tanh-sinh over (a, b) for `rows` integrands at once.
+    """Tanh-sinh over (a, b) for `rows` integrands at once: the inner rule
+    of integrate2d.
 
     evaluate(x, live) returns the integrands of the rows listed in live at
     the abscissas x, shaped (len(live), len(x)). Each level makes one such
@@ -199,7 +224,7 @@ def _integrate_rows(
         count += x.size
         # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
         # resident buffers on its first call, for no gain at these sizes.
-        sums = np.einsum("ij,j->i", _block(evaluate, x, live), w)
+        sums = np.einsum("ij,j->i", _block(evaluate(x, live), (live.size, x.size)), w)
 
         finite = np.isfinite(sums)
         if not finite.all():
@@ -260,22 +285,56 @@ def integrate(
         raise ValueError(f"integration requires a < b, got ({a}, {b})")
 
     if vectorized:
-        def evaluate(x, live):
-            return np.asarray(f(x), dtype=float).reshape(1, -1)
+        def row(x):
+            return _block(np.reshape(f(x), (1, -1)), (1, x.size))
     else:
-        def evaluate(x, live):
+        def row(x):
             return np.fromiter((f(t) for t in x), dtype=float, count=len(x)).reshape(1, -1)
 
-    value, estimate, evals, failures = _integrate_rows(
-        evaluate, 1, a, b, tol, relative, max_level
-    )
-    message = failures.get(0, "")
+    # The same operations, in the same order, as _integrate_rows on one row.
+    scale = b - a
+    acc = prev = 0.0
+    diff = math.inf
+    count = 0
+    for levels, x in _passes(a, b, max_level):
+        values = row(x)
+        start = 0
+        for level in levels:
+            w = _interval_nodes(a, b, level)[1]
+            stop = start + w.size
+            total = np.einsum("ij,j->i", values[:, start:stop], w).item()
+            start = stop
+            count += w.size
+            if not math.isfinite(total):
+                # The previous level's value stands.
+                return QuadratureResult(
+                    value=prev,
+                    abs_error_estimate=math.inf,
+                    evaluations=count,
+                    converged=False,
+                    message="non-finite integrand value at an interior node",
+                )
+            acc += total
+            value = 2.0**-level * scale * acc
+            if level > 1:
+                diff = abs(value - prev)
+                size = abs(value)
+                reported = max(diff, _EPS * (1.0 + size))
+                threshold = tol * max(1.0, size) if relative else tol
+                if reported < threshold:
+                    return QuadratureResult(
+                        value=value,
+                        abs_error_estimate=reported,
+                        evaluations=count,
+                        converged=True,
+                    )
+            prev = value
     return QuadratureResult(
-        value=float(value[0]),
-        abs_error_estimate=float(estimate[0]),
-        evaluations=int(evals[0]),
-        converged=not message,
-        message=message,
+        value=prev,
+        abs_error_estimate=diff,
+        evaluations=count,
+        converged=False,
+        message=f"no convergence within {max_level} refinement levels",
     )
 
 
@@ -297,11 +356,13 @@ def integrate2d(
     makes the whole result non-converged; the message names the first
     failing outer node.
 
-    All outer nodes new at a level are integrated together: each inner
-    level evaluates f once on the (outer rows x inner nodes) block of rows
-    still running, and a row drops out when it meets its inner test, so
-    the evaluation count and every inner result are those of one inner
-    integrate() call per outer node.
+    All outer nodes new at a level are integrated together, and those of
+    levels 1 and 2 as one block: each inner level evaluates f once on the
+    (outer rows x inner nodes) block of rows still running, and a row
+    drops out when it meets its inner test, so the evaluation count and
+    every inner result are those of one inner integrate() call per outer
+    node. A failure reports the first failing node in visiting order, with
+    the evaluations made up to it.
 
     With vectorized_inner=True, f(t, u) must broadcast over numpy arrays
     (it is called with a row of t values against a column of u values);
@@ -318,49 +379,57 @@ def integrate2d(
     value = 0.0
     estimate = math.inf
 
-    for level in range(1, max_level + 1):
-        h = 2.0**-level
-        us, ws, n_low = _interval_nodes(0.0, 1.0, level)
+    for levels, us in _passes(0.0, 1.0, max_level):
         column = us[:, None]
 
         def evaluate(t, live):
             return kernel(t[None, :], column[live])
 
-        values, estimates, counts, failures = _integrate_rows(
-            evaluate, us.size, 0.0, 1.0, inner_tol, True, max_level
-        )
-        if failures:
-            # Outer nodes are visited in table order, each delta before its
-            # mirror 1 - delta; the evaluations counted are those made up
-            # to the first failing node in that order.
-            position = np.concatenate(
-                (2 * np.arange(n_low), 2 * np.arange(us.size - n_low) + 1)
-            )
-            row = min(failures, key=position.__getitem__)
-            return QuadratureResult(
-                value=value,
-                abs_error_estimate=math.inf,
-                evaluations=evals + int(counts[position <= position[row]].sum()),
-                converged=False,
-                message=f"inner integral failed at u={float(us[row])!r}: "
-                f"{failures[row]}",
-            )
-        evals += int(counts.sum())
-        acc_val += float((ws * values).sum())
-        acc_err += float((ws * estimates).sum())
-        value = h * acc_val
-        inner_bound = h * acc_err
-        if prev is not None:
-            estimate = abs(value - prev) + inner_bound
-            reported = max(estimate, _EPS * (1.0 + abs(value)))
-            if reported < tol:
+        block = _integrate_rows(evaluate, us.size, 0.0, 1.0, inner_tol, True, max_level)
+        start = 0
+        for level in levels:
+            h = 2.0**-level
+            _, ws, n_low = _interval_nodes(0.0, 1.0, level)
+            stop = start + ws.size
+            values, estimates, counts = (part[start:stop] for part in block[:3])
+            failures = {
+                row - start: message
+                for row, message in block[3].items()
+                if start <= row < stop
+            }
+            if failures:
+                # Outer nodes are visited in table order, each delta before
+                # its mirror 1 - delta; the evaluations counted are those
+                # made up to the first failing node in that order.
+                position = np.concatenate(
+                    (2 * np.arange(n_low), 2 * np.arange(ws.size - n_low) + 1)
+                )
+                row = min(failures, key=position.__getitem__)
                 return QuadratureResult(
                     value=value,
-                    abs_error_estimate=reported,
-                    evaluations=evals,
-                    converged=True,
+                    abs_error_estimate=math.inf,
+                    evaluations=evals + int(counts[position <= position[row]].sum()),
+                    converged=False,
+                    message=f"inner integral failed at u={float(us[start + row])!r}: "
+                    f"{failures[row]}",
                 )
-        prev = value
+            start = stop
+            evals += int(counts.sum())
+            acc_val += float((ws * values).sum())
+            acc_err += float((ws * estimates).sum())
+            value = h * acc_val
+            inner_bound = h * acc_err
+            if prev is not None:
+                estimate = abs(value - prev) + inner_bound
+                reported = max(estimate, _EPS * (1.0 + abs(value)))
+                if reported < tol:
+                    return QuadratureResult(
+                        value=value,
+                        abs_error_estimate=reported,
+                        evaluations=evals,
+                        converged=True,
+                    )
+            prev = value
 
     return QuadratureResult(
         value=value,

@@ -92,11 +92,15 @@ def _horner(coeffs: tuple[float, ...], x):
 
     x may be a float or a numpy array; both see the same operations, so a
     scalar and an array evaluation differ only where numpy's elementary
-    functions round differently from the math module's.
+    functions round differently from the math module's. An array
+    accumulator is updated in place after its first step.
     """
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
+    if len(coeffs) == 1:
+        return coeffs[0]
+    acc = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        acc *= x
+        acc += c
     return acc
 
 

@@ -162,6 +162,12 @@ class TestEvalErrors:
         assert err.startswith("eulersum: eval hsum: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("q", ["134", "1000000"])
+    def test_hsum_large_q_is_one(self, q):
+        # n**q overflowed a double in the series before q rounded to 1.0.
+        code, out, err = run_cli("eval", "hsum", "1", q)
+        assert (code, out, err) == (0, "1.0\n", "")
+
     def test_quadrature_failure_exits_2(self, monkeypatch):
         from eulersum import eulersums
         from eulersum.quad import QuadratureError, QuadratureResult

@@ -45,6 +45,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EulerSumSpec(1, 2.5)  # type: ignore[arg-type]
 
+    def test_rejects_exponent_above_max(self):
+        assert EulerSumSpec(1, eulersums.MAX_Q).q == eulersums.MAX_Q
+        with pytest.raises(ValueError):
+            EulerSumSpec(1, eulersums.MAX_Q + 1)
+
 
 class TestSumSeries:
     def test_euler_value(self):
@@ -179,6 +184,25 @@ class TestSeriesAgainstClosedForms:
         ) / 2
         value = sum_series(EulerSumSpec(1, q))
         assert abs(value - float(exact)) <= 1e-15 * float(exact)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", [133, 134, 10**6])
+    def test_large_q_rounds_to_one(self, m, q):
+        # n**q overflows a double from q = 134 at n = 200; S(m; q) rounds
+        # to 1.0 well before that.
+        value = sum_series(EulerSumSpec(m, q))
+        assert value == 1.0
+        if m == 1:
+            # Euler's formula; zeta(k) - 1 < 2^-99 for k > 100, so the
+            # products with both orders above 100 are counted as 1, which
+            # moves the sum by less than q 2^-98.
+            mp = self.mp()
+            edge = [j for j in range(1, q - 1) if j + 1 <= 100 or q - j <= 100]
+            products = sum(
+                (mp.zeta(j + 1) * mp.zeta(q - j) for j in edge), mp.mpf(0)
+            ) + (q - 2 - len(edge))
+            exact = (1 + mp.mpf(q) / 2) * mp.zeta(q + 1) - products / 2
+            assert value == float(exact)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_squared_harmonic_closed_forms(self, q):

@@ -17,6 +17,7 @@ from eulersum.exactmath import (
     binomial,
     harmonic_exact,
     moment_integral_exact,
+    weighted_power_sum,
 )
 
 
@@ -84,9 +85,24 @@ class TestHarmonicExact:
         with pytest.raises(ValueError):
             harmonic_exact(3, 0)
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, True, "2"])
+    def test_non_integer_exponent_is_a_value_error(self, r):
+        with pytest.raises(ValueError, match="integer exponent"):
+            harmonic_exact(3, r)
+
     @given(st.integers(min_value=2, max_value=200), st.integers(min_value=1, max_value=4))
     def test_difference_property(self, n, r):
         assert harmonic_exact(n, r) - harmonic_exact(n - 1, r) == Fraction(1, n**r)
+
+
+class TestWeightedPowerSum:
+    def test_zero_exponent_sums_the_weights(self):
+        assert weighted_power_sum([1, 2], 0) == 3
+
+    @pytest.mark.parametrize("p", [-1, 1.5, 2.0, True, None])
+    def test_bad_exponent_is_a_value_error(self, p):
+        with pytest.raises(ValueError):
+            weighted_power_sum([1, 2], p)
 
 
 class TestAltBinomialSum:

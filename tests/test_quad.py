@@ -11,6 +11,7 @@ from eulersum.quad import (
     MAX_LEVEL,
     QuadratureError,
     QuadratureResult,
+    _integrate_rows,
     _interval_nodes,
     _level_table,
     integrate,
@@ -318,7 +319,10 @@ class TestLevelPasses:
 
         r = integrate(counting, a, b, tol, vectorized=True)
         assert r.converged
-        assert sizes == node_counts(a, b)[: len(sizes)]
+        # Levels 1 and 2 are one call on both levels' nodes, every later
+        # level one call on its own.
+        counts = node_counts(a, b)
+        assert sizes == [counts[0] + counts[1]] + counts[2 : len(sizes) + 1]
         assert sum(sizes) == r.evaluations
 
     def test_2d_kernel_called_once_per_inner_level(self):
@@ -332,20 +336,139 @@ class TestLevelPasses:
 
         r = integrate2d(f, 1e-8, vectorized_inner=True)
         assert r.converged
-        # Outer level L is one block of all its nodes; inner levels 1, 2, ...
+        # Outer levels 1 and 2 are one block of both levels' nodes, every
+        # later outer level one block of its own; inner levels 1, 2, ...
         # each make one call on the rows still running, so the call sizes
-        # restart at inner level 1 exactly once per outer level.
+        # restart at inner level 1 exactly once per block.
         runs = []
         for t_size, rows in calls:
             if t_size == counts[0]:
                 runs.append([])
             runs[-1].append((t_size, rows))
-        for outer_level, run in enumerate(runs, start=1):
+        block_rows = [counts[0] + counts[1]] + counts[2:]
+        assert len(runs) <= len(block_rows)
+        for first_rows, run in zip(block_rows, runs):
             assert [t for t, _ in run] == counts[: len(run)]
             rows = [n for _, n in run]
-            assert rows[0] == counts[outer_level - 1]
+            assert rows[0] == first_rows
             assert rows == sorted(rows, reverse=True)  # rows only leave
         assert sum(t * n for t, n in calls) == r.evaluations
+
+
+def one_row_integrate(f, a, b, tol, *, vectorized=False, relative=False,
+                      max_level=MAX_LEVEL):
+    """integrate() as the one-row case of the multi-row kernel, level by
+    level: the reference the float loop must reproduce bit for bit."""
+    if vectorized:
+        def evaluate(x, live):
+            return np.asarray(f(x), dtype=float).reshape(1, -1)
+    else:
+        def evaluate(x, live):
+            return np.fromiter((f(t) for t in x), dtype=float, count=len(x)).reshape(1, -1)
+
+    value, estimate, evals, failures = _integrate_rows(
+        evaluate, 1, a, b, tol, relative, max_level
+    )
+    message = failures.get(0, "")
+    return QuadratureResult(
+        float(value[0]), float(estimate[0]), int(evals[0]), not message, message
+    )
+
+
+def bits(r):
+    return (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations,
+            r.converged, r.message)
+
+
+ONE_ROW_CASES = [
+    ("smooth", lambda t: t**5, lambda t: t**5, 0.0, 1.0, 1e-13),
+    ("sin", math.sin, np.sin, 0.0, math.pi, 1e-13),
+    ("constant", lambda t: 1.0, lambda t: 1.0, 0.0, 1.0, 1e-15),
+    ("endpoint-singular", lambda t: math.log(t) ** 2 / (1.0 - t),
+     lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-12),
+    ("large", lambda t: 1e6 * math.log(t), lambda t: 1e6 * np.log(t),
+     0.0, 1.0, 1e-9),
+    ("non-finite-interior", lambda t: math.inf if 0.4 < t < 0.6 else 1.0,
+     lambda t: np.where((0.4 < t) & (t < 0.6), np.inf, 1.0), 0.0, 1.0, 1e-10),
+    ("non-finite-level-1", lambda t: math.nan, lambda t: np.full(t.shape, np.nan),
+     0.0, 1.0, 1e-10),
+    # NaN at a level-2 node (t = 0.3114) and at no level-1 node.
+    ("non-finite-level-2", lambda t: math.nan if 0.3 < t < 0.32 else t,
+     lambda t: np.where((0.3 < t) & (t < 0.32), np.nan, t), 0.0, 1.0, 1e-14),
+    # Finite at levels 1 and 2, NaN from level 3 on.
+    ("non-finite-level-3", lambda t: math.nan if 0.2 < t < 0.25 else t,
+     lambda t: np.where((0.2 < t) & (t < 0.25), np.nan, t), 0.0, 1.0, 1e-14),
+    ("non-converging", lambda t: math.log(t), np.log, 0.0, 1.0, 1e-18),
+]
+
+
+class TestFloatLoop:
+    """The 1-D float loop against the one-row case of the multi-row kernel."""
+
+    @pytest.mark.parametrize("relative", [False, True])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize(
+        "name,f_scalar,f_vector,a,b,tol", ONE_ROW_CASES, ids=[c[0] for c in ONE_ROW_CASES]
+    )
+    def test_bit_identical_to_one_row_kernel(
+        self, name, f_scalar, f_vector, a, b, tol, vectorized, relative
+    ):
+        f = f_vector if vectorized else f_scalar
+        for max_level in (1, 2, 3, MAX_LEVEL):
+            r = integrate(f, a, b, tol, vectorized=vectorized, relative=relative,
+                          max_level=max_level)
+            ref = one_row_integrate(f, a, b, tol, vectorized=vectorized,
+                                    relative=relative, max_level=max_level)
+            assert bits(r) == bits(ref), (name, max_level)
+            assert type(r.value) is float and type(r.abs_error_estimate) is float
+
+    def test_max_level_1_evaluates_only_level_1(self):
+        seen = []
+
+        def f(t):
+            seen.append(t.copy())
+            return np.log(t)
+
+        r = integrate(f, 0.0, 1.0, 1e-10, vectorized=True, max_level=1)
+        assert not r.converged
+        level_1 = _interval_nodes(0.0, 1.0, 1)[0]
+        assert len(seen) == 1 and np.array_equal(seen[0], level_1)
+        assert r.evaluations == level_1.size
+
+    def test_2d_max_level_1_evaluates_only_level_1(self):
+        level_1 = _interval_nodes(0.0, 1.0, 1)[0]
+        seen_t, seen_u = [], []
+
+        def f(t, u):
+            seen_t.append(np.ravel(t).copy())
+            seen_u.append(np.ravel(u).copy())
+            return t * u
+
+        r = integrate2d(f, 1e-8, vectorized_inner=True, max_level=1)
+        assert not r.converged
+        # One outer block of the level-1 nodes, one inner level on them.
+        assert len(seen_t) == 1
+        assert np.array_equal(seen_t[0], level_1)
+        assert np.array_equal(seen_u[0], level_1)
+
+    def test_2d_first_failure_at_outer_level_2(self):
+        # A level-2 outer node lies in (0.3, 0.32) and no level-1 node
+        # does: level 1 runs clean, level 2 fails.
+        def inside(u):
+            return (0.3 < u) & (u < 0.32)
+
+        assert not inside(_interval_nodes(0.0, 1.0, 1)[0]).any()
+        assert inside(_interval_nodes(0.0, 1.0, 2)[0]).any()
+
+        def bad(t, u):
+            return math.nan if inside(u) else t * u
+
+        block = integrate2d(bad, 1e-9)
+        loop = per_node_integrate2d(bad, 1e-9)
+        assert not block.converged
+        assert block.message == loop.message
+        assert block.evaluations == loop.evaluations
+        assert block.value == loop.value != 0.0  # level 1's value stands
 
 
 class TestResultTypes:
