@@ -4,81 +4,33 @@ The package evaluates each identity through independent routes (exact
 rational arithmetic, accelerated series, closed forms in zeta values,
 tanh-sinh quadrature on integral representations) and reports residuals,
 so a defect in any single route cannot silently certify itself.
+
+The names below are the package-level surface; everything else is reached
+through its module (eulersum.specfun, eulersum.registry, ...).
 """
 
-from .constants import ZetaTable, euler_gamma, zeta, zeta_table
-from .eulersums import (
-    EulerSumSpec,
-    double_integral_kernel,
-    inner_integral,
-    inner_integral_quadrature,
-    quadratic_sum_double_integral,
-    quadratic_sum_q2_via_outer,
-    sum_gp_closed_form,
-    sum_series,
-    sum_via_integral,
-)
-from .exactmath import (
-    Rational,
-    alt_binomial_sum,
-    bernoulli,
-    binomial,
-    harmonic_exact,
-    moment_integral_exact,
-)
+from .constants import zeta
+from .eulersums import EulerSumSpec, sum_gp_closed_form, sum_series, sum_via_integral
 from .quad import QuadratureError, QuadratureResult, integrate, integrate2d
-from .registry import (
-    IdentityCase,
-    VerificationReport,
-    builtin_registry,
-    run_case,
-    run_suite,
-)
-from .specfun import (
-    PolylogEval,
-    dilog_neg_ratio,
-    harmonic_float,
-    polylog,
-    polylog_eval,
-    polylog_one_minus,
-)
+from .registry import builtin_registry, run_case, run_suite
+from .specfun import polylog, polylog_one_minus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ZetaTable",
-    "euler_gamma",
     "zeta",
-    "zeta_table",
     "EulerSumSpec",
-    "double_integral_kernel",
-    "inner_integral",
-    "inner_integral_quadrature",
-    "quadratic_sum_double_integral",
-    "quadratic_sum_q2_via_outer",
     "sum_gp_closed_form",
     "sum_series",
     "sum_via_integral",
-    "Rational",
-    "alt_binomial_sum",
-    "bernoulli",
-    "binomial",
-    "harmonic_exact",
-    "moment_integral_exact",
     "QuadratureError",
     "QuadratureResult",
     "integrate",
     "integrate2d",
-    "IdentityCase",
-    "VerificationReport",
     "builtin_registry",
     "run_case",
     "run_suite",
-    "PolylogEval",
-    "dilog_neg_ratio",
-    "harmonic_float",
     "polylog",
-    "polylog_eval",
     "polylog_one_minus",
     "__version__",
 ]

@@ -17,7 +17,11 @@ independent ways:
 
 plus, for the squared-harmonic sums, a reduction of the double integral
 representation to one dimension (quadratic_sum_q2_via_outer) and the raw
-two-dimensional quadrature (quadratic_sum_double_integral).
+two-dimensional quadrature (quadratic_sum_double_integral). The float
+routes (sum_series, sum_gp_closed_form, sum_via_integral) take the orders
+EulerSumSpec accepts and return 1.0 where the sum rounds to it; the
+quadrature routes the registry checks return their QuadratureResult, so
+the caller sees the evaluation count and decides on convergence.
 
 The tail machinery manipulates expansions of the form
 sum c * log(x)^i * x^(-e) symbolically (as coefficient maps), which keeps
@@ -251,10 +255,17 @@ def sum_gp_closed_form(p: int) -> float:
 
         1/2 sum_{j=2}^{2p} (-1)^j zeta(j) zeta(2p - j + 2)
 
-    p = 1 collapses to zeta(2)^2 / 2.
+    p = 1 collapses to zeta(2)^2 / 2. q = 2p+1 takes the domain of
+    EulerSumSpec: q above MAX_Q is a ValueError, and from q = 64 on the sum
+    rounds to 1.0, which is returned directly.
     """
-    if p < 1:
-        raise ValueError(f"sum_gp_closed_form requires p >= 1, got {p}")
+    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= (MAX_Q - 1) // 2:
+        raise ValueError(
+            f"sum_gp_closed_form requires an integer 1 <= p <= {(MAX_Q - 1) // 2}, "
+            f"got {p!r}"
+        )
+    if 2 * p + 1 >= _Q_ROUNDS_TO_ONE:
+        return 1.0
     total = math.fsum(
         (-1.0) ** j * zeta(j) * zeta(2 * p - j + 2) for j in range(2, 2 * p + 1)
     )
@@ -278,10 +289,17 @@ def integral_representation_integrand(q: int) -> Callable[[float], float]:
 
 
 def sum_via_integral(q: int, tol: float = 1e-10) -> float:
-    """S(1; q) by tanh-sinh quadrature on the integral representation."""
-    result = integrate(
-        integral_representation_integrand(q), 0.0, 1.0, tol, vectorized=True
-    )
+    """S(1; q) by tanh-sinh quadrature on the integral representation.
+
+    q takes the domain of EulerSumSpec, and from q = 64 on the sum rounds
+    to 1.0, which is returned directly (the polylog expansion costs time
+    linear in q). Raises QuadratureError when the quadrature does not
+    converge.
+    """
+    EulerSumSpec(1, q)  # the domain check: an integer 2 <= q <= MAX_Q
+    if q >= _Q_ROUNDS_TO_ONE:
+        return 1.0
+    result = integrate(integral_representation_integrand(q), 0.0, 1.0, tol)
     if not result.converged:
         raise QuadratureError(
             f"integral representation of S(1; {q}) did not converge", result
@@ -309,7 +327,7 @@ def inner_integral_quadrature(u: float, tol: float = 1e-10) -> QuadratureResult:
         # 1 - (1-t)(1-u) expanded as t + u - t u: no cancellation for small t, u.
         return np.log(t) / (t + u - t * u)
 
-    return integrate(f, 0.0, 1.0, tol, vectorized=True)
+    return integrate(f, 0.0, 1.0, tol)
 
 
 def outer_integrand(u):
@@ -320,17 +338,14 @@ def outer_integrand(u):
     return np.log(u) / (1.0 - u) * dilog_neg_ratio(u)
 
 
-def quadratic_sum_q2_via_outer(tol: float = 1e-10) -> float:
+def quadratic_sum_q2_via_outer(tol: float = 1e-10) -> QuadratureResult:
     """S(2; 2) as the single integral int_0^1 log u/(1-u) Li_2(-(1-u)/u) du.
 
     The dilogarithm factor is evaluated through its stable form, which is
     what makes the u -> 0 corner (where the raw argument diverges)
     integrable numerically; the value is 17/4 zeta(4).
     """
-    result = integrate(outer_integrand, 0.0, 1.0, tol, vectorized=True)
-    if not result.converged:
-        raise QuadratureError("outer integral of S(2; 2) did not converge", result)
-    return result.value
+    return integrate(outer_integrand, 0.0, 1.0, tol)
 
 
 def double_integral_kernel(q: int) -> Callable:
@@ -368,7 +383,7 @@ def double_integral_kernel(q: int) -> Callable:
     return kernel
 
 
-def quadratic_sum_double_integral(q: int, tol: float = 1e-8) -> float:
+def quadratic_sum_double_integral(q: int, tol: float = 1e-8) -> QuadratureResult:
     """S(2; q) by raw 2-D quadrature of the double integral representation.
 
     Iterated tanh-sinh costs roughly the square of the 1-D effort, which
@@ -380,9 +395,4 @@ def quadratic_sum_double_integral(q: int, tol: float = 1e-8) -> float:
         raise ValueError(f"double integral is defined for q in (2, 3), got {q}")
     if tol < 1e-8:
         raise ValueError(f"2-D quadrature supports tol >= 1e-8, got {tol}")
-    result = integrate2d(double_integral_kernel(q), tol, vectorized_inner=True)
-    if not result.converged:
-        raise QuadratureError(
-            f"double integral of S(2; {q}) did not converge", result
-        )
-    return result.value
+    return integrate2d(double_integral_kernel(q), tol)

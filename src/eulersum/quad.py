@@ -257,22 +257,20 @@ def _integrate_rows(
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float,
     *,
-    vectorized: bool = False,
     relative: bool = False,
     max_level: int = MAX_LEVEL,
 ) -> QuadratureResult:
     """Integrate f over (a, b) to absolute tolerance tol.
 
-    f is never evaluated at a or b; singularities of log-power type at the
-    endpoints are fine. With vectorized=True, f must accept a numpy array
-    of abscissas and return the corresponding array of values (the
-    integral routes of eulersums evaluate their polylog integrands this
-    way, where per-point Python calls would dominate the runtime).
+    f takes a numpy array of abscissas and returns the array of values (or
+    one constant); a scalar function can be passed as
+    np.vectorize(f, otypes=[float]). f is never evaluated at a or b;
+    singularities of log-power type at the endpoints are fine.
     relative=True switches the convergence test to tol * max(1, |value|).
 
     A non-finite integrand value at an interior node yields a failure
@@ -284,20 +282,13 @@ def integrate(
     if not a < b:
         raise ValueError(f"integration requires a < b, got ({a}, {b})")
 
-    if vectorized:
-        def row(x):
-            return _block(np.reshape(f(x), (1, -1)), (1, x.size))
-    else:
-        def row(x):
-            return np.fromiter((f(t) for t in x), dtype=float, count=len(x)).reshape(1, -1)
-
     # The same operations, in the same order, as _integrate_rows on one row.
     scale = b - a
     acc = prev = 0.0
     diff = math.inf
     count = 0
     for levels, x in _passes(a, b, max_level):
-        values = row(x)
+        values = _block(np.reshape(f(x), (1, -1)), (1, x.size))
         start = 0
         for level in levels:
             w = _interval_nodes(a, b, level)[1]
@@ -339,10 +330,9 @@ def integrate(
 
 
 def integrate2d(
-    f: Callable[[float, float], float],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
     *,
-    vectorized_inner: bool = False,
     max_level: int = MAX_LEVEL,
 ) -> QuadratureResult:
     """Iterated tanh-sinh integral of f(t, u) over the open unit square.
@@ -364,13 +354,11 @@ def integrate2d(
     node. A failure reports the first failing node in visiting order, with
     the evaluations made up to it.
 
-    With vectorized_inner=True, f(t, u) must broadcast over numpy arrays
-    (it is called with a row of t values against a column of u values);
-    otherwise f takes two scalars and is applied through np.vectorize.
+    f(t, u) must broadcast over numpy arrays: it is called with a row of t
+    values against a column of u values.
     """
     _check_tol(tol)
     inner_tol = tol / 10.0
-    kernel = f if vectorized_inner else np.vectorize(f, otypes=[float])
 
     acc_val = 0.0
     acc_err = 0.0
@@ -383,7 +371,7 @@ def integrate2d(
         column = us[:, None]
 
         def evaluate(t, live):
-            return kernel(t[None, :], column[live])
+            return f(t[None, :], column[live])
 
         block = _integrate_rows(evaluate, us.size, 0.0, 1.0, inner_tol, True, max_level)
         start = 0

@@ -5,17 +5,20 @@ comparison kind and a tolerance. Exact cases compare arbitrary-precision
 rationals structurally; numeric cases compare floats against a per-case
 absolute or relative tolerance. Running a case never raises: evaluator
 exceptions become status "error" so one broken case cannot take down the
-suite.
+suite. A quadrature side returns its QuadratureResult: the runner reports
+its evaluation count and turns a result that did not converge into an
+error. The builtin cases are one table, a row per case or per parameter
+family.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,6 +111,8 @@ class VerificationReport:
 
 
 def _eval_side(fn: Callable[[], object]) -> tuple[object, int]:
+    """A side's value and integrand evaluations: the one place where a
+    quadrature result that did not converge becomes an error."""
     value = fn()
     if isinstance(value, QuadratureResult):
         if not value.converged:
@@ -277,23 +282,31 @@ def inject_failure(cases: list[IdentityCase], case_id: str) -> list[IdentityCase
 # Builtin cases
 # --------------------------------------------------------------------------
 
-_INNER_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
-
 
 def _log_power_integral(p: int) -> QuadratureResult:
     """int_0^1 log(t)^p/(1-t) dt by direct quadrature: 2 zeta(3) at p = 2,
     -6 zeta(4) at p = 3."""
-    return integrate(
-        lambda t: np.log(t) ** p / (1.0 - t), 0.0, 1.0, 1e-12, vectorized=True
+    return integrate(lambda t: np.log(t) ** p / (1.0 - t), 0.0, 1.0, 1e-12)
+
+
+def _neg_half_log_cubed() -> QuadratureResult:
+    """-1/2 int_0^1 log(u)^3/(1-u) du, the first piece of the 17/4 split."""
+    result = _log_power_integral(3)
+    return replace(
+        result,
+        value=-0.5 * result.value,
+        abs_error_estimate=0.5 * result.abs_error_estimate,
     )
 
 
-def _neg_half_log_cubed() -> float:
-    """-1/2 int_0^1 log(u)^3/(1-u) du, the first piece of the 17/4 split."""
-    result = _log_power_integral(3)
-    if not result.converged:
-        raise QuadratureError("log^3 reference integral did not converge", result)
-    return -0.5 * result.value
+def _integral_representation(q: int) -> QuadratureResult:
+    """The quadrature of eulersums.sum_via_integral(q), as a result."""
+    f = eulersums.integral_representation_integrand(q)
+    return integrate(f, 0.0, 1.0, 1e-10)
+
+
+def _series(m: int, q: int) -> float:
+    return eulersums.sum_series(eulersums.EulerSumSpec(m, q))
 
 
 def _landen_max_residual() -> float:
@@ -311,243 +324,124 @@ def _landen_max_residual() -> float:
     return float(np.max(np.abs(direct - stable)))
 
 
-def builtin_registry() -> list[IdentityCase]:
-    """All shipped identity cases (parameter families expanded per point)."""
-    cases: list[IdentityCase] = []
+class _Row(NamedTuple):
+    """One catalogue row: a case, or a family of cases over a grid.
 
-    # Exact binomial moment identity, p! * sum C(n,k)(-1)^k/k^p against the
-    # monomial-moment expansion of the integral form.
-    for n in range(1, 13):
-        for p in range(1, 5):
-            cases.append(
-                IdentityCase(
-                    id=f"binomial-exact/n={n},p={p}",
-                    description=(
-                        f"p! * alternating binomial sum equals the moment "
-                        f"expansion of the beta-log integral (n={n}, p={p})"
-                    ),
-                    lhs=lambda n=n, p=p: factorial(p) * alt_binomial_sum(n, p),
-                    rhs=lambda n=n, p=p: moment_integral_exact(n, p),
-                    kind="exact",
-                    source="binomial moment identity",
-                )
-            )
+    A family's id and description are format templates over each point of
+    its grid, and its sides take the point's parameters as keywords. A tol
+    of 0 marks an exact case.
+    """
 
+    id: str
+    description: str
+    lhs: Callable[..., object]
+    rhs: Callable[..., object]
+    tol: float = 0.0
+    criterion: str = "abs"
+    source: str = ""
+    grid: tuple = ({},)
+
+
+_CATALOGUE = (
+    # p! * sum C(n,k)(-1)^k/k^p against the monomial-moment expansion of
+    # the integral form.
+    _Row(
+        "binomial-exact/n={n},p={p}",
+        "p! * alternating binomial sum equals the moment expansion of the "
+        "beta-log integral (n={n}, p={p})",
+        lambda n, p: factorial(p) * alt_binomial_sum(n, p),
+        lambda n, p: moment_integral_exact(n, p),
+        source="binomial moment identity",
+        grid=tuple({"n": n, "p": p} for n in range(1, 13) for p in range(1, 5)),
+    ),
     # p = 1 specialisation: the alternating sum is exactly -H_n.
-    for n in range(1, 61):
-        cases.append(
-            IdentityCase(
-                id=f"altsum-harmonic/n={n}",
-                description=f"sum C({n},k)(-1)^k/k equals -H_{n} exactly",
-                lhs=lambda n=n: alt_binomial_sum(n, 1),
-                rhs=lambda n=n: -harmonic_exact(n, 1),
-                kind="exact",
-                source="binomial moment identity, p = 1",
-            )
+    _Row(
+        "altsum-harmonic/n={n}",
+        "sum C({n},k)(-1)^k/k equals -H_{n} exactly",
+        lambda n: alt_binomial_sum(n, 1),
+        lambda n: -harmonic_exact(n, 1),
+        source="binomial moment identity, p = 1",
+        grid=tuple({"n": n} for n in range(1, 61)),
+    ),
+    _Row("euler-q2-series", "sum H_n/n^2 = 2 zeta(3), accelerated series path",
+         lambda: _series(1, 2), lambda: 2.0 * zeta(3), 1e-10, "rel", "Euler, 1775"),
+    _Row("euler-q2-integral", "sum H_n/n^2 = 2 zeta(3), polylog integral path",
+         lambda: _integral_representation(2), lambda: 2.0 * zeta(3), 1e-10, "rel",
+         "Euler, 1775"),
+    _Row("euler-q2-quadrature",
+         "int_0^1 log(t)^2/(1-t) dt = 2 zeta(3), direct quadrature",
+         lambda: _log_power_integral(2), lambda: 2.0 * zeta(3), 1e-11, "abs",
+         "Euler, 1775"),
+    _Row("euler-q3-series", "sum H_n/n^3 = zeta(2)^2/2, accelerated series path",
+         lambda: _series(1, 3), lambda: 0.5 * zeta(2) ** 2, 1e-10, "rel", "classical"),
+    _Row("euler-q3-integral", "sum H_n/n^3 = zeta(2)^2/2, polylog integral path",
+         lambda: _integral_representation(3), lambda: 0.5 * zeta(2) ** 2, 1e-10,
+         "rel", "classical"),
+    # Odd-exponent closed forms against the series and the integral.
+    _Row("gp-closed/p={p}",
+         "zeta combination for sum H_n/n^{q} matches the accelerated series",
+         lambda p, q: eulersums.sum_gp_closed_form(p), lambda p, q: _series(1, q),
+         1e-10, "rel", "Georghiou and Philippou, 1983",
+         grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2, 3))),
+    _Row("gp-integral/p={p}",
+         "polylog integral for sum H_n/n^{q} matches the zeta combination",
+         lambda p, q: _integral_representation(q),
+         lambda p, q: eulersums.sum_gp_closed_form(p),
+         1e-9, "rel", "Georghiou and Philippou, 1983",
+         grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2))),
+    _Row("inner-integral/u={u}",
+         "closed form Li_2(-(1-u)/u)/(1-u) of the inner integral matches "
+         "quadrature at u={u}",
+         lambda u: eulersums.inner_integral(u),
+         lambda u: eulersums.inner_integral_quadrature(u, tol=1e-11),
+         1e-10, "abs", "elementary antiderivative",
+         grid=tuple({"u": u} for u in (0.1, 0.3, 0.5, 0.7, 0.9))),
+    _Row("landen-grid",
+         "dilogarithm transformation residual, two independent paths, "
+         "1000 points on [0.51, 0.999]",
+         _landen_max_residual, lambda: 0.0, 1e-12, "abs", "Landen, 1780"),
+    _Row("ref-log3-integral", "int_0^1 log(u)^3/(1-u) du = -6 zeta(4)",
+         lambda: _log_power_integral(3), lambda: -6.0 * zeta(4), 1e-11, "abs",
+         "classical"),
+    _Row("dedoelder-halflog3", "-1/2 int_0^1 log(u)^3/(1-u) du = 3 zeta(4)",
+         _neg_half_log_cubed, lambda: 3.0 * zeta(4), 1e-10, "rel", "classical"),
+    _Row("dedoelder-series", "sum [H_n]^2/n^2 = 17/4 zeta(4), accelerated series",
+         lambda: _series(2, 2), lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel",
+         "de Doelder, 1991"),
+    _Row("dedoelder-outer",
+         "sum [H_n]^2/n^2 = 17/4 zeta(4), reduced 1-D integral with the "
+         "stable dilogarithm form",
+         lambda: eulersums.quadratic_sum_q2_via_outer(tol=1e-10),
+         lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel", "de Doelder, 1991"),
+    _Row("dedoelder-2d", "sum [H_n]^2/n^2 = 17/4 zeta(4), raw 2-D quadrature",
+         lambda: eulersums.quadratic_sum_double_integral(2, tol=1e-8),
+         lambda: 17.0 / 4.0 * zeta(4), 1e-8, "abs", "de Doelder, 1991"),
+    _Row("open-q3-2d",
+         "2-D quadrature of the q=3 double integral against the series for "
+         "sum [H_n]^2/n^3 (no closed form asserted)",
+         lambda: eulersums.quadratic_sum_double_integral(3, tol=1e-8),
+         lambda: _series(2, 3), 1e-6, "abs", "open case, series as reference"),
+    _Row("zeta-product", "zeta(2)^2 = 5/2 zeta(4) (used by the 17/4 reduction)",
+         lambda: zeta(2) ** 2, lambda: 2.5 * zeta(4), 1e-14, "abs", "classical"),
+)
+
+
+def builtin_registry() -> list[IdentityCase]:
+    """All shipped identity cases, each family expanded over its grid."""
+    cases = [
+        IdentityCase(
+            id=row.id.format(**point),
+            description=row.description.format(**point),
+            lhs=partial(row.lhs, **point),
+            rhs=partial(row.rhs, **point),
+            kind="numeric" if row.tol else "exact",
+            tol=row.tol,
+            criterion=row.criterion,
+            source=row.source,
         )
-
-    two_zeta3 = lambda: 2.0 * zeta(3)
-    half_zeta2_sq = lambda: 0.5 * zeta(2) ** 2
-    dedoelder = lambda: 17.0 / 4.0 * zeta(4)
-
-    cases += [
-        IdentityCase(
-            id="euler-q2-series",
-            description="sum H_n/n^2 = 2 zeta(3), accelerated series path",
-            lhs=lambda: eulersums.sum_series(eulersums.EulerSumSpec(1, 2)),
-            rhs=two_zeta3,
-            kind="numeric",
-            tol=1e-10,
-            criterion="rel",
-            source="Euler, 1775",
-        ),
-        IdentityCase(
-            id="euler-q2-integral",
-            description="sum H_n/n^2 = 2 zeta(3), polylog integral path",
-            lhs=lambda: eulersums.sum_via_integral(2),
-            rhs=two_zeta3,
-            kind="numeric",
-            tol=1e-10,
-            criterion="rel",
-            source="Euler, 1775",
-        ),
-        IdentityCase(
-            id="euler-q2-quadrature",
-            description="int_0^1 log(t)^2/(1-t) dt = 2 zeta(3), direct quadrature",
-            lhs=lambda: _log_power_integral(2),
-            rhs=two_zeta3,
-            kind="numeric",
-            tol=1e-11,
-            criterion="abs",
-            source="Euler, 1775",
-        ),
-        IdentityCase(
-            id="euler-q3-series",
-            description="sum H_n/n^3 = zeta(2)^2/2, accelerated series path",
-            lhs=lambda: eulersums.sum_series(eulersums.EulerSumSpec(1, 3)),
-            rhs=half_zeta2_sq,
-            kind="numeric",
-            tol=1e-10,
-            criterion="rel",
-            source="classical",
-        ),
-        IdentityCase(
-            id="euler-q3-integral",
-            description="sum H_n/n^3 = zeta(2)^2/2, polylog integral path",
-            lhs=lambda: eulersums.sum_via_integral(3),
-            rhs=half_zeta2_sq,
-            kind="numeric",
-            tol=1e-10,
-            criterion="rel",
-            source="classical",
-        ),
+        for row in _CATALOGUE
+        for point in row.grid
     ]
-
-    # Odd-exponent closed forms against the series.
-    for p in (1, 2, 3):
-        cases.append(
-            IdentityCase(
-                id=f"gp-closed/p={p}",
-                description=(
-                    f"zeta combination for sum H_n/n^{2 * p + 1} "
-                    f"matches the accelerated series"
-                ),
-                lhs=lambda p=p: eulersums.sum_gp_closed_form(p),
-                rhs=lambda p=p: eulersums.sum_series(
-                    eulersums.EulerSumSpec(1, 2 * p + 1)
-                ),
-                kind="numeric",
-                tol=1e-10,
-                criterion="rel",
-                source="Georghiou and Philippou, 1983",
-            )
-        )
-    for p in (1, 2):
-        cases.append(
-            IdentityCase(
-                id=f"gp-integral/p={p}",
-                description=(
-                    f"polylog integral for sum H_n/n^{2 * p + 1} "
-                    f"matches the zeta combination"
-                ),
-                lhs=lambda p=p: eulersums.sum_via_integral(2 * p + 1, tol=1e-10),
-                rhs=lambda p=p: eulersums.sum_gp_closed_form(p),
-                kind="numeric",
-                tol=1e-9,
-                criterion="rel",
-                source="Georghiou and Philippou, 1983",
-            )
-        )
-
-    for u in _INNER_GRID:
-        cases.append(
-            IdentityCase(
-                id=f"inner-integral/u={u}",
-                description=(
-                    f"closed form Li_2(-(1-u)/u)/(1-u) of the inner integral "
-                    f"matches quadrature at u={u}"
-                ),
-                lhs=lambda u=u: eulersums.inner_integral(u),
-                rhs=lambda u=u: eulersums.inner_integral_quadrature(u, tol=1e-11),
-                kind="numeric",
-                tol=1e-10,
-                criterion="abs",
-                source="elementary antiderivative",
-            )
-        )
-
-    cases += [
-        IdentityCase(
-            id="landen-grid",
-            description=(
-                "dilogarithm transformation residual, two independent paths, "
-                "1000 points on [0.51, 0.999]"
-            ),
-            lhs=_landen_max_residual,
-            rhs=lambda: 0.0,
-            kind="numeric",
-            tol=1e-12,
-            criterion="abs",
-            source="Landen, 1780",
-        ),
-        IdentityCase(
-            id="ref-log3-integral",
-            description="int_0^1 log(u)^3/(1-u) du = -6 zeta(4)",
-            lhs=lambda: _log_power_integral(3),
-            rhs=lambda: -6.0 * zeta(4),
-            kind="numeric",
-            tol=1e-11,
-            criterion="abs",
-            source="classical",
-        ),
-        IdentityCase(
-            id="dedoelder-halflog3",
-            description="-1/2 int_0^1 log(u)^3/(1-u) du = 3 zeta(4)",
-            lhs=_neg_half_log_cubed,
-            rhs=lambda: 3.0 * zeta(4),
-            kind="numeric",
-            tol=1e-10,
-            criterion="rel",
-            source="classical",
-        ),
-        IdentityCase(
-            id="dedoelder-series",
-            description="sum [H_n]^2/n^2 = 17/4 zeta(4), accelerated series",
-            lhs=lambda: eulersums.sum_series(eulersums.EulerSumSpec(2, 2)),
-            rhs=dedoelder,
-            kind="numeric",
-            tol=1e-10,
-            criterion="rel",
-            source="de Doelder, 1991",
-        ),
-        IdentityCase(
-            id="dedoelder-outer",
-            description=(
-                "sum [H_n]^2/n^2 = 17/4 zeta(4), reduced 1-D integral with "
-                "the stable dilogarithm form"
-            ),
-            lhs=lambda: eulersums.quadratic_sum_q2_via_outer(tol=1e-10),
-            rhs=dedoelder,
-            kind="numeric",
-            tol=1e-10,
-            criterion="rel",
-            source="de Doelder, 1991",
-        ),
-        IdentityCase(
-            id="dedoelder-2d",
-            description="sum [H_n]^2/n^2 = 17/4 zeta(4), raw 2-D quadrature",
-            lhs=lambda: eulersums.quadratic_sum_double_integral(2, tol=1e-8),
-            rhs=dedoelder,
-            kind="numeric",
-            tol=1e-8,
-            criterion="abs",
-            source="de Doelder, 1991",
-        ),
-        IdentityCase(
-            id="open-q3-2d",
-            description=(
-                "2-D quadrature of the q=3 double integral against the "
-                "series for sum [H_n]^2/n^3 (no closed form asserted)"
-            ),
-            lhs=lambda: eulersums.quadratic_sum_double_integral(3, tol=1e-8),
-            rhs=lambda: eulersums.sum_series(eulersums.EulerSumSpec(2, 3)),
-            kind="numeric",
-            tol=1e-6,
-            criterion="abs",
-            source="open case, series as reference",
-        ),
-        IdentityCase(
-            id="zeta-product",
-            description="zeta(2)^2 = 5/2 zeta(4) (used by the 17/4 reduction)",
-            lhs=lambda: zeta(2) ** 2,
-            rhs=lambda: 2.5 * zeta(4),
-            kind="numeric",
-            tol=1e-14,
-            criterion="abs",
-            source="classical",
-        ),
-    ]
-
     ids = [c.id for c in cases]
     if len(ids) != len(set(ids)):
         raise RuntimeError("duplicate case ids in the builtin registry")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -115,6 +116,14 @@ class TestVerify:
         assert out == ""
         assert err == "eulersum: verify: no case id starts with 'no-such-case'\n"
 
+    def test_json_reports_every_quadrature_count(self):
+        code, out, _ = run_cli("verify", "--output", "json")
+        assert code == 0
+        counts = {c["id"]: c["evaluations"] for c in json.loads(out)["cases"]}
+        assert counts["dedoelder-2d"] == 117_451
+        assert counts["open-q3-2d"] == 6_328
+        assert sum(1 for n in counts.values() if n) == 15
+
     def test_tol_override_loosens_only(self):
         code, out, _ = run_cli(
             "verify", "--filter", "landen", "--tol", "1e-3", "--output", "json"
@@ -167,6 +176,34 @@ class TestEvalErrors:
         # n**q overflowed a double in the series before q rounded to 1.0.
         code, out, err = run_cli("eval", "hsum", "1", q)
         assert (code, out, err) == (0, "1.0\n", "")
+
+    @pytest.mark.parametrize(
+        "name,param", [("integral", "63"), ("integral", "64"),
+                       ("integral", str(2**20)), ("gp", "31"), ("gp", "32"),
+                       ("gp", str((2**20 - 1) // 2))],
+    )
+    def test_large_orders_are_one(self, name, param):
+        # q = 63 still runs the route; from q = 64 (q = 2p+1 for gp) the
+        # value rounds to 1.0 and is returned directly.
+        start = time.perf_counter()
+        code, out, err = run_cli("eval", name, param)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert abs(float(out) - 1.0) <= 1e-10
+        if int(param) >= 32:
+            assert out == "1.0\n"
+
+    @pytest.mark.parametrize(
+        "name,param", [("integral", str(2**20 + 1)), ("integral", "1000000000000"),
+                       ("gp", str(2**19)), ("gp", "1000000000000")],
+    )
+    def test_orders_above_max_q_exit_2(self, name, param):
+        start = time.perf_counter()
+        code, out, err = run_cli("eval", name, param)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"eulersum: eval {name}: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_quadrature_failure_exits_2(self, monkeypatch):
         from eulersum import eulersums

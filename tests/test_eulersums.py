@@ -2,6 +2,7 @@
 with the zeta closed forms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +271,44 @@ class TestSumViaIntegral:
             sum_via_integral(1)
 
 
+class TestLargeOrders:
+    """integral q and gp p take hsum's domain: from q = 64 (q = 2p+1 for gp)
+    they return 1.0, above MAX_Q they raise ValueError, all in well under
+    a second."""
+
+    @staticmethod
+    def timed(fn, *args):
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("q", [63, 64, 2**20])
+    def test_integral_rounds_to_one(self, q):
+        value = self.timed(sum_via_integral, q)
+        assert abs(value - sum_series(EulerSumSpec(1, q))) <= 1e-10
+        if q >= 64:
+            assert value == 1.0
+
+    @pytest.mark.parametrize("p", [31, 32, (2**20 - 1) // 2])
+    def test_gp_rounds_to_one(self, p):
+        value = self.timed(sum_gp_closed_form, p)
+        assert abs(value - sum_series(EulerSumSpec(1, 2 * p + 1))) <= 1e-10
+        if 2 * p + 1 >= 64:
+            assert value == 1.0
+
+    @pytest.mark.parametrize("q", [2**20 + 1, 10**12, 2.5, True])
+    def test_integral_outside_domain(self, q):
+        with pytest.raises(ValueError):
+            self.timed(sum_via_integral, q)
+
+    @pytest.mark.parametrize("p", [2**19, 10**12, 2.5, True])
+    def test_gp_outside_domain(self, p):
+        with pytest.raises(ValueError):
+            self.timed(sum_gp_closed_form, p)
+
+
 class TestInnerIntegral:
     def test_half(self):
         # 2 Li_2(-1) = -pi^2/6
@@ -301,7 +340,9 @@ class TestInnerIntegral:
 
 class TestQuadraticSumOuter:
     def test_dedoelder_value(self):
-        assert abs(quadratic_sum_q2_via_outer() - DEDOELDER) <= 1e-10
+        result = quadratic_sum_q2_via_outer()
+        assert result.converged
+        assert abs(result.value - DEDOELDER) <= 1e-10
 
     def test_component_split(self):
         # -1/2 int log^3 u/(1-u) = 3 zeta(4); the polylog piece gives
@@ -309,7 +350,7 @@ class TestQuadraticSumOuter:
         # zeta(2)^2 = 5/2 zeta(4).
         from eulersum.quad import integrate
 
-        r = integrate(lambda u: math.log(u) ** 3 / (1.0 - u), 0.0, 1.0, 1e-12)
+        r = integrate(lambda u: np.log(u) ** 3 / (1.0 - u), 0.0, 1.0, 1e-12)
         half_log3 = -0.5 * r.value
         assert abs(half_log3 - 3.0 * zeta(4)) <= 1e-10
         assert abs(zeta(2) ** 2 - 2.5 * zeta(4)) <= 1e-14
@@ -346,13 +387,15 @@ class TestDoubleIntegral:
         assert out.shape == (2,)
 
     def test_q2_against_dedoelder(self):
-        value = quadratic_sum_double_integral(2, tol=1e-8)
-        assert abs(value - DEDOELDER) <= 1e-8
+        result = quadratic_sum_double_integral(2, tol=1e-8)
+        assert result.converged
+        assert abs(result.value - DEDOELDER) <= 1e-8
 
     def test_q3_against_series(self):
-        value = quadratic_sum_double_integral(3, tol=1e-8)
+        result = quadratic_sum_double_integral(3, tol=1e-8)
         series = sum_series(EulerSumSpec(2, 3))
-        assert abs(value - series) <= 1e-6
+        assert result.converged
+        assert abs(result.value - series) <= 1e-6
 
     def test_domain(self):
         with pytest.raises(ValueError):

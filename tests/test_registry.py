@@ -1,5 +1,6 @@
 """Case registry: determinism, negative controls, error containment."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -71,6 +72,24 @@ class TestRegistryContents:
         exact = [c for c in registry if c.kind == "exact"]
         assert len(exact) == 48 + 60
         assert all(c.tol == 0.0 for c in exact)
+
+    def test_catalogue_order(self, registry):
+        ids = [c.id for c in registry]
+        assert len(ids) == 131
+        # A family expands over its grid with the first parameter outermost.
+        assert ids[:5] == [
+            "binomial-exact/n=1,p=1", "binomial-exact/n=1,p=2",
+            "binomial-exact/n=1,p=3", "binomial-exact/n=1,p=4",
+            "binomial-exact/n=2,p=1",
+        ]
+        assert list(dict.fromkeys(i.split("/")[0] for i in ids)) == [
+            "binomial-exact", "altsum-harmonic", "euler-q2-series",
+            "euler-q2-integral", "euler-q2-quadrature", "euler-q3-series",
+            "euler-q3-integral", "gp-closed", "gp-integral", "inner-integral",
+            "landen-grid", "ref-log3-integral", "dedoelder-halflog3",
+            "dedoelder-series", "dedoelder-outer", "dedoelder-2d", "open-q3-2d",
+            "zeta-product",
+        ]
 
     def test_numeric_cases_have_positive_tol(self, registry):
         for c in registry:
@@ -322,7 +341,13 @@ class TestEvaluationCounts:
         report = run_suite(cases=fast_cases)
         counts = {c.id: c.evaluations for c in report.cases if c.evaluations}
         assert counts == {
+            "dedoelder-halflog3": 149,
+            "dedoelder-outer": 75,
+            "euler-q2-integral": 75,
             "euler-q2-quadrature": 75,
+            "euler-q3-integral": 75,
+            "gp-integral/p=1": 75,
+            "gp-integral/p=2": 75,
             "inner-integral/u=0.1": 149,
             "inner-integral/u=0.3": 149,
             "inner-integral/u=0.5": 149,
@@ -333,9 +358,63 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("q,evaluations", [(2, 117_451), (3, 6_328)])
     def test_two_dimensional_routes(self, q, evaluations):
-        result = integrate2d(double_integral_kernel(q), 1e-8, vectorized_inner=True)
+        result = integrate2d(double_integral_kernel(q), 1e-8)
         assert result.converged
         assert result.evaluations == evaluations
+
+    @pytest.mark.parametrize(
+        "case_id,evaluations", [("dedoelder-2d", 117_451), ("open-q3-2d", 6_328)]
+    )
+    def test_two_dimensional_cases_report_their_count(self, case_id, evaluations):
+        report = run_suite(id_prefix=case_id)
+        (result,) = report.cases
+        assert result.status == "pass"
+        assert result.evaluations == evaluations
+
+
+class TestQuadratureTrustGate:
+    """A route that returns a non-converged result errors, with its message."""
+
+    @pytest.mark.parametrize(
+        "case_id,name,message",
+        [
+            ("dedoelder-2d", "integrate2d",
+             "inner integral failed at u=0.5: no convergence within 2 refinement levels"),
+            ("open-q3-2d", "integrate2d",
+             "inner integral failed at u=0.5: no convergence within 2 refinement levels"),
+            ("dedoelder-outer", "integrate", "no convergence within 2 refinement levels"),
+        ],
+    )
+    def test_non_converged_route_is_an_error(self, monkeypatch, case_id, name, message):
+        monkeypatch.setattr(
+            eulersums, name, functools.partial(getattr(eulersums, name), max_level=2)
+        )
+        (result,) = run_suite(id_prefix=case_id).cases
+        assert result.status == "error"
+        assert result.message == f"QuadratureError: {message}"
+        assert result.lhs_value is None and result.evaluations == 0
+
+    @pytest.mark.parametrize(
+        "case_id", ["euler-q2-integral", "gp-integral/p=1", "dedoelder-halflog3"]
+    )
+    def test_non_converged_registry_quadrature_is_an_error(self, monkeypatch, case_id):
+        monkeypatch.setattr(
+            registry_module,
+            "integrate",
+            functools.partial(registry_module.integrate, max_level=2),
+        )
+        (result,) = run_suite(id_prefix=case_id).cases
+        assert result.status == "error"
+        assert result.message == (
+            "QuadratureError: no convergence within 2 refinement levels"
+        )
+
+    def test_halflog3_scales_value_and_estimate(self):
+        cubed = registry_module._log_power_integral(3)
+        half = registry_module._neg_half_log_cubed()
+        assert half.value == -0.5 * cubed.value
+        assert half.abs_error_estimate == 0.5 * cubed.abs_error_estimate
+        assert (half.evaluations, half.converged) == (cubed.evaluations, True)
 
 
 class TestInjectFailure:
