@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import eulersums
+from . import eulersums, registry
 from .constants import zeta
 from .quad import QuadratureError
 from .registry import VerificationReport, builtin_registry, inject_failure, run_suite
@@ -28,18 +28,14 @@ __all__ = ["main"]
 
 
 def _tolerance(text: str) -> float:
-    """--tol value: a finite number with 0 < X < 1.
-
-    At 1 and above the relative criterion |l - r| <= X max(|l|, |r|)
-    accepts any two values of the same sign, so no identity could fail.
-    """
-    message = f"must be a finite number with 0 < X < 1, got {text!r}"
+    """--tol value, held to the registry's rule for tol_override."""
     try:
         value = float(text)
+        registry._check_tol_override(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if not 0.0 < value < 1.0:  # also rejects NaN and both infinities
-        raise argparse.ArgumentTypeError(message)
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number with 0 < X < 1, got {text!r}"
+        ) from None
     return value
 
 

@@ -238,8 +238,6 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTO
     """
     if tol < _MIN_SERIES_TOL:
         raise ValueError(f"sum_series supports tol >= {_MIN_SERIES_TOL}, got {tol}")
-    if spec.q < 2:
-        raise ValueError(f"series diverges for q < 2, got {spec.q}")
     if cutoff < 100:
         raise ValueError(f"cutoff too small for the asymptotic tail, got {cutoff}")
     m, q = spec.h_power, spec.q
@@ -292,9 +290,8 @@ def sum_via_integral(q: int, tol: float = 1e-10) -> float:
     """S(1; q) by tanh-sinh quadrature on the integral representation.
 
     q takes the domain of EulerSumSpec, and from q = 64 on the sum rounds
-    to 1.0, which is returned directly (the polylog expansion costs time
-    linear in q). Raises QuadratureError when the quadrature does not
-    converge.
+    to 1.0, which is returned directly. Raises QuadratureError when the
+    quadrature does not converge.
     """
     EulerSumSpec(1, q)  # the domain check: an integer 2 <= q <= MAX_Q
     if q >= _Q_ROUNDS_TO_ONE:
@@ -318,8 +315,8 @@ def inner_integral(u: float) -> float:
     return dilog_neg_ratio(u) / (1.0 - u)
 
 
-def inner_integral_quadrature(u: float, tol: float = 1e-10) -> QuadratureResult:
-    """Direct quadrature of the inner integral, for checking the closed form."""
+def inner_integral_quadrature(u: float) -> QuadratureResult:
+    """Quadrature of the inner integral to tol 1e-11, to check the closed form."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"inner_integral_quadrature requires u in (0, 1), got {u}")
 
@@ -327,7 +324,7 @@ def inner_integral_quadrature(u: float, tol: float = 1e-10) -> QuadratureResult:
         # 1 - (1-t)(1-u) expanded as t + u - t u: no cancellation for small t, u.
         return np.log(t) / (t + u - t * u)
 
-    return integrate(f, 0.0, 1.0, tol)
+    return integrate(f, 0.0, 1.0, 1e-11)
 
 
 def outer_integrand(u):
@@ -338,14 +335,14 @@ def outer_integrand(u):
     return np.log(u) / (1.0 - u) * dilog_neg_ratio(u)
 
 
-def quadratic_sum_q2_via_outer(tol: float = 1e-10) -> QuadratureResult:
+def quadratic_sum_q2_via_outer() -> QuadratureResult:
     """S(2; 2) as the single integral int_0^1 log u/(1-u) Li_2(-(1-u)/u) du.
 
     The dilogarithm factor is evaluated through its stable form, which is
     what makes the u -> 0 corner (where the raw argument diverges)
-    integrable numerically; the value is 17/4 zeta(4).
+    integrable numerically; the value is 17/4 zeta(4), to tol 1e-10.
     """
-    return integrate(outer_integrand, 0.0, 1.0, tol)
+    return integrate(outer_integrand, 0.0, 1.0, 1e-10)
 
 
 def double_integral_kernel(q: int) -> Callable:
@@ -383,16 +380,12 @@ def double_integral_kernel(q: int) -> Callable:
     return kernel
 
 
-def quadratic_sum_double_integral(q: int, tol: float = 1e-8) -> QuadratureResult:
+def quadratic_sum_double_integral(q: int) -> QuadratureResult:
     """S(2; q) by raw 2-D quadrature of the double integral representation.
 
     Iterated tanh-sinh costs roughly the square of the 1-D effort, which
-    caps the practical accuracy; tolerances below 1e-8 are rejected. For
-    q = 3 no closed form is asserted anywhere in the package; the series
-    evaluation is the only reference.
+    caps the practical accuracy at the tolerance used, 1e-8; q is 2 or 3
+    (double_integral_kernel). For q = 3 no closed form is asserted anywhere
+    in the package; the series evaluation is the only reference.
     """
-    if q not in (2, 3):
-        raise ValueError(f"double integral is defined for q in (2, 3), got {q}")
-    if tol < 1e-8:
-        raise ValueError(f"2-D quadrature supports tol >= 1e-8, got {tol}")
-    return integrate2d(double_integral_kernel(q), tol)
+    return integrate2d(double_integral_kernel(q), 1e-8)

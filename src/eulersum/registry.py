@@ -1,24 +1,24 @@
 """The identity catalogue: every verified equality as a named case.
 
-Each case carries two evaluation closures (left and right side), a
-comparison kind and a tolerance. Exact cases compare arbitrary-precision
-rationals structurally; numeric cases compare floats against a per-case
-absolute or relative tolerance. Running a case never raises: evaluator
+Each case carries two evaluation closures (left and right side) and a
+tolerance: 0 makes an exact case, comparing arbitrary-precision rationals
+structurally; a positive one makes a numeric case, comparing floats under
+an absolute or relative criterion. Running a case never raises: evaluator
 exceptions become status "error" so one broken case cannot take down the
 suite. A quadrature side returns its QuadratureResult: the runner reports
 its evaluation count and turns a result that did not converge into an
-error. The builtin cases are one table, a row per case or per parameter
-family.
+error. The builtin cases are one tuple, built at import: a case per
+identity, and a run of cases per parameter family.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import factorial
-from typing import Callable, NamedTuple, Optional
+from functools import partial
+from math import factorial, inf
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,29 +43,31 @@ __all__ = [
 class IdentityCase:
     """One verifiable equality.
 
-    kind "exact" means both closures return Fractions and the comparison is
-    structural equality; kind "numeric" compares floats with `tol` under
-    the declared criterion ("abs": |l - r| <= tol; "rel":
-    |l - r| <= tol * max(|l|, |r|)). Closures may return a QuadratureResult,
-    in which case its convergence flag and evaluation count are honoured.
+    A tol of 0 makes an exact case: both closures return Fractions and the
+    comparison is structural equality. A positive tol compares floats under
+    the declared criterion ("abs": |l - r| <= tol; "rel": |l - r| <= tol *
+    max(|l|, |r|)). Closures may return a QuadratureResult, in which case
+    its convergence flag and evaluation count are honoured.
     """
 
     id: str
     description: str
     lhs: Callable[[], object]
     rhs: Callable[[], object]
-    kind: str  # "exact" | "numeric"
     tol: float = 0.0
     criterion: str = "abs"  # "abs" | "rel"
     source: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exact", "numeric"):
-            raise ValueError(f"unknown case kind {self.kind!r}")
-        if self.kind == "numeric" and not self.tol > 0.0:
-            raise ValueError(f"numeric case {self.id!r} needs tol > 0")
+        if not 0.0 <= self.tol < inf:  # also rejects NaN
+            raise ValueError(f"case {self.id!r} needs finite tol >= 0, got {self.tol}")
         if self.criterion not in ("abs", "rel"):
             raise ValueError(f"unknown residual criterion {self.criterion!r}")
+
+    @property
+    def kind(self) -> str:
+        """"exact" for a tol of 0, "numeric" otherwise."""
+        return "numeric" if self.tol else "exact"
 
 
 @dataclass
@@ -84,15 +86,7 @@ class CaseResult:
     def as_dict(self) -> dict:
         """Schema-stable serialisation (the message stays out of reports)."""
         return {
-            "id": self.id,
-            "status": self.status,
-            "lhs_value": self.lhs_value,
-            "rhs_value": self.rhs_value,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "tol": self.tol,
-            "evaluations": self.evaluations,
-            "elapsed_ms": self.elapsed_ms,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "message"
         }
 
 
@@ -154,6 +148,7 @@ def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseRe
     tol = case.tol
     if case.kind == "numeric" and tol_override is not None:
         tol = max(tol, tol_override)
+    result = CaseResult(case.id, "error", None, None, None, None, tol, 0, 0.0)
     start = time.perf_counter()
     try:
         lhs, lhs_evals = _eval_side(case.lhs)
@@ -161,50 +156,29 @@ def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseRe
         if case.kind == "exact":
             if not isinstance(lhs, Fraction) or not isinstance(rhs, Fraction):
                 raise TypeError("exact case sides must evaluate to Fractions")
-            if lhs == rhs:
+            passed = lhs == rhs
+            if passed:
                 abs_res = rel_res = 0.0
-                status = "pass"
             else:
                 diff = abs(lhs - rhs)
                 abs_res = float(diff)
                 rel_res = float(diff / max(abs(lhs), abs(rhs)))
-                status = "fail"
-            lhs_out: object = str(lhs)
-            rhs_out: object = str(rhs)
+            lhs, rhs = str(lhs), str(rhs)
         else:
-            lhs_f, rhs_f = float(lhs), float(rhs)
-            abs_res = abs(lhs_f - rhs_f)
-            denom = max(abs(lhs_f), abs(rhs_f))
+            lhs, rhs = float(lhs), float(rhs)
+            abs_res = abs(lhs - rhs)
+            denom = max(abs(lhs), abs(rhs))
             rel_res = abs_res / denom if denom else 0.0
             bound = tol if case.criterion == "abs" else tol * max(1e-300, denom)
-            status = "pass" if abs_res <= bound else "fail"
-            lhs_out, rhs_out = lhs_f, rhs_f
+            passed = abs_res <= bound
+        result.status = "pass" if passed else "fail"
+        result.lhs_value, result.rhs_value = lhs, rhs
+        result.abs_residual, result.rel_residual = abs_res, rel_res
+        result.evaluations = lhs_evals + rhs_evals
     except Exception as exc:  # evaluator failures are data, not control flow
-        elapsed = (time.perf_counter() - start) * 1e3
-        return CaseResult(
-            id=case.id,
-            status="error",
-            lhs_value=None,
-            rhs_value=None,
-            abs_residual=None,
-            rel_residual=None,
-            tol=tol,
-            evaluations=0,
-            elapsed_ms=elapsed,
-            message=f"{type(exc).__name__}: {exc}",
-        )
-    elapsed = (time.perf_counter() - start) * 1e3
-    return CaseResult(
-        id=case.id,
-        status=status,
-        lhs_value=lhs_out,
-        rhs_value=rhs_out,
-        abs_residual=abs_res,
-        rel_residual=rel_res,
-        tol=tol,
-        evaluations=lhs_evals + rhs_evals,
-        elapsed_ms=elapsed,
-    )
+        result.message = f"{type(exc).__name__}: {exc}"
+    result.elapsed_ms = (time.perf_counter() - start) * 1e3
+    return result
 
 
 def run_suite(
@@ -218,12 +192,12 @@ def run_suite(
     identical statuses and residuals. Cases run one after another: they
     are pure Python and numpy work under one interpreter lock, so a thread
     pool only adds scheduling overhead. Without `cases` it runs the builtin
-    cases, built once per process; every call still evaluates both sides of
+    cases, built once at import; every call still evaluates both sides of
     every case. tol_override follows run_case (ValueError when invalid).
     """
     _check_tol_override(tol_override)
     if cases is None:
-        cases = _builtin_cases()
+        cases = _CATALOGUE
     if id_prefix is not None:
         cases = [c for c in cases if c.id.startswith(id_prefix)]
     start = time.perf_counter()
@@ -236,9 +210,7 @@ def run_suite(
         "failed": sum(r.status == "fail" for r in results),
         "errored": sum(r.status == "error" for r in results),
     }
-    return VerificationReport(
-        cases=results, summary=summary, suite_elapsed_ms=suite_elapsed
-    )
+    return VerificationReport(results, summary, suite_elapsed)
 
 
 def inject_failure(cases: list[IdentityCase], case_id: str) -> list[IdentityCase]:
@@ -247,35 +219,19 @@ def inject_failure(cases: list[IdentityCase], case_id: str) -> list[IdentityCase
     Numeric cases get 100x their tolerance added, exact cases get +1; both
     must flip the case to "fail" on a correct build.
     """
-    matched = False
-    corrupted: list[IdentityCase] = []
-    for case in cases:
-        if case.id != case_id:
-            corrupted.append(case)
-            continue
-        matched = True
-        if case.kind == "exact":
-            def bad_rhs(orig=case.rhs):
-                return orig() + 1
-        else:
-            def bad_rhs(orig=case.rhs, bump=100.0 * case.tol):
-                value, _ = _eval_side(orig)
-                return float(value) + bump
-        corrupted.append(
-            IdentityCase(
-                id=case.id,
-                description=case.description + " [corrupted]",
-                lhs=case.lhs,
-                rhs=bad_rhs,
-                kind=case.kind,
-                tol=case.tol,
-                criterion=case.criterion,
-                source=case.source,
-            )
-        )
-    if not matched:
+    target = next((case for case in cases if case.id == case_id), None)
+    if target is None:
         raise KeyError(f"no case with id {case_id!r}")
-    return corrupted
+    if target.kind == "exact":
+        def bad_rhs():
+            return target.rhs() + 1
+    else:
+        def bad_rhs():
+            return float(_eval_side(target.rhs)[0]) + 100.0 * target.tol
+    corrupted = replace(
+        target, description=target.description + " [corrupted]", rhs=bad_rhs
+    )
+    return [corrupted if case is target else case for case in cases]
 
 
 # --------------------------------------------------------------------------
@@ -324,28 +280,24 @@ def _landen_max_residual() -> float:
     return float(np.max(np.abs(direct - stable)))
 
 
-class _Row(NamedTuple):
-    """One catalogue row: a case, or a family of cases over a grid.
-
-    A family's id and description are format templates over each point of
-    its grid, and its sides take the point's parameters as keywords. A tol
-    of 0 marks an exact case.
+def _family(
+    id_template: str, description_template: str, lhs, rhs, *args, grid: tuple, **kwargs
+) -> tuple[IdentityCase, ...]:
+    """A case per point of the grid: the id and description are format
+    templates over the point, the sides take its parameters as keywords, and
+    the remaining arguments (tol, criterion, source) go to IdentityCase.
     """
-
-    id: str
-    description: str
-    lhs: Callable[..., object]
-    rhs: Callable[..., object]
-    tol: float = 0.0
-    criterion: str = "abs"
-    source: str = ""
-    grid: tuple = ({},)
+    return tuple(
+        IdentityCase(id_template.format(**point), description_template.format(**point),
+                     partial(lhs, **point), partial(rhs, **point), *args, **kwargs)
+        for point in grid
+    )
 
 
 _CATALOGUE = (
     # p! * sum C(n,k)(-1)^k/k^p against the monomial-moment expansion of
     # the integral form.
-    _Row(
+    *_family(
         "binomial-exact/n={n},p={p}",
         "p! * alternating binomial sum equals the moment expansion of the "
         "beta-log integral (n={n}, p={p})",
@@ -355,7 +307,7 @@ _CATALOGUE = (
         grid=tuple({"n": n, "p": p} for n in range(1, 13) for p in range(1, 5)),
     ),
     # p = 1 specialisation: the alternating sum is exactly -H_n.
-    _Row(
+    *_family(
         "altsum-harmonic/n={n}",
         "sum C({n},k)(-1)^k/k equals -H_{n} exactly",
         lambda n: alt_binomial_sum(n, 1),
@@ -363,92 +315,83 @@ _CATALOGUE = (
         source="binomial moment identity, p = 1",
         grid=tuple({"n": n} for n in range(1, 61)),
     ),
-    _Row("euler-q2-series", "sum H_n/n^2 = 2 zeta(3), accelerated series path",
-         lambda: _series(1, 2), lambda: 2.0 * zeta(3), 1e-10, "rel", "Euler, 1775"),
-    _Row("euler-q2-integral", "sum H_n/n^2 = 2 zeta(3), polylog integral path",
-         lambda: _integral_representation(2), lambda: 2.0 * zeta(3), 1e-10, "rel",
-         "Euler, 1775"),
-    _Row("euler-q2-quadrature",
-         "int_0^1 log(t)^2/(1-t) dt = 2 zeta(3), direct quadrature",
-         lambda: _log_power_integral(2), lambda: 2.0 * zeta(3), 1e-11, "abs",
-         "Euler, 1775"),
-    _Row("euler-q3-series", "sum H_n/n^3 = zeta(2)^2/2, accelerated series path",
-         lambda: _series(1, 3), lambda: 0.5 * zeta(2) ** 2, 1e-10, "rel", "classical"),
-    _Row("euler-q3-integral", "sum H_n/n^3 = zeta(2)^2/2, polylog integral path",
-         lambda: _integral_representation(3), lambda: 0.5 * zeta(2) ** 2, 1e-10,
-         "rel", "classical"),
+    IdentityCase("euler-q2-series",
+                 "sum H_n/n^2 = 2 zeta(3), accelerated series path",
+                 lambda: _series(1, 2), lambda: 2.0 * zeta(3), 1e-10, "rel",
+                 "Euler, 1775"),
+    IdentityCase("euler-q2-integral",
+                 "sum H_n/n^2 = 2 zeta(3), polylog integral path",
+                 lambda: _integral_representation(2), lambda: 2.0 * zeta(3),
+                 1e-10, "rel", "Euler, 1775"),
+    IdentityCase("euler-q2-quadrature",
+                 "int_0^1 log(t)^2/(1-t) dt = 2 zeta(3), direct quadrature",
+                 lambda: _log_power_integral(2), lambda: 2.0 * zeta(3), 1e-11,
+                 "abs", "Euler, 1775"),
+    IdentityCase("euler-q3-series",
+                 "sum H_n/n^3 = zeta(2)^2/2, accelerated series path",
+                 lambda: _series(1, 3), lambda: 0.5 * zeta(2) ** 2, 1e-10, "rel",
+                 "classical"),
+    IdentityCase("euler-q3-integral",
+                 "sum H_n/n^3 = zeta(2)^2/2, polylog integral path",
+                 lambda: _integral_representation(3), lambda: 0.5 * zeta(2) ** 2,
+                 1e-10, "rel", "classical"),
     # Odd-exponent closed forms against the series and the integral.
-    _Row("gp-closed/p={p}",
-         "zeta combination for sum H_n/n^{q} matches the accelerated series",
-         lambda p, q: eulersums.sum_gp_closed_form(p), lambda p, q: _series(1, q),
-         1e-10, "rel", "Georghiou and Philippou, 1983",
-         grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2, 3))),
-    _Row("gp-integral/p={p}",
-         "polylog integral for sum H_n/n^{q} matches the zeta combination",
-         lambda p, q: _integral_representation(q),
-         lambda p, q: eulersums.sum_gp_closed_form(p),
-         1e-9, "rel", "Georghiou and Philippou, 1983",
-         grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2))),
-    _Row("inner-integral/u={u}",
-         "closed form Li_2(-(1-u)/u)/(1-u) of the inner integral matches "
-         "quadrature at u={u}",
-         lambda u: eulersums.inner_integral(u),
-         lambda u: eulersums.inner_integral_quadrature(u, tol=1e-11),
-         1e-10, "abs", "elementary antiderivative",
-         grid=tuple({"u": u} for u in (0.1, 0.3, 0.5, 0.7, 0.9))),
-    _Row("landen-grid",
-         "dilogarithm transformation residual, two independent paths, "
-         "1000 points on [0.51, 0.999]",
-         _landen_max_residual, lambda: 0.0, 1e-12, "abs", "Landen, 1780"),
-    _Row("ref-log3-integral", "int_0^1 log(u)^3/(1-u) du = -6 zeta(4)",
-         lambda: _log_power_integral(3), lambda: -6.0 * zeta(4), 1e-11, "abs",
-         "classical"),
-    _Row("dedoelder-halflog3", "-1/2 int_0^1 log(u)^3/(1-u) du = 3 zeta(4)",
-         _neg_half_log_cubed, lambda: 3.0 * zeta(4), 1e-10, "rel", "classical"),
-    _Row("dedoelder-series", "sum [H_n]^2/n^2 = 17/4 zeta(4), accelerated series",
-         lambda: _series(2, 2), lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel",
-         "de Doelder, 1991"),
-    _Row("dedoelder-outer",
-         "sum [H_n]^2/n^2 = 17/4 zeta(4), reduced 1-D integral with the "
-         "stable dilogarithm form",
-         lambda: eulersums.quadratic_sum_q2_via_outer(tol=1e-10),
-         lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel", "de Doelder, 1991"),
-    _Row("dedoelder-2d", "sum [H_n]^2/n^2 = 17/4 zeta(4), raw 2-D quadrature",
-         lambda: eulersums.quadratic_sum_double_integral(2, tol=1e-8),
-         lambda: 17.0 / 4.0 * zeta(4), 1e-8, "abs", "de Doelder, 1991"),
-    _Row("open-q3-2d",
-         "2-D quadrature of the q=3 double integral against the series for "
-         "sum [H_n]^2/n^3 (no closed form asserted)",
-         lambda: eulersums.quadratic_sum_double_integral(3, tol=1e-8),
-         lambda: _series(2, 3), 1e-6, "abs", "open case, series as reference"),
-    _Row("zeta-product", "zeta(2)^2 = 5/2 zeta(4) (used by the 17/4 reduction)",
-         lambda: zeta(2) ** 2, lambda: 2.5 * zeta(4), 1e-14, "abs", "classical"),
+    *_family("gp-closed/p={p}",
+             "zeta combination for sum H_n/n^{q} matches the accelerated series",
+             lambda p, q: eulersums.sum_gp_closed_form(p), lambda p, q: _series(1, q),
+             1e-10, "rel", "Georghiou and Philippou, 1983",
+             grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2, 3))),
+    *_family("gp-integral/p={p}",
+             "polylog integral for sum H_n/n^{q} matches the zeta combination",
+             lambda p, q: _integral_representation(q),
+             lambda p, q: eulersums.sum_gp_closed_form(p),
+             1e-9, "rel", "Georghiou and Philippou, 1983",
+             grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2))),
+    *_family("inner-integral/u={u}",
+             "closed form Li_2(-(1-u)/u)/(1-u) of the inner integral matches "
+             "quadrature at u={u}",
+             lambda u: eulersums.inner_integral(u),
+             lambda u: eulersums.inner_integral_quadrature(u),
+             1e-10, "abs", "elementary antiderivative",
+             grid=tuple({"u": u} for u in (0.1, 0.3, 0.5, 0.7, 0.9))),
+    IdentityCase("landen-grid",
+                 "dilogarithm transformation residual, two independent paths, "
+                 "1000 points on [0.51, 0.999]",
+                 _landen_max_residual, lambda: 0.0, 1e-12, "abs", "Landen, 1780"),
+    IdentityCase("ref-log3-integral", "int_0^1 log(u)^3/(1-u) du = -6 zeta(4)",
+                 lambda: _log_power_integral(3), lambda: -6.0 * zeta(4), 1e-11,
+                 "abs", "classical"),
+    IdentityCase("dedoelder-halflog3", "-1/2 int_0^1 log(u)^3/(1-u) du = 3 zeta(4)",
+                 _neg_half_log_cubed, lambda: 3.0 * zeta(4), 1e-10, "rel",
+                 "classical"),
+    IdentityCase("dedoelder-series",
+                 "sum [H_n]^2/n^2 = 17/4 zeta(4), accelerated series",
+                 lambda: _series(2, 2), lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel",
+                 "de Doelder, 1991"),
+    IdentityCase("dedoelder-outer",
+                 "sum [H_n]^2/n^2 = 17/4 zeta(4), reduced 1-D integral with the "
+                 "stable dilogarithm form",
+                 lambda: eulersums.quadratic_sum_q2_via_outer(),
+                 lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel", "de Doelder, 1991"),
+    IdentityCase("dedoelder-2d",
+                 "sum [H_n]^2/n^2 = 17/4 zeta(4), raw 2-D quadrature",
+                 lambda: eulersums.quadratic_sum_double_integral(2),
+                 lambda: 17.0 / 4.0 * zeta(4), 1e-8, "abs", "de Doelder, 1991"),
+    IdentityCase("open-q3-2d",
+                 "2-D quadrature of the q=3 double integral against the series for "
+                 "sum [H_n]^2/n^3 (no closed form asserted)",
+                 lambda: eulersums.quadratic_sum_double_integral(3),
+                 lambda: _series(2, 3), 1e-6, "abs",
+                 "open case, series as reference"),
+    IdentityCase("zeta-product",
+                 "zeta(2)^2 = 5/2 zeta(4) (used by the 17/4 reduction)",
+                 lambda: zeta(2) ** 2, lambda: 2.5 * zeta(4), 1e-14, "abs",
+                 "classical"),
 )
+if len({case.id for case in _CATALOGUE}) != len(_CATALOGUE):
+    raise RuntimeError("duplicate case ids in the builtin registry")
 
 
 def builtin_registry() -> list[IdentityCase]:
-    """All shipped identity cases, each family expanded over its grid."""
-    cases = [
-        IdentityCase(
-            id=row.id.format(**point),
-            description=row.description.format(**point),
-            lhs=partial(row.lhs, **point),
-            rhs=partial(row.rhs, **point),
-            kind="numeric" if row.tol else "exact",
-            tol=row.tol,
-            criterion=row.criterion,
-            source=row.source,
-        )
-        for row in _CATALOGUE
-        for point in row.grid
-    ]
-    ids = [c.id for c in cases]
-    if len(ids) != len(set(ids)):
-        raise RuntimeError("duplicate case ids in the builtin registry")
-    return cases
-
-
-@lru_cache(maxsize=1)
-def _builtin_cases() -> tuple[IdentityCase, ...]:
-    """The builtin cases as one immutable tuple, for run_suite's default."""
-    return tuple(builtin_registry())
+    """All shipped identity cases, in catalogue order, as a fresh list."""
+    return list(_CATALOGUE)

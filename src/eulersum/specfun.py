@@ -2,7 +2,8 @@
 
 Evaluation strategy for Li_s(x), s >= 2:
 
-  * |x| <= 1/2          direct Taylor series (geometric convergence),
+  * |x| <= 1/2          direct Taylor series (geometric convergence), and
+                        all of (-1, 1) from s = 64 on, where |Li_s(x) - x| < 2^-63,
   * x in (1/2, 1)       expansion in powers of z = log x around x = 1,
   * x in (-1, -1/2)     square the argument: Li_s(x) = 2^(1-s) Li_s(x^2)
                         - Li_s(-x), which lands both calls in the branches
@@ -57,6 +58,7 @@ POLYLOG_ABS_ERROR = 1e-14
 # the largest |z| = |log x| that expansion serves.
 _NEGLIGIBLE = 2.0**-62
 _LOG2 = math.log(2.0)
+_TAYLOR_ONLY_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ def _log_expansion(s: int, z, log):
 
 def _polylog_open(s: int, x: float) -> float:
     """Li_s(x) for s >= 2 and -1 < x < 1."""
-    if abs(x) <= 0.5:
+    if abs(x) <= 0.5 or s >= _TAYLOR_ONLY_ORDER:
         return _taylor(s, x)
     if x > 0.0:
         return _log_expansion(s, math.log(x), math.log)
@@ -182,6 +184,8 @@ def _polylog_open(s: int, x: float) -> float:
 
 def _polylog_open_array(s: int, x: np.ndarray) -> np.ndarray:
     """_polylog_open on an array: one kernel call per branch mask."""
+    if s >= _TAYLOR_ONLY_ORDER:
+        return _taylor(s, x)
     out = np.empty_like(x)
     taylor = np.abs(x) <= 0.5
     near_one = x > 0.5
@@ -257,25 +261,31 @@ def polylog_one_minus(s: int, t):
     For t < 1/2 this goes straight into the x = 1 expansion with
     z = log1p(-t), so t = 1e-300 is as accurate as t = 0.3; for t >= 1/2
     the complement 1 - t is exact in floating point and lies in [0, 1/2],
-    where the Taylor series serves it. A scalar t gives a float; an array
-    of t gives an array, evaluated branch by branch.
+    where the Taylor series serves it; from s = 64 on it serves every t.
+    Li_0(1 - t) = (1 - t)/t overflows for t < 5.6e-309 (ValueError). A
+    scalar t gives a float; an array of t gives an array, branch by branch.
     """
     _check_order(s)
     if np.ndim(t):
         return _polylog_one_minus_array(s, np.asarray(t, dtype=float))
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"polylog_one_minus requires t in [0, 1], got {t}")
-    if t >= 0.5:
+    if t >= 0.5 or t == 0.0 or s >= _TAYLOR_ONLY_ORDER:
         return polylog(s, 1.0 - t)
-    if t == 0.0:
-        if s < 2:
-            raise ValueError(f"polylog_one_minus({s}, 0) diverges")
-        return zeta(s)
     if s == 1:
         return -math.log(t)
     if s == 0:
-        return (1.0 - t) / t
+        return _order_zero_one_minus(t)
     return _log_expansion(s, math.log1p(-t), math.log)
+
+
+def _order_zero_one_minus(t):
+    """Li_0(1 - t) = (1 - t)/t, past the largest double for t < 5.6e-309."""
+    with np.errstate(over="ignore"):
+        value = (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
+    if np.any(np.isinf(value)):
+        raise ValueError("polylog_one_minus(0, t) overflows for t < 5.6e-309")
+    return value
 
 
 def _polylog_one_minus_array(s: int, t: np.ndarray) -> np.ndarray:
@@ -284,10 +294,10 @@ def _polylog_one_minus_array(s: int, t: np.ndarray) -> np.ndarray:
     if s < 2 and np.any(t == 0.0):
         raise ValueError(f"polylog_one_minus({s}, 0) diverges")
     if s == 0:
-        return (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
+        return _order_zero_one_minus(t)
     out = np.empty_like(t)
-    far = t >= 0.5
-    x = 1.0 - t[far]  # exact for t >= 1/2, and x <= 1/2
+    far = (t >= 0.5) | (s >= _TAYLOR_ONLY_ORDER)
+    x = 1.0 - t[far]  # exact for t >= 1/2, where x <= 1/2
     near = ~far
     tn = t[near]
     if s == 1:

@@ -122,9 +122,9 @@ def test_criterion_05_odd_exponent_closed_forms():
 def test_criterion_06_dedoelder_three_paths():
     target = 17.0 / 4.0 * zeta(4)
     series = sum_series(EulerSumSpec(2, 2))
-    outer = quadratic_sum_q2_via_outer(tol=1e-10)
+    outer = quadratic_sum_q2_via_outer()
     start = time.perf_counter()
-    raw_2d = quadratic_sum_double_integral(2, tol=1e-8)
+    raw_2d = quadratic_sum_double_integral(2)
     elapsed_2d = time.perf_counter() - start
     residuals = {
         "series": abs(series - target),
@@ -162,7 +162,7 @@ def test_criterion_07_landen_identity_grid():
 def test_criterion_08_inner_integral_closed_form():
     residuals = {}
     for u in (0.1, 0.3, 0.5, 0.7, 0.9):
-        quad = inner_integral_quadrature(u, tol=1e-11)
+        quad = inner_integral_quadrature(u)
         residuals[u] = abs(inner_integral(u) - quad.value)
     ok = all(r <= 1e-10 for r in residuals.values())
     report(8, ok, f"inner integral closed form vs quadrature: {residuals}")
@@ -198,7 +198,7 @@ def test_criterion_09_reference_integrals_and_estimate_honesty():
 
 
 def test_criterion_10_open_case_consistency():
-    raw_2d = quadratic_sum_double_integral(3, tol=1e-8)
+    raw_2d = quadratic_sum_double_integral(3)
     series = sum_series(EulerSumSpec(2, 3))
     residual = abs(raw_2d.value - series)
     ok = raw_2d.converged and residual <= 1e-6

@@ -146,6 +146,15 @@ class TestTolValidation:
         assert "--tol" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "abc"])
+    def test_message(self, value, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--tol", value])
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "eulersum verify: error: argument --tol: must be a finite number "
+            f"with 0 < X < 1, got {value!r}"
+        )
+
     def test_inf_cannot_hide_injected_failure(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--tol", "inf", "--inject-failure", "euler-q2-series"])
@@ -218,6 +227,13 @@ class TestEvalErrors:
         assert code == 2
         assert out == ""
         assert err == "eulersum: eval integral: integral of S(1; 2) did not converge\n"
+
+    @pytest.mark.parametrize("x", ["0.9", "-0.9"])
+    def test_polylog_huge_order_is_fast(self, x):
+        start = time.perf_counter()
+        code, out, err = run_cli("eval", "polylog", "1000000000000", x)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, f"{x}\n", "")
 
     def test_large_zeta_is_fast(self):
         proc = subprocess.run(

@@ -322,7 +322,7 @@ class TestInnerIntegral:
     @pytest.mark.parametrize("u", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_closed_form_matches_quadrature(self, u):
         closed = inner_integral(u)
-        quad = inner_integral_quadrature(u, tol=1e-11)
+        quad = inner_integral_quadrature(u)
         assert quad.converged
         assert abs(closed - quad.value) <= 1e-10
 
@@ -387,12 +387,12 @@ class TestDoubleIntegral:
         assert out.shape == (2,)
 
     def test_q2_against_dedoelder(self):
-        result = quadratic_sum_double_integral(2, tol=1e-8)
+        result = quadratic_sum_double_integral(2)
         assert result.converged
         assert abs(result.value - DEDOELDER) <= 1e-8
 
     def test_q3_against_series(self):
-        result = quadratic_sum_double_integral(3, tol=1e-8)
+        result = quadratic_sum_double_integral(3)
         series = sum_series(EulerSumSpec(2, 3))
         assert result.converged
         assert abs(result.value - series) <= 1e-6
@@ -402,5 +402,3 @@ class TestDoubleIntegral:
             double_integral_kernel(4)
         with pytest.raises(ValueError):
             quadratic_sum_double_integral(4)
-        with pytest.raises(ValueError):
-            quadratic_sum_double_integral(2, tol=1e-9)

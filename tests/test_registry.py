@@ -1,8 +1,11 @@
 """Case registry: determinism, negative controls, error containment."""
 
+import dataclasses
 import functools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from eulersum.registry import (
     run_case,
     run_suite,
 )
+
+GOLDEN = Path(__file__).with_name("registry_golden.json")
 
 EXPECTED_KEYS = {
     "id",
@@ -98,15 +103,33 @@ class TestRegistryContents:
                 assert c.criterion in ("abs", "rel")
 
     def test_case_validation(self):
+        # A tol of 0 makes the case exact, so float sides cannot pass it.
+        zero_tol = IdentityCase("x", "d", lambda: 1.0, lambda: 1.0, tol=0.0)
+        assert zero_tol.kind == "exact"
+        assert run_case(zero_tol).status == "error"
         with pytest.raises(ValueError):
-            IdentityCase("x", "d", lambda: 1, lambda: 1, kind="weird")
-        with pytest.raises(ValueError):
-            IdentityCase("x", "d", lambda: 1, lambda: 1, kind="numeric", tol=0.0)
-        with pytest.raises(ValueError):
-            IdentityCase(
-                "x", "d", lambda: 1, lambda: 1, kind="numeric", tol=1e-3,
-                criterion="norm",
-            )
+            IdentityCase("x", "d", lambda: 1, lambda: 1, tol=1e-3, criterion="norm")
+
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            IdentityCase("x", "d", lambda: 1.0, lambda: 1.0, tol=tol)
+
+    def test_kind_follows_tol(self):
+        assert IdentityCase("x", "d", lambda: 1, lambda: 1).kind == "exact"
+        assert IdentityCase("x", "d", lambda: 1, lambda: 1, tol=0.0).kind == "exact"
+        assert IdentityCase("x", "d", lambda: 1, lambda: 1, tol=5e-324).kind == "numeric"
+        assert IdentityCase("x", "d", lambda: 1, lambda: 1, tol=1e-9).kind == "numeric"
+
+    def test_catalogue_matches_golden_list(self, registry):
+        """Ids, order, descriptions, kinds, tolerances, criteria and sources
+        of every builtin case, as recorded in tests/registry_golden.json."""
+        golden = json.loads(GOLDEN.read_text())
+        assert [
+            [c.id, c.description, c.kind, c.tol, c.criterion, c.source]
+            for c in registry
+        ] == golden
+        assert len(golden) == 131
 
 
 class TestRunCase:
@@ -148,7 +171,6 @@ class TestRunCase:
             description="deliberately corrupted",
             lhs=lambda: 1.0,
             rhs=lambda: 1.0 + 1e-3,
-            kind="numeric",
             tol=1e-6,
         )
         result = run_case(case)
@@ -161,7 +183,6 @@ class TestRunCase:
             description="divides by zero",
             lhs=lambda: 1.0 / 0.0,
             rhs=lambda: 1.0,
-            kind="numeric",
             tol=1e-6,
         )
         result = run_case(case)
@@ -176,7 +197,6 @@ class TestRunCase:
             description="float in an exact case",
             lhs=lambda: 1.0,
             rhs=lambda: Fraction(1),
-            kind="exact",
         )
         assert run_case(case).status == "error"
 
@@ -186,7 +206,6 @@ class TestRunCase:
             description="relative comparison",
             lhs=lambda: 1000.0,
             rhs=lambda: 1000.0 + 5e-7,
-            kind="numeric",
             tol=1e-9,
             criterion="rel",
         )
@@ -198,7 +217,6 @@ class TestRunCase:
             description="tol override semantics",
             lhs=lambda: 1.0,
             rhs=lambda: 1.0 + 1e-8,
-            kind="numeric",
             tol=1e-6,
         )
         assert run_case(case, tol_override=1e-12).status == "pass"
@@ -277,9 +295,8 @@ class TestRunSuite:
 
     def test_one_bad_case_does_not_abort_suite(self):
         cases = [
-            IdentityCase("a-ok", "fine", lambda: 1.0, lambda: 1.0, "numeric", 1e-9),
-            IdentityCase("b-boom", "raises", lambda: 1.0 / 0.0, lambda: 1.0,
-                         "numeric", 1e-9),
+            IdentityCase("a-ok", "fine", lambda: 1.0, lambda: 1.0, 1e-9),
+            IdentityCase("b-boom", "raises", lambda: 1.0 / 0.0, lambda: 1.0, 1e-9),
         ]
         report = run_suite(cases=cases)
         assert report.summary == {"total": 2, "passed": 1, "failed": 0, "errored": 1}
@@ -326,8 +343,7 @@ class TestBuiltinCasesBuiltOnce:
         cases = builtin_registry()
         cases[:] = inject_failure(cases, "zeta-product")
         cases.append(
-            IdentityCase("zeta-bogus", "never run", lambda: 0.0, lambda: 1.0,
-                         "numeric", 1e-9)
+            IdentityCase("zeta-bogus", "never run", lambda: 0.0, lambda: 1.0, 1e-9)
         )
         report = run_suite(id_prefix="zeta")
         assert [(c.id, c.status) for c in report.cases] == [("zeta-product", "pass")]
@@ -439,3 +455,17 @@ class TestInjectFailure:
     def test_unknown_id(self, registry):
         with pytest.raises(KeyError):
             inject_failure(registry, "no-such-case")
+
+    @pytest.mark.parametrize("case_id", ["euler-q2-series", "altsum-harmonic/n=5"])
+    def test_changes_only_rhs_and_description(self, registry, case_id):
+        cases = inject_failure(registry, case_id)
+        assert len(cases) == len(registry)
+        for before, after in zip(registry, cases):
+            if before.id != case_id:
+                assert after is before
+                continue
+            assert after.description == before.description + " [corrupted]"
+            assert after.rhs is not before.rhs
+            assert dataclasses.replace(
+                after, description=before.description, rhs=before.rhs
+            ) == before

@@ -2,6 +2,7 @@
 serve as oracles for the fast evaluation paths."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -59,13 +60,68 @@ class TestPolylogValues:
 class TestHighOrder:
     @pytest.mark.parametrize("x", [0.51, 0.75, 0.9, 0.999999, -0.51, -0.75, -0.9, -0.999999])
     def test_orders_172_to_200_against_mpmath(self, x):
-        # Both expansion branches; the head term z^(s-1)/(s-1)! must
-        # underflow instead of overflowing in the factorial.
+        # Both sides of x = +-1/2 and near +-1, at orders that take the
+        # one-term Taylor kernel.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         for s in range(172, 201):
             reference = float(mpmath.polylog(s, mpmath.mpf(x)))
             assert abs(polylog(s, x) - reference) <= POLYLOG_ABS_ERROR, s
+
+
+class TestTaylorOnlyOrders:
+    """From s = 64 on every |x| < 1 takes the one-term Taylor kernel, so the
+    cost does not grow with the order."""
+
+    X = [1e-300, 0.3, 0.5, 0.51, 0.75, 0.9, 0.999999, 1.0 - 2.0**-40,
+         -0.3, -0.51, -0.75, -0.9, -0.999999, -1.0 + 2.0**-40]
+    T = [1e-12, 1e-3, 0.1, 0.3, float(np.nextafter(0.5, 0.0)), 0.5, 0.9, 1.0]
+
+    @pytest.mark.parametrize("s", [63, 64, 65, 200])
+    def test_against_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for x in self.X:
+                reference = float(mpmath.polylog(s, mpmath.mpf(x)))
+                assert abs(polylog(s, x) - reference) <= POLYLOG_ABS_ERROR, x
+            array = polylog_array(s, np.array(self.X))
+            for x, value in zip(self.X, array.tolist()):
+                reference = float(mpmath.polylog(s, mpmath.mpf(x)))
+                assert abs(value - reference) <= POLYLOG_ABS_ERROR, x
+            ones = polylog_one_minus(s, np.array(self.T))
+            for t, value in zip(self.T, ones.tolist()):
+                reference = float(mpmath.polylog(s, 1 - mpmath.mpf(t)))
+                assert abs(polylog_one_minus(s, t) - reference) <= POLYLOG_ABS_ERROR, t
+                assert abs(value - reference) <= POLYLOG_ABS_ERROR, t
+
+    def test_orders_6_to_70_within_four_ulps(self):
+        # Up to and past the switch every value is within a few roundings of
+        # the truth; a switch at a low order would leave the one-term Taylor
+        # kernel short of terms near x = +-1.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for s in range(6, 71):
+                for x in (0.51, 0.75, 0.9, 0.999999, -0.51, -0.75, -0.9, -0.999999):
+                    reference = float(mpmath.polylog(s, mpmath.mpf(x)))
+                    ulps = abs(polylog(s, x) - reference) / np.spacing(abs(reference))
+                    assert ulps <= 4.0, (s, x)
+
+    @pytest.mark.parametrize("s", [10**6, 10**12])
+    def test_huge_orders_are_fast(self, s):
+        calls = [
+            (lambda: [polylog(s, x) for x in (0.9, -0.9, 0.3, 1.0, -1.0)],
+             [0.9, -0.9, 0.3, 1.0, -1.0]),
+            (lambda: polylog_array(s, np.array([0.9, -0.9, 0.3, 1.0])).tolist(),
+             [0.9, -0.9, 0.3, 1.0]),
+            (lambda: [polylog_one_minus(s, t) for t in (0.1, 1e-300, 0.0, 0.75)],
+             [0.9, 1.0, 1.0, 0.25]),
+            (lambda: polylog_one_minus(s, np.array([0.1, 1e-300, 0.0])).tolist(),
+             [0.9, 1.0, 1.0]),
+        ]
+        for call, expected in calls:
+            start = time.perf_counter()
+            assert call() == expected
+            assert time.perf_counter() - start < 1.0
 
 
 def branch_grid() -> np.ndarray:
@@ -221,6 +277,16 @@ class TestPolylogNearOne:
             polylog_one_minus(2, 1.1)
         with pytest.raises(ValueError):
             polylog_one_minus(0, 0.0)  # diverges like 1/t
+
+    def test_order_zero_overflow_is_a_domain_error(self):
+        # (1 - t)/t exceeds the largest double for t below about 5.6e-309.
+        assert polylog_one_minus(0, 1e-300) == (1.0 - 1e-300) / 1e-300
+        assert polylog_one_minus(0, 2.0**-1022) == 2.0**1022
+        for bad in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match="overflows"):
+                polylog_one_minus(0, bad)
+            with pytest.raises(ValueError, match="overflows"):
+                polylog_one_minus(0, np.array([0.5, bad]))
 
 
 class TestDilogNegRatio:
