@@ -26,6 +26,20 @@ from .specfun import polylog
 
 __all__ = ["main"]
 
+# eval NAME: its parameter names and its evaluation from the parameter
+# strings. The package functions are looked up when a request runs, so
+# wrappers installed on the modules' namespaces apply.
+_EVAL = {
+    "zeta": (("s",), lambda s: zeta(int(s))),
+    "polylog": (("s", "x"), lambda s, x: polylog(int(s), float(x))),
+    "hsum": (
+        ("m", "q"),
+        lambda m, q: eulersums.sum_series(eulersums.EulerSumSpec(int(m), int(q))),
+    ),
+    "gp": (("p",), lambda p: eulersums.sum_gp_closed_form(int(p))),
+    "integral": (("q",), lambda q: eulersums.sum_via_integral(int(q))),
+}
+
 
 def _tolerance(text: str) -> float:
     """--tol value, held to the registry's rule for tol_override."""
@@ -77,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("eval", help="evaluate a named quantity")
     evaluate.add_argument(
         "name",
-        choices=("zeta", "polylog", "hsum", "gp", "integral"),
-        help="zeta s | polylog s x | hsum m q | gp p | integral q",
+        choices=tuple(_EVAL),
+        help=" | ".join(f"{name} {' '.join(p)}" for name, (p, _) in _EVAL.items()),
     )
     evaluate.add_argument("params", nargs="*", help="numeric parameters")
 
@@ -145,30 +159,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     name, params = args.name, args.params
-
-    def want(count: int) -> list[str]:
-        if len(params) != count:
-            raise ValueError(
-                f"'{name}' expects {count} parameter(s), got {len(params)}"
-            )
-        return params
-
+    names, evaluate = _EVAL[name]
     try:
-        if name == "zeta":
-            (s,) = want(1)
-            value = zeta(int(s))
-        elif name == "polylog":
-            s, x = want(2)
-            value = polylog(int(s), float(x))
-        elif name == "hsum":
-            m, q = want(2)
-            value = eulersums.sum_series(eulersums.EulerSumSpec(int(m), int(q)))
-        elif name == "gp":
-            (p,) = want(1)
-            value = eulersums.sum_gp_closed_form(int(p))
-        else:  # integral
-            (q,) = want(1)
-            value = eulersums.sum_via_integral(int(q))
+        if len(params) != len(names):
+            raise ValueError(
+                f"'{name}' expects {len(names)} parameter(s), got {len(params)}"
+            )
+        value = evaluate(*params)
     except (ValueError, OverflowError, QuadratureError) as exc:
         print(f"eulersum: eval {name}: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactmath import bernoulli, weighted_power_sum
+from .exactmath import _check_integer, bernoulli, weighted_power_sum
 
 __all__ = ["ZetaTable", "zeta", "zeta_table", "euler_gamma"]
 
@@ -117,10 +117,7 @@ def zeta_table() -> ZetaTable:
 
 def zeta(s: int) -> float:
     """zeta(s) for integer s >= 2, within CERTIFIED_ABS_ERROR of the truth."""
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise ValueError(f"zeta requires an integer argument, got {s!r}")
-    if s < 2:
-        raise ValueError(f"zeta requires s >= 2, got {s}")
+    _check_integer("zeta", "s", s, 2)
     if s <= S_MAX:
         return _TABLE.values[s]
     return _zeta_float_direct(s)

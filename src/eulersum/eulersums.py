@@ -26,7 +26,7 @@ the caller sees the evaluation count and decides on convergence.
 The tail machinery manipulates expansions of the form
 sum c * log(x)^i * x^(-e) symbolically (as coefficient maps), which keeps
 the Euler-Maclaurin derivatives exact instead of finite-differenced. The
-tables that do not depend on the sum being evaluated (H_1..H_cutoff, the
+tables that do not depend on the sum being evaluated (H_1..H_200, the
 expansion of H_x^m and each term's derivative chain) are built once.
 """
 
@@ -40,7 +40,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .constants import euler_gamma, zeta
-from .exactmath import bernoulli
+from .exactmath import _check_integer, bernoulli
 from .quad import QuadratureError, QuadratureResult, integrate, integrate2d
 from .specfun import dilog_neg_ratio, polylog_one_minus
 
@@ -85,10 +85,8 @@ class EulerSumSpec:
     q: int
 
     def __post_init__(self) -> None:
-        if self.h_power not in (1, 2):
-            raise ValueError(f"h_power must be 1 or 2, got {self.h_power}")
-        if not isinstance(self.q, int) or not 2 <= self.q <= MAX_Q:
-            raise ValueError(f"q must be an integer in [2, {MAX_Q}], got {self.q!r}")
+        _check_integer("EulerSumSpec", "h_power", self.h_power, 1, 2)
+        _check_integer("EulerSumSpec", "q", self.q, 2, MAX_Q)
 
 
 # --------------------------------------------------------------------------
@@ -193,16 +191,12 @@ def _harmonic_power_expansion(m: int) -> tuple:
     return tuple(expansion.items())
 
 
-# The harmonic table of a cutoff up to this is memoised (4 tables of at
-# most 1024 pairs of doubles, ~64 KB each); larger ones are built per call.
-_MEMO_HARMONIC_MAX_CUTOFF = 1024
-
-
-def _build_harmonic_table(cutoff: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _harmonic_table() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(H_1..H_200 by compensated summation, 1.0..200.0), n to SERIES_CUTOFF."""
     h = 0.0
     comp = 0.0  # Neumaier compensation for the running harmonic number
     harmonics = []
-    for n in range(1, cutoff + 1):
+    for n in range(1, SERIES_CUTOFF + 1):
         t = 1.0 / n
         s = h + t
         if abs(h) >= abs(t):
@@ -211,24 +205,17 @@ def _build_harmonic_table(cutoff: int) -> tuple[tuple[float, ...], tuple[float, 
             comp += (t - s) + h
         h = s
         harmonics.append(h + comp)
-    return tuple(harmonics), tuple(float(n) for n in range(1, cutoff + 1))
+    return tuple(harmonics), tuple(float(n) for n in range(1, SERIES_CUTOFF + 1))
 
 
-_harmonic_table_memo = lru_cache(maxsize=4)(_build_harmonic_table)
+_HARMONICS, _NS = _harmonic_table()
 
 
-def _harmonic_table(cutoff: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(H_1..H_cutoff by compensated summation, 1.0..float(cutoff))."""
-    if cutoff <= _MEMO_HARMONIC_MAX_CUTOFF:
-        return _harmonic_table_memo(cutoff)
-    return _build_harmonic_table(cutoff)
-
-
-def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTOFF) -> float:
+def sum_series(spec: EulerSumSpec, tol: float = 1e-10) -> float:
     """S(h_power; q) by direct summation with an Euler-Maclaurin tail.
 
-    The partial sum runs to n = cutoff (200 by default) over a table of
-    H_n built once by compensated accumulation; the tail sums the
+    The partial sum runs to n = SERIES_CUTOFF = 200 over a table of H_n
+    built once, at import, by compensated accumulation; the tail sums the
     asymptotic form of H_n^m / n^q (for m = 2 the squared expansion is
     truncated consistently at order n^-4 inside the square; the first
     dropped term, 1/(120 n^5), sums to about 2e-17 beyond n = 200). The
@@ -238,14 +225,11 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10, cutoff: int = SERIES_CUTO
     """
     if tol < _MIN_SERIES_TOL:
         raise ValueError(f"sum_series supports tol >= {_MIN_SERIES_TOL}, got {tol}")
-    if cutoff < 100:
-        raise ValueError(f"cutoff too small for the asymptotic tail, got {cutoff}")
     m, q = spec.h_power, spec.q
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
-    harmonics, ns = _harmonic_table(cutoff)
-    partial = math.fsum([h**m / n**q for h, n in zip(harmonics, ns)])
-    return partial + _tail_sum(_harmonic_power_expansion(m), q, cutoff)
+    partial = math.fsum([h**m / n**q for h, n in zip(_HARMONICS, _NS)])
+    return partial + _tail_sum(_harmonic_power_expansion(m), q, SERIES_CUTOFF)
 
 
 def sum_gp_closed_form(p: int) -> float:
@@ -257,11 +241,7 @@ def sum_gp_closed_form(p: int) -> float:
     EulerSumSpec: q above MAX_Q is a ValueError, and from q = 64 on the sum
     rounds to 1.0, which is returned directly.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= (MAX_Q - 1) // 2:
-        raise ValueError(
-            f"sum_gp_closed_form requires an integer 1 <= p <= {(MAX_Q - 1) // 2}, "
-            f"got {p!r}"
-        )
+    _check_integer("sum_gp_closed_form", "p", p, 1, (MAX_Q - 1) // 2)
     if 2 * p + 1 >= _Q_ROUNDS_TO_ONE:
         return 1.0
     total = math.fsum(
@@ -277,8 +257,7 @@ def integral_representation_integrand(q: int) -> Callable[[float], float]:
     the polylogarithm -> 1) keeps full accuracy. Takes a scalar or an array
     of t.
     """
-    if q < 2:
-        raise ValueError(f"integral representation requires q >= 2, got {q}")
+    _check_integer("integral representation", "q", q, 2)
 
     def f(t):
         return -polylog_one_minus(q - 1, t) * np.log(t) / (1.0 - t)

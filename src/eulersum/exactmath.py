@@ -31,12 +31,23 @@ __all__ = [
 ]
 
 
+def _check_integer(
+    owner: str, name: str, value: int, lo: int, hi: int | None = None
+) -> None:
+    """The package's one rule for integer arguments: raise ValueError unless
+    value is an int (a bool is not) with lo <= value, and value <= hi when
+    hi is given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{owner} requires an integer {name}, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        rule = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise ValueError(f"{owner} requires {rule}, got {value}")
+
+
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) for 0 <= k <= n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires n >= 0 and k >= 0, got ({n}, {k})")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got ({n}, {k})")
+    _check_integer("binomial", "n", n, 0)
+    _check_integer("binomial", "k", k, 0, n)
     return comb(n, k)
 
 
@@ -76,16 +87,9 @@ def _share_table(n: int, p: int) -> tuple[tuple[int, ...], int]:
     return _build_share_table(n, p)
 
 
-def _check_exponent(name: str, p: int, minimum: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError(f"{name} requires an integer exponent, got {p!r}")
-    if p < minimum:
-        raise ValueError(f"{name} requires an exponent >= {minimum}, got {p}")
-
-
 def weighted_power_sum(weights: Iterable[int], p: int) -> Rational:
     """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n and p >= 0."""
-    _check_exponent("weighted_power_sum", p, 0)
+    _check_integer("weighted_power_sum", "exponent", p, 0)
     weights = tuple(weights)
     shares, denominator = _share_table(len(weights), p)
     return Fraction(sum(map(mul, weights, shares)), denominator)
@@ -112,9 +116,8 @@ def _signed_binomials(n: int) -> tuple[int, ...]:
 
 def harmonic_exact(n: int, r: int = 1) -> Rational:
     """Generalised harmonic number sum_{k=1..n} 1/k^r as an exact fraction."""
-    if n < 1:
-        raise ValueError(f"harmonic_exact requires n >= 1, got {n}")
-    _check_exponent("harmonic_exact", r, 1)
+    _check_integer("harmonic_exact", "n", n, 1)
+    _check_integer("harmonic_exact", "exponent", r, 1)
     shares, denominator = _share_table(n, r)
     return Fraction(sum(shares), denominator)
 
@@ -124,9 +127,8 @@ def alt_binomial_sum(n: int, p: int) -> Rational:
 
     For p = 1 the sum telescopes to -H_n, the negated harmonic number.
     """
-    if n < 1:
-        raise ValueError(f"alt_binomial_sum requires n >= 1, got {n}")
-    _check_exponent("alt_binomial_sum", p, 1)
+    _check_integer("alt_binomial_sum", "n", n, 1)
+    _check_integer("alt_binomial_sum", "exponent", p, 1)
     return weighted_power_sum(_signed_binomials(n)[1:], p)
 
 
@@ -140,9 +142,8 @@ def moment_integral_exact(n: int, p: int) -> Rational:
 
         moment_integral_exact(n, p) == p! * alt_binomial_sum(n, p)
     """
-    if n < 1:
-        raise ValueError(f"moment_integral_exact requires n >= 1, got {n}")
-    _check_exponent("moment_integral_exact", p, 1)
+    _check_integer("moment_integral_exact", "n", n, 1)
+    _check_integer("moment_integral_exact", "exponent", p, 1)
     # (-1)^(p+1) * n * sum_j C(n-1, j) (-1)^j (-1)^p p!/(j+1)^(p+1)
     # collapses to -n * p! * sum_j C(n-1, j) (-1)^j / (j+1)^(p+1).
     shares, denominator = _share_table(n, p + 1)
@@ -171,8 +172,7 @@ def bernoulli(m: int) -> Rational:
     Odd indices are rejected: B_1 is a convention question and B_m = 0 for
     odd m >= 3, so nothing downstream ever asks for them.
     """
-    if m < 0:
-        raise ValueError(f"bernoulli requires m >= 0, got {m}")
+    _check_integer("bernoulli", "m", m, 0)
     if m % 2:
         raise ValueError(f"bernoulli is only defined here for even m, got {m}")
     if m >= len(_BERNOULLI):

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import euler_gamma, zeta
-from .exactmath import bernoulli
+from .exactmath import _check_integer, bernoulli
 
 __all__ = [
     "PolylogEval",
@@ -80,13 +80,6 @@ def _zeta_nonpositive(j: int) -> Fraction:
         return Fraction(0)
     m = (n + 1) // 2
     return -bernoulli(2 * m) / Fraction(2 * m)
-
-
-def _check_order(s: int) -> None:
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise ValueError(f"polylog requires an integer order, got {s!r}")
-    if s < 0:
-        raise ValueError(f"polylog requires order s >= 0, got {s}")
 
 
 def _horner(coeffs: tuple[float, ...], x):
@@ -210,7 +203,7 @@ def polylog(s: int, x: float) -> float:
     Li_1(x) = -log(1-x). Takes a scalar x; polylog_array evaluates whole
     arrays through the same kernels.
     """
-    _check_order(s)
+    _check_integer("polylog", "order s", s, 0)
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"polylog argument must lie in [-1, 1], got {x}")
     if x == 1.0:
@@ -233,7 +226,7 @@ def polylog_array(s: int, x) -> np.ndarray:
     grid of points costs a few numpy passes instead of a Python call per
     point. Values agree with polylog() to a few units in the last place.
     """
-    _check_order(s)
+    _check_integer("polylog", "order s", s, 0)
     x = np.asarray(x, dtype=float)
     if not np.all((x >= -1.0) & (x <= 1.0)):  # NaN fails too
         raise ValueError("polylog arguments must lie in [-1, 1]")
@@ -265,7 +258,7 @@ def polylog_one_minus(s: int, t):
     Li_0(1 - t) = (1 - t)/t overflows for t < 5.6e-309 (ValueError). A
     scalar t gives a float; an array of t gives an array, branch by branch.
     """
-    _check_order(s)
+    _check_integer("polylog", "order s", s, 0)
     if np.ndim(t):
         return _polylog_one_minus_array(s, np.asarray(t, dtype=float))
     if not 0.0 <= t <= 1.0:

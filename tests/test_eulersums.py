@@ -46,6 +46,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EulerSumSpec(1, 2.5)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("h_power", [True, 1.0, 2.0])
+    def test_rejects_non_integer_power(self, h_power):
+        # True == 1 and 1.0 == 1: neither may pass as h_power = 1.
+        with pytest.raises(ValueError, match="integer"):
+            EulerSumSpec(h_power, 2)
+
     def test_rejects_exponent_above_max(self):
         assert EulerSumSpec(1, eulersums.MAX_Q).q == eulersums.MAX_Q
         with pytest.raises(ValueError):
@@ -65,13 +71,14 @@ class TestSumSeries:
         assert abs(sum_series(EulerSumSpec(2, 2)) - DEDOELDER) <= 1e-12
 
     def test_tail_acceleration_validity(self):
-        # doubling the cutoff must not move any battery value by more than tol
+        # the same series summed to n = 20,000 must not differ from the
+        # 200-term partial sum plus tail by more than tol
         tol = 1e-12
         for spec in (EulerSumSpec(1, 2), EulerSumSpec(1, 3),
                      EulerSumSpec(2, 2), EulerSumSpec(2, 3), EulerSumSpec(1, 7)):
             base = sum_series(spec, tol=tol)
-            doubled = sum_series(spec, tol=tol, cutoff=20_000)
-            assert abs(base - doubled) < tol, spec
+            longer = reference_sum_series(spec.h_power, spec.q, 20_000)
+            assert abs(base - longer) < tol, spec
 
     def test_monotone_decreasing_in_q(self):
         for m in (1, 2):
@@ -81,10 +88,6 @@ class TestSumSeries:
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):
             sum_series(EulerSumSpec(1, 2), tol=1e-13)
-
-    def test_cutoff_floor(self):
-        with pytest.raises(ValueError):
-            sum_series(EulerSumSpec(1, 2), cutoff=10)
 
 
 def reference_sum_series(m: int, q: int, cutoff: int) -> float:
@@ -149,22 +152,13 @@ class TestSeriesTables:
         assert sum_series(EulerSumSpec(m, q)) == expected
         assert sum_series(EulerSumSpec(m, q)) == expected  # memoised tables
 
-    @pytest.mark.parametrize("cutoff", [100, 333, 5000])
-    def test_other_cutoffs(self, cutoff):
-        for m, q in [(1, 2), (2, 3)]:
-            expected = reference_sum_series(m, q, cutoff)
-            assert sum_series(EulerSumSpec(m, q), cutoff=cutoff) == expected
-
     def test_tables_are_immutable_and_bounded(self):
-        harmonics, ns = eulersums._harmonic_table(eulersums.SERIES_CUTOFF)
+        harmonics, ns = eulersums._HARMONICS, eulersums._NS
         assert type(harmonics) is tuple and type(ns) is tuple
         assert len(harmonics) == len(ns) == eulersums.SERIES_CUTOFF
         chain = eulersums._derivative_chain(1, 3)
         assert type(chain) is tuple and all(type(d) is tuple for d in chain)
         assert type(eulersums._harmonic_power_expansion(2)) is tuple
-        before = eulersums._harmonic_table_memo.cache_info()
-        eulersums._harmonic_table(eulersums._MEMO_HARMONIC_MAX_CUTOFF + 1)
-        assert eulersums._harmonic_table_memo.cache_info() == before
 
 
 class TestSeriesAgainstClosedForms:
@@ -269,6 +263,11 @@ class TestSumViaIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             sum_via_integral(1)
+
+    @pytest.mark.parametrize("q", [1, 2.0, True])
+    def test_integrand_domain(self, q):
+        with pytest.raises(ValueError):
+            integral_representation_integrand(q)
 
 
 class TestLargeOrders:

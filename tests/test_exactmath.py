@@ -150,6 +150,27 @@ class TestMomentIntegralExact:
             moment_integral_exact(1, 0)
 
 
+class TestIntegerArguments:
+    """Every integer parameter of the exact layer takes an int: a bool or an
+    integral float is a ValueError, as is any other type."""
+
+    @pytest.mark.parametrize("fn", [harmonic_exact, alt_binomial_sum, moment_integral_exact])
+    @pytest.mark.parametrize("n", [2.0, True, 1.5, "2", None])
+    def test_sum_length(self, fn, n):
+        with pytest.raises(ValueError, match="integer n"):
+            fn(n, 1)
+
+    @pytest.mark.parametrize("m", [2.0, False, True, 0.0, "2", None])
+    def test_bernoulli_index(self, m):
+        with pytest.raises(ValueError, match="integer m"):
+            bernoulli(m)
+
+    @pytest.mark.parametrize("n,k", [(5.0, 2), (5, 2.0), (True, 0), (5, False), ("5", 2)])
+    def test_binomial(self, n, k):
+        with pytest.raises(ValueError, match="integer"):
+            binomial(n, k)
+
+
 class TestBernoulli:
     def test_b0(self):
         assert bernoulli(0) == 1

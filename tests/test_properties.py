@@ -1,19 +1,33 @@
-"""Hypothesis properties of zeta, polylog and polylog_one_minus.
+"""Hypothesis properties of zeta, polylog, polylog_one_minus, the Euler-sum
+routes and integrate.
 
 Over each function's accepted domain (and just outside it), every call
-either returns a finite value or raises ValueError, and takes under a
-second, for orders up to 10^12. A value at an order s <= 200 is checked
-against mpmath at 30 digits; above that, Li_s(x) is within 2^(1-s) of x
-and zeta(s) within 2^(1-s) of 1, far below a rounding error.
+either returns a finite value within its bound or raises ValueError, and
+takes under a second, for orders up to 10^12. A value at an order
+s <= 200 is checked against mpmath at 30 digits; above that, Li_s(x) is
+within 2^(1-s) of x and zeta(s) within 2^(1-s) of 1, far below a rounding
+error. The Euler sums S(m; q) are checked against closed forms in mpmath
+at 30 digits (or a 30-digit partial sum with a bounded tail), integrals
+against their antiderivatives in mpmath.
 """
 
+import functools
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eulersum.constants import CERTIFIED_ABS_ERROR, zeta
+from eulersum.eulersums import (
+    MAX_Q,
+    EulerSumSpec,
+    sum_gp_closed_form,
+    sum_series,
+    sum_via_integral,
+)
+from eulersum.quad import MAX_LEVEL, QuadratureError, integrate
 from eulersum.specfun import POLYLOG_ABS_ERROR, polylog, polylog_one_minus
 
 mpmath = pytest.importorskip("mpmath")
@@ -107,3 +121,173 @@ def test_zeta(s):
         return
     with mpmath.workdps(30):
         assert abs(value - mpmath.zeta(s)) <= CERTIFIED_ABS_ERROR
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@functools.lru_cache(maxsize=None)
+def euler_sum(m: int, q: int) -> float:
+    """S(m; q) for 2 <= q <= 63 from mpmath at 30 digits.
+
+    m = 1 by Euler's formula (1775), S(1; q) = (1 + q/2) zeta(q+1)
+    - 1/2 sum_{j=1}^{q-2} zeta(j+1) zeta(q-j); m = 2 by the closed forms
+    for q <= 5 and otherwise by the partial sum to n = 2000, whose tail
+    sum_{n>2000} H_n^2 / n^q < (1 + log n)^2 2000^-5 / 5 is below 5e-16.
+    """
+    with mpmath.workdps(30):
+        z = mpmath.zeta
+        if m == 1:
+            value = (1 + mpmath.mpf(q) / 2) * z(q + 1) - mpmath.fsum(
+                z(j + 1) * z(q - j) for j in range(1, q - 1)
+            ) / 2
+        elif q <= 5:
+            value = {
+                2: mpmath.mpf(17) / 4 * z(4),
+                3: mpmath.mpf(7) / 2 * z(5) - z(2) * z(3),
+                4: mpmath.mpf(97) / 24 * z(6) - 2 * z(3) ** 2,
+                5: 6 * z(7) - z(2) * z(5) - mpmath.mpf(5) / 2 * z(3) * z(4),
+            }[q]
+        else:
+            harmonic = mpmath.mpf(0)
+            terms = []
+            for n in range(1, 2001):
+                harmonic += mpmath.mpf(1) / n
+                terms.append(harmonic**2 / mpmath.mpf(n) ** q)
+            value = mpmath.fsum(terms)
+        return float(value)
+
+
+# From q = 64 on S(m; q) - 1 < 2^-61 and the routes return 1.0. Orders:
+# the checked range, the edges of that shortcut and of the domain, just
+# outside it, and values that are not ints.
+sum_orders = st.one_of(
+    st.integers(min_value=2, max_value=63),
+    st.sampled_from([63, 64, 133, 134, MAX_Q, MAX_Q + 1, 10**12, 1, 0, -3]),
+    st.sampled_from([2.0, 2.5, True, None]),
+)
+
+# sum_series serves every tol >= 1e-12 to near 1e-15 (its docstring); the
+# bound adds the 5e-16 of the partial-sum oracle.
+SERIES_BOUND = 2e-15
+
+
+@SETTINGS
+@given(st.sampled_from([1, 2, 0, 3, True, 1.0, 2.0]), sum_orders,
+       st.sampled_from([1e-10, 1e-12, 1e-6, 1e-13, 0.0]))
+def test_sum_series(m, q, tol):
+    value, rejected = timed(lambda: sum_series(EulerSumSpec(m, q), tol=tol))
+    in_domain = m in (1, 2) and is_int(m) and is_int(q) and 2 <= q <= MAX_Q
+    assert rejected != (in_domain and tol >= 1e-12)
+    if rejected:
+        return
+    if q >= 64:
+        assert value == 1.0
+    else:
+        assert abs(value - euler_sum(m, q)) <= SERIES_BOUND
+
+
+@SETTINGS
+@given(st.one_of(
+    st.integers(min_value=1, max_value=31),
+    st.sampled_from([31, 32, (MAX_Q - 1) // 2, (MAX_Q + 1) // 2, 10**12, 0, -1]),
+    st.sampled_from([2.0, True, None]),
+))
+def test_sum_gp_closed_form(p):
+    value, rejected = timed(sum_gp_closed_form, p)
+    assert rejected != (is_int(p) and 1 <= p <= (MAX_Q - 1) // 2)
+    if rejected:
+        return
+    if 2 * p + 1 >= 64:
+        assert value == 1.0
+    else:
+        # At most 62 products of zeta values below 1.65, each within
+        # 2.5e-16 per factor and one rounding: under 1e-13 in all.
+        assert abs(value - euler_sum(1, 2 * p + 1)) <= 1e-13
+
+
+@SETTINGS
+@given(sum_orders, st.one_of(
+    st.floats(min_value=-17.0, max_value=-3.0).map(lambda e: 10.0**e),
+    st.sampled_from([1e-10, 0.0, -1e-3, math.nan, math.inf]),
+))
+def test_sum_via_integral(q, tol):
+    start = time.perf_counter()
+    try:
+        value, outcome = sum_via_integral(q, tol=tol), "value"
+    except ValueError:
+        outcome = "rejected"
+    except QuadratureError:
+        outcome = "no convergence"
+    assert time.perf_counter() - start < 1.0
+    q_ok = is_int(q) and 2 <= q <= MAX_Q
+    # tol is checked only where a quadrature runs, below q = 64.
+    rejected = not q_ok or (q < 64 and not tol > 0.0)
+    assert (outcome == "rejected") == rejected
+    if outcome == "no convergence":
+        # The documented failure, only near the rounding floor of the
+        # error estimate, 2^-52 (1 + |S|).
+        assert tol < 1e-14
+    elif outcome == "value":
+        if q >= 64:
+            assert value == 1.0
+        else:
+            # A converged estimate below tol, the true error within 10 of it.
+            assert abs(value - euler_sum(1, q)) <= 10.0 * tol
+
+
+@st.composite
+def integrals(draw):
+    """(f, a, b, exact or None): an integrand with an antiderivative F in
+    mpmath, on limits mostly inside its domain and sometimes outside."""
+    kind = draw(st.sampled_from(["power", "exp", "log", "rsqrt"]))
+    lo = 0.0 if kind in ("log", "rsqrt") else -2.0
+    a = draw(st.one_of(st.just(lo), st.floats(min_value=lo, max_value=2.0)))
+    b = draw(st.one_of(
+        st.floats(min_value=lo, max_value=4.0),
+        st.sampled_from([a, math.inf, -math.inf, math.nan]),
+    ))
+    if kind == "power":
+        k = draw(st.integers(min_value=0, max_value=6))
+        f, F = (lambda t: t**k), (lambda x: x ** (k + 1) / (k + 1))
+    elif kind == "exp":
+        c = draw(st.sampled_from([-5.0, -1.0, 0.5, 3.0]))
+        f, F = (lambda t: np.exp(c * t)), (lambda x: mpmath.exp(c * x) / c)
+    elif kind == "log":
+        f, F = np.log, (lambda x: x * mpmath.log(x) - x if x else x)
+    else:
+        f, F = (lambda t: 1.0 / np.sqrt(t)), (lambda x: 2 * mpmath.sqrt(x))
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        return f, a, b, None
+    with mpmath.workdps(30):
+        return f, a, b, float(F(mpmath.mpf(b)) - F(mpmath.mpf(a)))
+
+
+@SETTINGS
+@given(
+    integrals(),
+    st.one_of(
+        st.floats(min_value=-14.0, max_value=-2.0).map(lambda e: 10.0**e),
+        st.sampled_from([0.0, -1e-8, math.nan]),
+    ),
+    st.one_of(
+        st.integers(min_value=1, max_value=MAX_LEVEL),
+        st.sampled_from([0, -1, MAX_LEVEL + 1, 40, 2.5, True]),
+    ),
+)
+def test_integrate(integral, tol, max_level):
+    f, a, b, exact = integral
+    result, rejected = timed(lambda: integrate(f, a, b, tol, max_level=max_level))
+    in_domain = (
+        exact is not None and tol > 0.0 and is_int(max_level)
+        and 1 <= max_level <= MAX_LEVEL
+    )
+    assert rejected != in_domain
+    if rejected:
+        return
+    assert math.isfinite(result.value)
+    if result.converged:
+        assert result.abs_error_estimate < tol
+        # The README's bound: the true error within 10 times the estimate.
+        assert abs(result.value - exact) <= 10.0 * result.abs_error_estimate

@@ -90,10 +90,11 @@ class TestIntegrate:
         # 1/(t + u) with u tiny: pole just outside the interval; nodes must
         # keep resolving the hump at scale u near the left endpoint.
         u = 1e-12
-        r = integrate(lambda t: np.log(t) / (t + u - t * u), 0.0, 1.0, 1e-9,
-                      relative=True)
         lnu = math.log(u)
         exact = (-0.5 * lnu * lnu - zeta(2)) / (1.0 - u)  # leading closed form
+        # An absolute tol of 1e-9 |exact|: a relative 1e-9 at this size.
+        r = integrate(lambda t: np.log(t) / (t + u - t * u), 0.0, 1.0,
+                      1e-9 * abs(exact))
         assert r.converged
         assert abs(r.value - exact) <= 1e-5 * abs(exact)
 
@@ -183,9 +184,10 @@ class TestIntegrate2d:
 
 
 def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
-    """Reference 2-D rule: one integrate() call per outer node, in the order
-    delta, 1 - delta over each level's table, stopping at the first inner
-    failure. integrate2d must reproduce its counts, values and messages."""
+    """Reference 2-D rule: one relative_float_loop call per outer node, in
+    the order delta, 1 - delta over each level's table, stopping at the
+    first inner failure. integrate2d must reproduce its counts, values and
+    messages."""
     acc_val = acc_err = 0.0
     evals = 0
     prev = None
@@ -197,8 +199,8 @@ def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
             for u in (delta, 1.0 - delta):
                 if not 0.0 < u < 1.0:
                     continue
-                r = integrate(lambda t: f(t, u), 0.0, 1.0, tol / 10.0,
-                              relative=True, max_level=max_level)
+                r = relative_float_loop(lambda t: f(t, u), 0.0, 1.0, tol / 10.0,
+                                        max_level=max_level)
                 evals += r.evaluations
                 if not r.converged:
                     return QuadratureResult(
@@ -380,6 +382,34 @@ def one_row_integrate(f, a, b, tol, *, relative=False, max_level=MAX_LEVEL):
     )
 
 
+def relative_float_loop(f, a, b, tol, *, max_level=MAX_LEVEL):
+    """The 1-D rule under the relative test, reported < tol * max(1, |value|),
+    in Python floats level by level: the inner rule of integrate2d written
+    independently of the multi-row kernel."""
+    acc = prev = 0.0
+    diff = math.inf
+    count = 0
+    for level in range(1, max_level + 1):
+        x, w, _ = _interval_nodes(a, b, level)
+        values = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+        total = np.einsum("ij,j->i", values.reshape(1, -1), w).item()
+        count += x.size
+        if not math.isfinite(total):
+            return QuadratureResult(prev, math.inf, count, False,
+                                    "non-finite integrand value at an interior node")
+        acc += total
+        value = 2.0**-level * (b - a) * acc
+        if level > 1:
+            diff = abs(value - prev)
+            size = abs(value)
+            reported = max(diff, 2.0**-52 * (1.0 + size))
+            if reported < tol * max(1.0, size):
+                return QuadratureResult(value, reported, count, True)
+        prev = value
+    return QuadratureResult(prev, diff, count, False,
+                            f"no convergence within {max_level} refinement levels")
+
+
 def bits(r):
     return (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations,
             r.converged, r.message)
@@ -408,7 +438,9 @@ ONE_ROW_CASES = [
 
 
 class TestFloatLoop:
-    """The 1-D float loop against the one-row case of the multi-row kernel.
+    """The 1-D float loops against the one-row case of the multi-row kernel:
+    integrate() under the absolute test, relative_float_loop under the
+    relative test of the inner rule of integrate2d.
 
     Each case runs as a numpy integrand (native) and as its math-module
     scalar form through np.vectorize, the documented way to pass a scalar
@@ -424,8 +456,9 @@ class TestFloatLoop:
         self, name, f_scalar, f_vector, a, b, tol, native, relative
     ):
         f = f_vector if native else np.vectorize(f_scalar, otypes=[float])
+        loop = relative_float_loop if relative else integrate
         for max_level in (1, 2, 3, MAX_LEVEL):
-            r = integrate(f, a, b, tol, relative=relative, max_level=max_level)
+            r = loop(f, a, b, tol, max_level=max_level)
             ref = one_row_integrate(f, a, b, tol, relative=relative,
                                     max_level=max_level)
             assert bits(r) == bits(ref), (name, max_level)
@@ -478,6 +511,40 @@ class TestFloatLoop:
         assert block.message == loop.message
         assert block.evaluations == loop.evaluations
         assert block.value == loop.value != 0.0  # level 1's value stands
+
+
+class TestMaxLevel:
+    """max_level outside 1..MAX_LEVEL is a ValueError before any evaluation.
+
+    The integrands converge early, so a level past MAX_LEVEL that were
+    accepted would still return instead of building its nodes.
+    """
+
+    BAD = [0, -1, MAX_LEVEL + 1, 40, 2.5, 2.0, True, None]
+
+    @pytest.mark.parametrize("max_level", BAD)
+    def test_integrate(self, max_level):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return t
+
+        with pytest.raises(ValueError, match="max_level"):
+            integrate(f, 0.0, 1.0, 1e-10, max_level=max_level)
+        assert calls == []
+
+    @pytest.mark.parametrize("max_level", BAD)
+    def test_integrate2d(self, max_level):
+        calls = []
+
+        def f(t, u):
+            calls.append(np.size(t))
+            return t * u
+
+        with pytest.raises(ValueError, match="max_level"):
+            integrate2d(f, 1e-8, max_level=max_level)
+        assert calls == []
 
 
 class TestResultTypes:
