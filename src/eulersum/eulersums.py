@@ -16,11 +16,11 @@ independent ways:
                             level's nodes as one array,
 
 plus, for the squared-harmonic sums, a reduction of the double integral
-representation to one dimension (quadratic_sum_q2_via_outer) and the raw
-two-dimensional quadrature (quadratic_sum_double_integral). The float
-routes (sum_series, sum_gp_closed_form, sum_via_integral) take the orders
-EulerSumSpec accepts and return 1.0 where the sum rounds to it; the
-quadrature routes the registry checks return their QuadratureResult, so
+representation to one dimension (quadratic_sum_q2_via_outer) and its 2-D
+quadrature after splitting the square on its diagonal and setting u = t v
+(Duffy, 1982; quadratic_sum_double_integral). The three routes above take
+the orders EulerSumSpec accepts and return 1.0 where the sum rounds to it;
+the quadrature routes the registry checks return their QuadratureResult, so
 the caller sees the evaluation count and decides on convergence.
 
 The tail machinery manipulates expansions of the form
@@ -42,7 +42,7 @@ import numpy as np
 from .constants import euler_gamma, zeta
 from .exactmath import _check_integer, bernoulli
 from .quad import QuadratureError, QuadratureResult, integrate, integrate2d
-from .specfun import dilog_neg_ratio, polylog_one_minus
+from .specfun import _horner, _taylor_coeffs, dilog_neg_ratio, polylog_one_minus
 
 __all__ = [
     "EulerSumSpec",
@@ -269,10 +269,12 @@ def sum_via_integral(q: int, tol: float = 1e-10) -> float:
     """S(1; q) by tanh-sinh quadrature on the integral representation.
 
     q takes the domain of EulerSumSpec, and from q = 64 on the sum rounds
-    to 1.0, which is returned directly. Raises QuadratureError when the
-    quadrature does not converge.
+    to 1.0, which is returned directly. tol takes sum_series' floor, 1e-12,
+    at every q. Raises QuadratureError when the quadrature does not converge.
     """
     EulerSumSpec(1, q)  # the domain check: an integer 2 <= q <= MAX_Q
+    if not tol >= _MIN_SERIES_TOL:  # also rejects NaN
+        raise ValueError(f"sum_via_integral needs tol >= {_MIN_SERIES_TOL}, got {tol}")
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
     result = integrate(integral_representation_integrand(q), 0.0, 1.0, tol)
@@ -325,46 +327,44 @@ def quadratic_sum_q2_via_outer() -> QuadratureResult:
 
 
 def double_integral_kernel(q: int) -> Callable:
-    """Kernel of S(2; q) = int int Li_{q-2}[(1-t)(1-u)] log t log u / ((1-t)(1-u)).
+    """Kernel of S(2; q), 2 <= q <= 11, on the unit square after u = t v.
 
-    Only q = 2 and q = 3 are supported; both reduce to elementary closed
-    forms of the product (1-t)(1-u), written with 1 - (1-t)(1-u) expanded
-    as t + u - t u (q = 3) or t (1-u) + u (q = 2, one pass over the block
-    fewer) to avoid cancellation near the singular corner. The kernels
-    accept numpy arrays (needed to keep the 2-D quadrature fast) and are
-    symmetric in (t, u) up to rounding.
+    The paper's int int Li_{q-2}(w)/w log t log u dt du, w = (1-t)(1-u), is
+    symmetric in (t, u): twice the integral over u < t, which u = t v maps
+    onto the square with a jacobian t that cancels the singular corner
+    t = u = 0 (Duffy, 1982). So S(2; q) = int int kernel(t, v) dt dv with
+
+        kernel(t, v) = 2 t Li_{q-2}(w)/w log t (log t + log v),
+
+    w = (1-t)(1-t v) and 1 - w = t (1 + v (1-t)), both free of
+    cancellation. q = 2 is 2 log t (log t + log v) / (1 + v (1-t)), q = 3
+    uses Li_1(w) = -log(1 - w). For q >= 4, Li_{q-2}(w)/w is the Taylor
+    polynomial where w <= 1/2 and polylog_one_minus(q-2, 1-w)/w where
+    w > 1/2, each branch evaluated on its own points only. t (integrate2d's
+    inner variable) and v are numpy arrays that broadcast to one shape.
     """
-    if q == 2:
-        # Li_0(w)/w = 1/(1-w) with w = (1-t)(1-u). In place, so a block
-        # holds two full-size arrays at a time instead of four.
-        def kernel(t, u):
-            denominator = t * (1.0 - u)
-            denominator += u
-            value = np.log(t) * np.log(u)
-            value /= denominator
-            return value
+    _check_integer("double integral kernel", "q", q, 2, 11)
 
-    elif q == 3:
-        # Li_1(w)/w = -log(1-w)/w.
-        def kernel(t, u):
-            return (
-                -np.log(t + u - t * u)
-                * np.log(t)
-                * np.log(u)
-                / ((1.0 - t) * (1.0 - u))
-            )
+    def kernel(t, v):
+        log_t = np.log(t)
+        logs = 2.0 * log_t * (log_t + np.log(v))
+        if q == 2:
+            return logs / (1.0 + v * (1.0 - t))
+        w = (1.0 - t) * (1.0 - t * v)
+        one_minus_w = t * (1.0 + v * (1.0 - t))
+        if q == 3:
+            return -t * np.log(one_minus_w) * logs / w
+        ratio = np.empty(w.shape)  # Li_{q-2}(w) / w
+        low = w <= 0.5
+        ratio[low] = _horner(_taylor_coeffs(q - 2), w[low])
+        ratio[~low] = polylog_one_minus(q - 2, one_minus_w[~low]) / w[~low]
+        return t * ratio * logs
 
-    else:
-        raise ValueError(f"double integral kernel exists for q = 2 or 3, got {q}")
     return kernel
 
 
 def quadratic_sum_double_integral(q: int) -> QuadratureResult:
-    """S(2; q) by raw 2-D quadrature of the double integral representation.
-
-    Iterated tanh-sinh costs roughly the square of the 1-D effort, which
-    caps the practical accuracy at the tolerance used, 1e-8; q is 2 or 3
-    (double_integral_kernel). For q = 3 no closed form is asserted anywhere
-    in the package; the series evaluation is the only reference.
-    """
+    """S(2; q), 2 <= q <= 11, by 2-D quadrature of double_integral_kernel
+    to tol 1e-8. For q = 3 the registry asserts no closed form; the series
+    is its only reference."""
     return integrate2d(double_integral_kernel(q), 1e-8)

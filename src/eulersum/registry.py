@@ -374,12 +374,12 @@ _CATALOGUE = (
                  lambda: eulersums.quadratic_sum_q2_via_outer(),
                  lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel", "de Doelder, 1991"),
     IdentityCase("dedoelder-2d",
-                 "sum [H_n]^2/n^2 = 17/4 zeta(4), raw 2-D quadrature",
+                 "sum [H_n]^2/n^2 = 17/4 zeta(4), 2-D quadrature after u = t v",
                  lambda: eulersums.quadratic_sum_double_integral(2),
                  lambda: 17.0 / 4.0 * zeta(4), 1e-8, "abs", "de Doelder, 1991"),
     IdentityCase("open-q3-2d",
-                 "2-D quadrature of the q=3 double integral against the series for "
-                 "sum [H_n]^2/n^3 (no closed form asserted)",
+                 "2-D quadrature of the q=3 double integral after u = t v, against the "
+                 "series for sum [H_n]^2/n^3 (no closed form asserted)",
                  lambda: eulersums.quadratic_sum_double_integral(3),
                  lambda: _series(2, 3), 1e-6, "abs",
                  "open case, series as reference"),

@@ -124,16 +124,16 @@ def test_criterion_06_dedoelder_three_paths():
     series = sum_series(EulerSumSpec(2, 2))
     outer = quadratic_sum_q2_via_outer()
     start = time.perf_counter()
-    raw_2d = quadratic_sum_double_integral(2)
+    two_d = quadratic_sum_double_integral(2)
     elapsed_2d = time.perf_counter() - start
     residuals = {
         "series": abs(series - target),
         "outer": abs(outer.value - target),
-        "2d": abs(raw_2d.value - target),
+        "2d": abs(two_d.value - target),
     }
     ok = (
         outer.converged
-        and raw_2d.converged
+        and two_d.converged
         and residuals["series"] <= 1e-10
         and residuals["outer"] <= 1e-10
         and residuals["2d"] <= 1e-8
@@ -198,10 +198,10 @@ def test_criterion_09_reference_integrals_and_estimate_honesty():
 
 
 def test_criterion_10_open_case_consistency():
-    raw_2d = quadratic_sum_double_integral(3)
+    two_d = quadratic_sum_double_integral(3)
     series = sum_series(EulerSumSpec(2, 3))
-    residual = abs(raw_2d.value - series)
-    ok = raw_2d.converged and residual <= 1e-6
+    residual = abs(two_d.value - series)
+    ok = two_d.converged and residual <= 1e-6
     report(10, ok, f"q=3 double integral vs series, residual {residual:.2e}")
 
 

@@ -120,8 +120,8 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--output", "json")
         assert code == 0
         counts = {c["id"]: c["evaluations"] for c in json.loads(out)["cases"]}
-        assert counts["dedoelder-2d"] == 117_451
-        assert counts["open-q3-2d"] == 6_328
+        assert counts["dedoelder-2d"] == 5_625
+        assert counts["open-q3-2d"] == 5_625
         assert sum(1 for n in counts.values() if n) == 15
 
     def test_tol_override_loosens_only(self):

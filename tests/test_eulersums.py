@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from paper_kernels import raw_double_integral_kernel
 
 from eulersum import eulersums
 from eulersum.constants import euler_gamma, zeta
@@ -23,6 +24,7 @@ from eulersum.eulersums import (
     sum_series,
     sum_via_integral,
 )
+from eulersum.specfun import polylog
 
 TWO_ZETA3 = 2.0 * zeta(3)
 HALF_ZETA2_SQ = 0.5 * zeta(2) ** 2
@@ -264,6 +266,15 @@ class TestSumViaIntegral:
         with pytest.raises(ValueError):
             sum_via_integral(1)
 
+    @pytest.mark.parametrize("q", [3, 63, 64, 10**6])
+    def test_tol_floor(self, q):
+        # sum_series' floor, checked before the q >= 64 shortcut.
+        for tol in (1e-13, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                sum_via_integral(q, tol=tol)
+        value = sum_via_integral(q, tol=1e-12)
+        assert abs(value - sum_series(EulerSumSpec(1, q))) <= 1e-12
+
     @pytest.mark.parametrize("q", [1, 2.0, True])
     def test_integrand_domain(self, q):
         with pytest.raises(ValueError):
@@ -365,19 +376,77 @@ class TestQuadraticSumOuter:
 
 
 class TestDoubleIntegral:
+    """The kernel after u = t v against the paper's raw kernel (tests/
+    paper_kernels.py), and S(2; q) for 2 <= q <= 11 against the series and
+    the closed forms."""
+
+    @staticmethod
+    def grid():
+        # t as a row, v as a column, as integrate2d calls the kernel. u = t v
+        # stays below 0.95, where log(t v) and log t + log v agree to 1e-15,
+        # and w = (1-t)(1-u) above 5e-4, where log(1-w) keeps 12 digits.
+        t = np.array([1e-9, 0.1, 0.35, 0.8, 0.99])
+        v = np.array([1e-9, 0.05, 0.5, 0.95])
+        return t[None, :], v[:, None]
+
     def test_kernel_symmetry(self):
+        # The raw integrand is symmetric in (t, u), so the half u > t,
+        # mapped by t = u v, gives the same kernel as the half u < t:
+        # K(u, v) = 2 u K_raw(u v, u).
+        u, v = self.grid()
         for q in (2, 3):
-            kernel = double_integral_kernel(q)
-            for t in (0.1, 0.35, 0.8):
-                for u in (0.05, 0.5, 0.95):
-                    assert kernel(t, u) == pytest.approx(kernel(u, t), rel=1e-15)
+            got = double_integral_kernel(q)(u, v)
+            want = 2.0 * u * raw_double_integral_kernel(q)(u * v, u)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_kernel_pointwise_value(self):
-        # q = 2 at t = u = 1/2: log(1/2)^2 / (3/4) = 4 log(2)^2 / 3
-        kernel = double_integral_kernel(2)
-        expected = 4.0 * math.log(2.0) ** 2 / 3.0
-        assert kernel(0.5, 0.5) == pytest.approx(expected, rel=1e-15)
-        assert expected == pytest.approx(0.6406040185576019, rel=1e-15)
+        # Splitting on the diagonal and setting u = t v:
+        # K(t, v) = 2 t K_raw(t, t v).
+        t, v = self.grid()
+        for q in (2, 3):
+            got = double_integral_kernel(q)(t, v)
+            want = 2.0 * t * raw_double_integral_kernel(q)(t, t * v)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # q = 2 at t = v = 1/2: 2 log(1/2) 2 log(1/2) / (1 + 1/4) = 16/5 log(2)^2
+        half = np.array([0.5])
+        expected = 16.0 / 5.0 * math.log(2.0) ** 2
+        assert double_integral_kernel(2)(half, half)[0] == pytest.approx(
+            expected, rel=1e-15
+        )
+
+    def test_branches_see_only_their_own_arguments(self, monkeypatch):
+        # For q >= 4 the Taylor polynomial serves w <= 1/2 and
+        # polylog_one_minus(q-2, 1-w) serves w > 1/2, each on its own points.
+        taylor, one_minus = [], []
+        real_horner, real_one_minus = eulersums._horner, eulersums.polylog_one_minus
+
+        def horner(coeffs, w):
+            taylor.append(w)
+            return real_horner(coeffs, w)
+
+        def polylog_one_minus(s, r):
+            one_minus.append(r)
+            return real_one_minus(s, r)
+
+        monkeypatch.setattr(eulersums, "_horner", horner)
+        monkeypatch.setattr(eulersums, "polylog_one_minus", polylog_one_minus)
+        t = np.linspace(0.01, 0.99, 41)[None, :]
+        v = np.linspace(0.01, 0.99, 23)[:, None]
+        w = (1.0 - t) * (1.0 - t * v)
+        assert (w <= 0.5).any() and (w > 0.5).any()  # the block straddles 1/2
+        for q in (4, 7, 11):
+            taylor.clear()
+            one_minus.clear()
+            values = double_integral_kernel(q)(t, v)
+            (low,), (high,) = taylor, one_minus
+            assert low.size + high.size == w.size
+            assert 0.0 < low.min() and low.max() <= 0.5
+            assert 0.0 < high.min() and high.max() < 0.5 + 2.0**-52
+            np.testing.assert_array_equal(np.sort(low), np.sort(w[w <= 0.5]))
+            # Both branches against the scalar polylog, point by point.
+            logs = 2.0 * np.log(t) * (np.log(t) + np.log(v))
+            reference = np.vectorize(lambda x: polylog(q - 2, x))(w) / w * t * logs
+            np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0.0)
 
     def test_kernel_accepts_arrays(self):
         kernel = double_integral_kernel(3)
@@ -396,8 +465,30 @@ class TestDoubleIntegral:
         assert result.converged
         assert abs(result.value - series) <= 1e-6
 
+    @pytest.mark.parametrize("q", range(2, 12))
+    def test_every_order_against_series(self, q):
+        result = quadratic_sum_double_integral(q)
+        assert result.converged
+        assert result.evaluations == 5_625
+        assert abs(result.value - sum_series(EulerSumSpec(2, q))) <= 1e-8
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_against_closed_forms(self, q):
+        # de Doelder (1991) and Borwein, Borwein & Girgensohn (1995).
+        mp = TestSeriesAgainstClosedForms.mp()
+        z = mp.zeta
+        exact = {
+            2: mp.mpf(17) / 4 * z(4),
+            3: mp.mpf(7) / 2 * z(5) - z(2) * z(3),
+            4: mp.mpf(97) / 24 * z(6) - 2 * z(3) ** 2,
+        }[q]
+        result = quadratic_sum_double_integral(q)
+        assert result.converged
+        assert abs(result.value - float(exact)) <= 1e-8
+
     def test_domain(self):
-        with pytest.raises(ValueError):
-            double_integral_kernel(4)
-        with pytest.raises(ValueError):
-            quadratic_sum_double_integral(4)
+        for q in (1, 12, 2.0, True):
+            with pytest.raises(ValueError):
+                double_integral_kernel(q)
+            with pytest.raises(ValueError):
+                quadratic_sum_double_integral(q)

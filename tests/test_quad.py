@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from paper_kernels import raw_double_integral_kernel
 
 from eulersum.constants import zeta
 from eulersum.eulersums import double_integral_kernel
@@ -230,6 +231,17 @@ class TestIntegrate2dBlocks:
         assert block.evaluations == loop.evaluations
         assert abs(block.value - loop.value) <= block.abs_error_estimate
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_raw_kernels_match_per_node_loop(self, q):
+        # The paper's kernels before u = t v; q = 2 is corner-singular and
+        # runs 117,451 evaluations through the blocks.
+        kernel = raw_double_integral_kernel(q)
+        block = integrate2d(kernel, 1e-8)
+        loop = per_node_integrate2d(kernel, 1e-8)
+        assert block.converged and loop.converged
+        assert block.evaluations == loop.evaluations
+        assert abs(block.value - loop.value) <= block.abs_error_estimate
+
     def test_scalar_integrand_matches_per_node_loop(self):
         # A scalar function runs through np.vectorize, as documented.
         @np.vectorize
@@ -256,7 +268,9 @@ class TestIntegrate2dBlocks:
         assert block.abs_error_estimate == math.inf
 
     def test_inner_non_convergence_names_node(self):
-        kernel = double_integral_kernel(2)
+        # The corner-singular raw kernel: the one after u = t v converges
+        # within three levels.
+        kernel = raw_double_integral_kernel(2)
         block = integrate2d(kernel, 1e-8, max_level=3)
         loop = per_node_integrate2d(kernel, 1e-8, max_level=3)
         assert not block.converged

@@ -8,9 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from paper_kernels import raw_double_integral_kernel
 
 from eulersum import eulersums, exactmath, registry as registry_module
-from eulersum.eulersums import double_integral_kernel
 from eulersum.quad import integrate2d
 from eulersum.registry import (
     IdentityCase,
@@ -374,12 +374,14 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("q,evaluations", [(2, 117_451), (3, 6_328)])
     def test_two_dimensional_routes(self, q, evaluations):
-        result = integrate2d(double_integral_kernel(q), 1e-8)
+        # The paper's kernels before u = t v: what tensor tanh-sinh pays for
+        # the corner t = u = 0 at the registry's tol.
+        result = integrate2d(raw_double_integral_kernel(q), 1e-8)
         assert result.converged
         assert result.evaluations == evaluations
 
     @pytest.mark.parametrize(
-        "case_id,evaluations", [("dedoelder-2d", 117_451), ("open-q3-2d", 6_328)]
+        "case_id,evaluations", [("dedoelder-2d", 5_625), ("open-q3-2d", 5_625)]
     )
     def test_two_dimensional_cases_report_their_count(self, case_id, evaluations):
         report = run_suite(id_prefix=case_id)
