@@ -223,7 +223,7 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10) -> float:
     against the closed forms; tolerances below 1e-12 are not accepted.
     From q = 64 on the sum rounds to 1.0, which is returned directly.
     """
-    if tol < _MIN_SERIES_TOL:
+    if not tol >= _MIN_SERIES_TOL:  # also rejects NaN
         raise ValueError(f"sum_series supports tol >= {_MIN_SERIES_TOL}, got {tol}")
     m, q = spec.h_power, spec.q
     if q >= _Q_ROUNDS_TO_ONE:

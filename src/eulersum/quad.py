@@ -9,25 +9,26 @@ the error estimate is the difference between the last two levels.
 
 Nodes are stored as the distance delta from the nearer endpoint together
 with a weight, so positions stay meaningful down to delta ~ 1e-300; a node
-whose floating-point position would collide with an endpoint is dropped on
-that side only (integrands with endpoint singularities cannot be evaluated
-there, and the skipped weights are negligible), while its mirror twin on
-the other side keeps contributing.
+whose floating-point position would round onto either endpoint is dropped
+on that side only (integrands with endpoint singularities cannot be
+evaluated there, and the skipped weights are negligible), while its mirror
+twin on the other side keeps contributing.
 
 Each level's whole node set is evaluated in one pass, as in Bailey,
 Jeyabalan and Li (2005): the abscissas of both halves of the interval are
-built once per interval and level, a level is one integrand call on all of
-them, and the weighted sum is one matrix-vector product. The iterated 2-D
-rule (Takahasi and Mori, 1974) extends this to whole blocks: all outer
-nodes new at a level form the rows of one block, each inner level
-evaluates the integrand once on (rows still running) x (new inner nodes),
-and a row leaves the block as soon as its inner integral passes its
-convergence test, relative to the inner value. The 1-D rule keeps its
-running sums and convergence test in Python floats: the same IEEE
-operations on one value, without a numpy call each. Every call runs at
-least levels 1 and 2 (the test needs a level difference), so both
-levels' nodes are evaluated in one pass: one integrand call in 1-D, one
-block of outer rows in 2-D.
+built once per interval and level, and the weighted sum of a level is one
+matrix-vector product. Every call runs at least levels 1 and 2 (the test
+needs a level difference), so both levels' nodes form the first pass.
+
+The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
+Mori, 1974) are one level loop, _rule, kept in Python floats: the same
+IEEE operations on one value, without a numpy call each. Per pass, the
+1-D rule makes one integrand call; the 2-D rule integrates the inner
+integrals of all outer nodes of the pass as one block in the vectorised
+row kernel _integrate_rows, where each inner level evaluates the
+integrand once on (rows still running) x (new inner nodes) and a row
+leaves the block as soon as its inner integral passes its convergence
+test, relative to the inner value.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ MAX_LEVEL = 12
 _MIN_DELTA = 1e-300
 
 _EPS = 2.0 ** -52
+
+_NON_FINITE = "non-finite integrand value at an interior node"
 
 
 @dataclass
@@ -122,19 +125,20 @@ def _interval_nodes(
     """Abscissas, weights and low-side count of one level on (a, b).
 
     The low side a + (b - a) delta comes first, then the mirrored high side
-    b - (b - a) delta, each in table order. The collision guards apply per
-    side: a node whose floating position lands on an endpoint is dropped,
-    but its mirror twin is kept (the twin can carry real mass when the
-    integrand is large near the other end). delta falls along the table,
-    so each side keeps a prefix of it. Built once per interval and level
-    (every suite integral is on (0, 1)) and read-only.
+    b - (b - a) delta, each in table order. Each side keeps only the nodes
+    strictly inside (a, b): a node whose floating position lands on an
+    endpoint is dropped, but its mirror twin is kept (the twin can carry
+    real mass when the integrand is large near the other end). On (0, 1)
+    no node reaches the far endpoint (delta <= 1/2), so each side keeps a
+    prefix of the table. Built once per interval and level (every suite
+    integral is on (0, 1)) and read-only.
     """
     deltas, weights = _level_table(level)
     scale = b - a
     x_lo = a + scale * deltas
     x_hi = b - scale * deltas
-    keep_lo = x_lo > a
-    keep_hi = x_hi < b
+    keep_lo = (a < x_lo) & (x_lo < b)
+    keep_hi = (a < x_hi) & (x_hi < b)
     x = np.concatenate((x_lo[keep_lo], x_hi[keep_hi]))
     w = np.concatenate((weights[keep_lo], weights[keep_hi]))
     x.flags.writeable = False
@@ -176,16 +180,50 @@ def _block(values, shape: tuple[int, int]) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
+def _rule(
+    a: float, b: float, tol: float, max_level: int, level_sums: Callable, what: str
+) -> QuadratureResult:
+    """The tanh-sinh level loop over (a, b), in Python floats.
+
+    For each pass (levels, x) of _passes, level_sums(levels, x) yields per
+    level the weighted sum of the integrand over the level's new nodes,
+    the weighted sum of their error bounds, the evaluations made, and a
+    failure message ("" if none). A level's estimate is its difference
+    from the previous level plus the weighted error bounds, floored at one
+    rounding of the value (a difference of exactly zero certifies nothing
+    below that); the rule converges when that is below tol. On a failure
+    the previous level's value stands.
+    """
+    scale = b - a
+    acc = acc_err = prev = 0.0
+    estimate = math.inf
+    count = 0
+    for levels, x in _passes(a, b, max_level):
+        for level, (total, error, evals, message) in zip(levels, level_sums(levels, x)):
+            count += evals
+            if message:
+                return QuadratureResult(prev, math.inf, count, False, message)
+            acc += total
+            acc_err += error
+            h = 2.0**-level * scale
+            value = h * acc
+            if level > 1:
+                estimate = abs(value - prev) + h * acc_err
+                reported = max(estimate, _EPS * (1.0 + abs(value)))
+                if reported < tol:
+                    return QuadratureResult(value, reported, count, True)
+            prev = value
+    message = f"no convergence within {max_level} {what} levels"
+    return QuadratureResult(prev, estimate, count, False, message)
+
+
 def _integrate_rows(
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rows: int,
-    a: float,
-    b: float,
     tol: float,
-    relative: bool,
     max_level: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-    """Tanh-sinh over (a, b) for `rows` integrands at once: the inner rule
+    """Tanh-sinh over (0, 1) for `rows` integrands at once: the inner rule
     of integrate2d.
 
     evaluate(x, live) returns the integrands of the rows listed in live at
@@ -196,13 +234,11 @@ def _integrate_rows(
     test, so its evaluation count is that of the rule run on that row
     alone, and so are its value and estimate up to summation order (from
     level 11, over 8192 nodes, numpy's einsum can sum a block of several
-    rows in another order than one row). The test is reported < tol, or
-    with relative reported < tol * max(1, |value|); integrate() is the
-    absolute one-row case. Returns per-row (value,
+    rows in another order than one row). The test is relative to the row's
+    value: reported < tol * max(1, |value|). Returns per-row (value,
     abs_error_estimate, evaluations) and a map from each failed row to its
     message.
     """
-    scale = b - a
     value_out = np.zeros(rows)
     estimate_out = np.full(rows, math.inf)
     evals_out = np.zeros(rows, dtype=np.int64)
@@ -227,7 +263,7 @@ def _integrate_rows(
     for level in range(1, max_level + 1):
         if live.size == 0:
             break
-        x, w, _ = _interval_nodes(a, b, level)
+        x, w, _ = _interval_nodes(0.0, 1.0, level)
         count += x.size
         # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
         # resident buffers on its first call, for no gain at these sizes.
@@ -236,20 +272,19 @@ def _integrate_rows(
         finite = np.isfinite(sums)
         if not finite.all():
             for row in live[~finite].tolist():
-                failures[row] = "non-finite integrand value at an interior node"
+                failures[row] = _NON_FINITE
             # A failed row keeps the previous level's value.
             finish(finite, prev, np.full(live.size, math.inf))
             sums = sums[finite]
         acc += sums
-        value = 2.0**-level * scale * acc
+        value = 2.0**-level * acc
         if level > 1:
             diff = np.abs(value - prev)
             size = np.abs(value)
             # Roundoff floor: a level difference of exactly zero does not
             # certify anything below one rounding of the result.
             reported = np.maximum(diff, _EPS * (1.0 + size))
-            threshold = tol * np.maximum(1.0, size) if relative else tol
-            passed = reported < threshold
+            passed = reported < tol * np.maximum(1.0, size)
             if passed.any():
                 finish(~passed, value, reported)
                 value = value[~passed]
@@ -275,9 +310,11 @@ def integrate(
 
     f takes a numpy array of abscissas and returns the array of values (or
     one constant); a scalar function can be passed as
-    np.vectorize(f, otypes=[float]). f is never evaluated at a or b;
-    singularities of log-power type at the endpoints are fine. max_level
-    is the last level tried, 1 <= max_level <= MAX_LEVEL.
+    np.vectorize(f, otypes=[float]). a and b must be finite, a < b with a
+    double strictly between them (no node can sample a narrower interval),
+    and the width b - a finite. f is never evaluated at a or b;
+    singularities of log-power type at the endpoints are fine. max_level is
+    the last level tried, 1 <= max_level <= MAX_LEVEL.
 
     A non-finite integrand value at an interior node yields a failure
     result (converged False, infinite error estimate), never an exception.
@@ -288,16 +325,12 @@ def integrate(
     _check_integer("integrate", "max_level", max_level, 1, MAX_LEVEL)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration requires finite limits, got ({a}, {b})")
-    if not a < b:
-        raise ValueError(f"integration requires a < b, got ({a}, {b})")
+    if not math.nextafter(a, b) < b:
+        raise ValueError(f"integration requires a double in (a, b), got ({a}, {b})")
+    if not math.isfinite(b - a):
+        raise ValueError(f"integration requires a finite width b - a, got ({a}, {b})")
 
-    # The same operations, in the same order, as _integrate_rows on one row
-    # with the absolute test.
-    scale = b - a
-    acc = prev = 0.0
-    diff = math.inf
-    count = 0
-    for levels, x in _passes(a, b, max_level):
+    def level_sums(levels, x):
         values = _block(np.reshape(f(x), (1, -1)), (1, x.size))
         start = 0
         for level in levels:
@@ -305,37 +338,9 @@ def integrate(
             stop = start + w.size
             total = np.einsum("ij,j->i", values[:, start:stop], w).item()
             start = stop
-            count += w.size
-            if not math.isfinite(total):
-                # The previous level's value stands.
-                return QuadratureResult(
-                    value=prev,
-                    abs_error_estimate=math.inf,
-                    evaluations=count,
-                    converged=False,
-                    message="non-finite integrand value at an interior node",
-                )
-            acc += total
-            value = 2.0**-level * scale * acc
-            if level > 1:
-                diff = abs(value - prev)
-                size = abs(value)
-                reported = max(diff, _EPS * (1.0 + size))
-                if reported < tol:
-                    return QuadratureResult(
-                        value=value,
-                        abs_error_estimate=reported,
-                        evaluations=count,
-                        converged=True,
-                    )
-            prev = value
-    return QuadratureResult(
-        value=prev,
-        abs_error_estimate=diff,
-        evaluations=count,
-        converged=False,
-        message=f"no convergence within {max_level} refinement levels",
-    )
+            yield total, 0.0, w.size, "" if math.isfinite(total) else _NON_FINITE
+
+    return _rule(a, b, tol, max_level, level_sums, "refinement")
 
 
 def integrate2d(
@@ -355,8 +360,8 @@ def integrate2d(
     makes the whole result non-converged; the message names the first
     failing outer node.
 
-    All outer nodes new at a level are integrated together, and those of
-    levels 1 and 2 as one block: each inner level evaluates f once on the
+    All outer nodes of a pass are integrated together, those of levels 1
+    and 2 as one block: each inner level evaluates f once on the
     (outer rows x inner nodes) block of rows still running, and a row
     drops out when it meets its inner test, so the evaluation count and
     every inner result are those of the inner rule run on each outer node
@@ -371,69 +376,44 @@ def integrate2d(
     _check_integer("integrate2d", "max_level", max_level, 1, MAX_LEVEL)
     inner_tol = tol / 10.0
 
-    acc_val = 0.0
-    acc_err = 0.0
-    evals = 0
-    prev: float | None = None
-    value = 0.0
-    estimate = math.inf
-
-    for levels, us in _passes(0.0, 1.0, max_level):
+    def level_sums(levels, us):
         column = us[:, None]
 
         def evaluate(t, live):
             return f(t[None, :], column[live])
 
-        block = _integrate_rows(evaluate, us.size, 0.0, 1.0, inner_tol, True, max_level)
+        values, estimates, counts, failures = _integrate_rows(
+            evaluate, us.size, inner_tol, max_level
+        )
         start = 0
         for level in levels:
-            h = 2.0**-level
             _, ws, n_low = _interval_nodes(0.0, 1.0, level)
             stop = start + ws.size
-            values, estimates, counts = (part[start:stop] for part in block[:3])
-            failures = {
+            failed = {
                 row - start: message
-                for row, message in block[3].items()
+                for row, message in failures.items()
                 if start <= row < stop
             }
-            if failures:
+            level_counts = counts[start:stop]
+            if failed:
                 # Outer nodes are visited in table order, each delta before
                 # its mirror 1 - delta; the evaluations counted are those
                 # made up to the first failing node in that order.
                 position = np.concatenate(
                     (2 * np.arange(n_low), 2 * np.arange(ws.size - n_low) + 1)
                 )
-                row = min(failures, key=position.__getitem__)
-                return QuadratureResult(
-                    value=value,
-                    abs_error_estimate=math.inf,
-                    evaluations=evals + int(counts[position <= position[row]].sum()),
-                    converged=False,
-                    message=f"inner integral failed at u={float(us[start + row])!r}: "
-                    f"{failures[row]}",
+                row = min(failed, key=position.__getitem__)
+                u = float(us[start + row])
+                yield 0.0, 0.0, int(level_counts[position <= position[row]].sum()), (
+                    f"inner integral failed at u={u!r}: {failed[row]}"
                 )
+                return
+            yield (
+                float((ws * values[start:stop]).sum()),
+                float((ws * estimates[start:stop]).sum()),
+                int(level_counts.sum()),
+                "",
+            )
             start = stop
-            evals += int(counts.sum())
-            acc_val += float((ws * values).sum())
-            acc_err += float((ws * estimates).sum())
-            value = h * acc_val
-            inner_bound = h * acc_err
-            if prev is not None:
-                estimate = abs(value - prev) + inner_bound
-                reported = max(estimate, _EPS * (1.0 + abs(value)))
-                if reported < tol:
-                    return QuadratureResult(
-                        value=value,
-                        abs_error_estimate=reported,
-                        evaluations=evals,
-                        converged=True,
-                    )
-            prev = value
 
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=estimate,
-        evaluations=evals,
-        converged=False,
-        message=f"no convergence within {max_level} outer refinement levels",
-    )
+    return _rule(0.0, 1.0, tol, max_level, level_sums, "outer refinement")

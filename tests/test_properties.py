@@ -175,7 +175,7 @@ SERIES_BOUND = 2e-15
 
 @SETTINGS
 @given(st.sampled_from([1, 2, 0, 3, True, 1.0, 2.0]), sum_orders,
-       st.sampled_from([1e-10, 1e-12, 1e-6, 1e-13, 0.0]))
+       st.sampled_from([1e-10, 1e-12, 1e-6, 1e-13, 0.0, math.nan]))
 def test_sum_series(m, q, tol):
     value, rejected = timed(lambda: sum_series(EulerSumSpec(m, q), tol=tol))
     in_domain = m in (1, 2) and is_int(m) and is_int(q) and 2 <= q <= MAX_Q
@@ -232,9 +232,14 @@ def integrals(draw):
     kind = draw(st.sampled_from(["power", "exp", "log", "rsqrt"]))
     lo = 0.0 if kind in ("log", "rsqrt") else -2.0
     a = draw(st.one_of(st.just(lo), st.floats(min_value=lo, max_value=2.0)))
-    b = draw(st.one_of(
-        st.floats(min_value=lo, max_value=4.0),
-        st.sampled_from([a, math.inf, -math.inf, math.nan]),
+    a, b = draw(st.one_of(
+        st.tuples(st.just(a), st.one_of(
+            st.floats(min_value=lo, max_value=4.0),
+            # b == a, one ulp above a (no double between), not finite.
+            st.sampled_from([a, math.nextafter(a, 4.0), math.inf, -math.inf, math.nan]),
+        )),
+        # Finite limits whose width b - a overflows (F is real there).
+        st.just((-1e308, 1e308)) if lo < 0.0 else st.nothing(),
     ))
     if kind == "power":
         k = draw(st.integers(min_value=0, max_value=6))
@@ -246,7 +251,7 @@ def integrals(draw):
         f, F = np.log, (lambda x: x * mpmath.log(x) - x if x else x)
     else:
         f, F = (lambda t: 1.0 / np.sqrt(t)), (lambda x: 2 * mpmath.sqrt(x))
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    if not (math.isfinite(a) and math.isfinite(b) and math.nextafter(a, b) < b):
         return f, a, b, None
     with mpmath.workdps(30):
         return f, a, b, float(F(mpmath.mpf(b)) - F(mpmath.mpf(a)))
@@ -268,8 +273,8 @@ def test_integrate(integral, tol, max_level):
     f, a, b, exact = integral
     result, rejected = timed(lambda: integrate(f, a, b, tol, max_level=max_level))
     in_domain = (
-        exact is not None and tol > 0.0 and is_int(max_level)
-        and 1 <= max_level <= MAX_LEVEL
+        exact is not None and math.isfinite(b - a) and tol > 0.0
+        and is_int(max_level) and 1 <= max_level <= MAX_LEVEL
     )
     assert rejected != in_domain
     if rejected:

@@ -135,6 +135,26 @@ class TestIntegrate:
             with pytest.raises(ValueError):
                 integrate(lambda t: 1.0, a, b, 1e-10)
 
+    @pytest.mark.parametrize(
+        "a,b,reason",
+        [
+            (-1e308, 1e308, "width"),  # finite limits, b - a overflows
+            # No double strictly between a and b: no node can sample them.
+            (1.0, 1.0 + 2.0**-52, "double"),
+            (1e300, 1.0000000000000002e300, "double"),
+        ],
+    )
+    def test_limits_rejected_before_any_evaluation(self, a, b, reason):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.log(t - a)
+
+        with pytest.raises(ValueError, match=reason):
+            integrate(f, a, b, 1e-10)
+        assert calls == []
+
     def test_unreachable_tolerance_reports_non_convergence(self):
         r = integrate(np.log, 0.0, 1.0, 1e-18)
         assert not r.converged
@@ -185,7 +205,7 @@ class TestIntegrate2d:
 
 
 def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
-    """Reference 2-D rule: one relative_float_loop call per outer node, in
+    """Reference 2-D rule: one relative float_loop call per outer node, in
     the order delta, 1 - delta over each level's table, stopping at the
     first inner failure. integrate2d must reproduce its counts, values and
     messages."""
@@ -200,8 +220,8 @@ def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
             for u in (delta, 1.0 - delta):
                 if not 0.0 < u < 1.0:
                     continue
-                r = relative_float_loop(lambda t: f(t, u), 0.0, 1.0, tol / 10.0,
-                                        max_level=max_level)
+                r = float_loop(lambda t: f(t, u), 0.0, 1.0, tol / 10.0,
+                               relative=True, max_level=max_level)
                 evals += r.evaluations
                 if not r.converged:
                     return QuadratureResult(
@@ -219,6 +239,12 @@ def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
     return QuadratureResult(value, math.inf, evals, False, "outer levels exhausted")
 
 
+def assert_same_estimate(block, loop):
+    """The outer level difference plus the weighted inner estimates: the two
+    rules add the same terms in another order, so they agree to roundoff."""
+    assert abs(block.abs_error_estimate - loop.abs_error_estimate) <= 1e-13
+
+
 class TestIntegrate2dBlocks:
     """The block evaluation against the per-node loop it replaces."""
 
@@ -230,6 +256,7 @@ class TestIntegrate2dBlocks:
         assert block.converged and loop.converged
         assert block.evaluations == loop.evaluations
         assert abs(block.value - loop.value) <= block.abs_error_estimate
+        assert_same_estimate(block, loop)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_raw_kernels_match_per_node_loop(self, q):
@@ -241,6 +268,7 @@ class TestIntegrate2dBlocks:
         assert block.converged and loop.converged
         assert block.evaluations == loop.evaluations
         assert abs(block.value - loop.value) <= block.abs_error_estimate
+        assert_same_estimate(block, loop)
 
     def test_scalar_integrand_matches_per_node_loop(self):
         # A scalar function runs through np.vectorize, as documented.
@@ -253,6 +281,7 @@ class TestIntegrate2dBlocks:
         assert block.converged and loop.converged
         assert block.evaluations == loop.evaluations
         assert abs(block.value - loop.value) <= block.abs_error_estimate
+        assert_same_estimate(block, loop)
 
     def test_first_failing_node_in_visiting_order(self):
         # Fails on both sides of the square: in visiting order the first
@@ -318,12 +347,24 @@ class TestLevelPasses:
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, 0.3), (0.3, 1.0)])
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (0.0, 1.0), (0.0, 0.3), (0.3, 1.0),
+            # One ulp wide: the level-1 mirror node b - (b - a) / 2 rounds
+            # onto a.
+            (1.0, 1.0 + 2.0**-52), (1e300, 1.0000000000000002e300),
+        ],
+    )
     def test_interval_nodes_are_both_halves(self, a, b):
+        for level in range(1, MAX_LEVEL + 1):
+            x = _interval_nodes(a, b, level)[0]
+            assert ((a < x) & (x < b)).all(), level
         deltas, weights = _level_table(4)
         x, w, n_low = _interval_nodes(a, b, 4)
         x_lo, x_hi = a + (b - a) * deltas, b - (b - a) * deltas
-        low, high = x_lo > a, x_hi < b  # the per-side collision guards
+        # The per-side collision guards: strictly inside (a, b).
+        low, high = (a < x_lo) & (x_lo < b), (a < x_hi) & (x_hi < b)
         assert np.array_equal(x, np.concatenate((x_lo[low], x_hi[high])))
         assert np.array_equal(w, np.concatenate((weights[low], weights[high])))
         assert n_low == low.sum()
@@ -381,25 +422,24 @@ class TestLevelPasses:
         assert sum(t * n for t, n in calls) == r.evaluations
 
 
-def one_row_integrate(f, a, b, tol, *, relative=False, max_level=MAX_LEVEL):
-    """integrate() as the one-row case of the multi-row kernel, level by
-    level: the reference the float loop must reproduce bit for bit."""
+def one_row_integrate(f, tol, *, max_level=MAX_LEVEL):
+    """The one-row case of the multi-row kernel on (0, 1), under its
+    relative test, as a QuadratureResult."""
     def evaluate(x, live):
         return np.asarray(f(x), dtype=float).reshape(1, -1)
 
-    value, estimate, evals, failures = _integrate_rows(
-        evaluate, 1, a, b, tol, relative, max_level
-    )
+    value, estimate, evals, failures = _integrate_rows(evaluate, 1, tol, max_level)
     message = failures.get(0, "")
     return QuadratureResult(
         float(value[0]), float(estimate[0]), int(evals[0]), not message, message
     )
 
 
-def relative_float_loop(f, a, b, tol, *, max_level=MAX_LEVEL):
-    """The 1-D rule under the relative test, reported < tol * max(1, |value|),
-    in Python floats level by level: the inner rule of integrate2d written
-    independently of the multi-row kernel."""
+def float_loop(f, a, b, tol, *, relative, max_level=MAX_LEVEL):
+    """The 1-D rule in Python floats level by level, one integrand call per
+    level, written independently of the package's level loops: under the
+    absolute test reported < tol, integrate(); under the relative test
+    reported < tol * max(1, |value|), the inner rule of integrate2d."""
     acc = prev = 0.0
     diff = math.inf
     count = 0
@@ -417,7 +457,7 @@ def relative_float_loop(f, a, b, tol, *, max_level=MAX_LEVEL):
             diff = abs(value - prev)
             size = abs(value)
             reported = max(diff, 2.0**-52 * (1.0 + size))
-            if reported < tol * max(1.0, size):
+            if reported < (tol * max(1.0, size) if relative else tol):
                 return QuadratureResult(value, reported, count, True)
         prev = value
     return QuadratureResult(prev, diff, count, False,
@@ -451,30 +491,41 @@ ONE_ROW_CASES = [
 ]
 
 
+# (case, native, relative), ids name-native-relative: the absolute test on
+# every case, the relative test (the inner rule, always on (0, 1)) on the
+# cases on (0, 1).
+FLOAT_LOOP_PARAMS = [
+    pytest.param(*case, native, relative, id=f"{case[0]}-{native}-{relative}")
+    for relative in (False, True)
+    for native in (False, True)
+    for case in ONE_ROW_CASES
+    if not relative or case[3:5] == (0.0, 1.0)
+]
+
+
 class TestFloatLoop:
-    """The 1-D float loops against the one-row case of the multi-row kernel:
-    integrate() under the absolute test, relative_float_loop under the
-    relative test of the inner rule of integrate2d.
+    """Each package level loop against the one-row float_loop of the tests:
+    integrate() under the absolute test, the one-row case of the multi-row
+    kernel under the relative test of the inner rule of integrate2d.
 
     Each case runs as a numpy integrand (native) and as its math-module
     scalar form through np.vectorize, the documented way to pass a scalar
     function; the math module can round differently from numpy.
     """
 
-    @pytest.mark.parametrize("relative", [False, True])
-    @pytest.mark.parametrize("native", [False, True])
     @pytest.mark.parametrize(
-        "name,f_scalar,f_vector,a,b,tol", ONE_ROW_CASES, ids=[c[0] for c in ONE_ROW_CASES]
+        "name,f_scalar,f_vector,a,b,tol,native,relative", FLOAT_LOOP_PARAMS
     )
     def test_bit_identical_to_one_row_kernel(
         self, name, f_scalar, f_vector, a, b, tol, native, relative
     ):
         f = f_vector if native else np.vectorize(f_scalar, otypes=[float])
-        loop = relative_float_loop if relative else integrate
         for max_level in (1, 2, 3, MAX_LEVEL):
-            r = loop(f, a, b, tol, max_level=max_level)
-            ref = one_row_integrate(f, a, b, tol, relative=relative,
-                                    max_level=max_level)
+            if relative:
+                r = one_row_integrate(f, tol, max_level=max_level)
+            else:
+                r = integrate(f, a, b, tol, max_level=max_level)
+            ref = float_loop(f, a, b, tol, relative=relative, max_level=max_level)
             assert bits(r) == bits(ref), (name, max_level)
             assert type(r.value) is float and type(r.abs_error_estimate) is float
 
