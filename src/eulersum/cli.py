@@ -94,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(_EVAL),
         help=" | ".join(f"{name} {' '.join(p)}" for name, (p, _) in _EVAL.items()),
     )
-    evaluate.add_argument("params", nargs="*", help="numeric parameters")
+    # REMAINDER: a parameter such as -1e-05 is a number, not an option.
+    evaluate.add_argument(
+        "params", nargs=argparse.REMAINDER, help="numeric parameters"
+    )
 
     sub.add_parser("list", help="list the identity registry")
     return parser

@@ -17,8 +17,13 @@ twin on the other side keeps contributing.
 Each level's whole node set is evaluated in one pass, as in Bailey,
 Jeyabalan and Li (2005): the abscissas of both halves of the interval are
 built once per interval and level, and the weighted sum of a level is one
-matrix-vector product. Every call runs at least levels 1 and 2 (the test
-needs a level difference), so both levels' nodes form the first pass.
+matrix-vector product. The first pass covers levels 1 to 3 (75 nodes on
+(0, 1)): every call runs levels 1 and 2 (the test needs a level
+difference), and the integrals of the verification suite all run level 3
+as well. Convergence is still tested level by level, so the values,
+estimates and stopping levels are those of one pass per level; the
+evaluation count is the number of points evaluated, so a rule that stops
+at level 2 counts the 75 nodes of the first pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
 Mori, 1974) are one level loop, _rule, kept in Python floats: the same
@@ -28,7 +33,9 @@ integrals of all outer nodes of the pass as one block in the vectorised
 row kernel _integrate_rows, where each inner level evaluates the
 integrand once on (rows still running) x (new inner nodes) and a row
 leaves the block as soon as its inner integral passes its convergence
-test, relative to the inner value.
+test, relative to the inner value. The inner rule stays one level per
+call: many rows stop at inner level 2, and a first inner pass of levels
+1 to 3 would evaluate level-3 nodes that those rows never need.
 """
 
 from __future__ import annotations
@@ -146,10 +153,18 @@ def _interval_nodes(
     return x, w, int(keep_lo.sum())
 
 
-@lru_cache(maxsize=2)
-def _opening_nodes(a: float, b: float) -> np.ndarray:
-    """Abscissas of levels 1 and 2 on (a, b) as one read-only array."""
-    x = np.concatenate((_interval_nodes(a, b, 1)[0], _interval_nodes(a, b, 2)[0]))
+# Levels of the first evaluation pass: every call runs levels 1 and 2, and
+# every integral of the verification suite runs level 3 as well.
+_OPENING_LEVELS = 3
+
+
+@lru_cache(maxsize=4)
+def _opening_nodes(a: float, b: float, last: int) -> np.ndarray:
+    """Abscissas of levels 1..last on (a, b), in level order, as one
+    read-only array."""
+    x = np.concatenate(
+        [_interval_nodes(a, b, level)[0] for level in range(1, last + 1)]
+    )
     x.flags.writeable = False
     return x
 
@@ -157,14 +172,12 @@ def _opening_nodes(a: float, b: float) -> np.ndarray:
 def _passes(a: float, b: float, max_level: int):
     """(levels, abscissas) of each evaluation pass over (a, b), in order.
 
-    Levels 1 and 2 form the first pass when max_level allows both, with
-    the abscissas of level 1 first; every later level is a pass of its own.
+    Levels 1..min(_OPENING_LEVELS, max_level) form the first pass, their
+    abscissas in level order; every later level is a pass of its own.
     """
-    first = 1
-    if max_level >= 2:
-        yield (1, 2), _opening_nodes(a, b)
-        first = 3
-    for level in range(first, max_level + 1):
+    last = min(_OPENING_LEVELS, max_level)
+    yield tuple(range(1, last + 1)), _opening_nodes(a, b, last)
+    for level in range(last + 1, max_level + 1):
         yield (level,), _interval_nodes(a, b, level)[0]
 
 
@@ -185,21 +198,31 @@ def _rule(
 ) -> QuadratureResult:
     """The tanh-sinh level loop over (a, b), in Python floats.
 
-    For each pass (levels, x) of _passes, level_sums(levels, x) yields per
-    level the weighted sum of the integrand over the level's new nodes,
-    the weighted sum of their error bounds, the evaluations made, and a
-    failure message ("" if none). A level's estimate is its difference
-    from the previous level plus the weighted error bounds, floored at one
-    rounding of the value (a difference of exactly zero certifies nothing
-    below that); the rule converges when that is below tol. On a failure
-    the previous level's value stands.
+    For each pass (levels, x) of _passes, level_sums(levels, x) evaluates
+    the integrand over the whole pass and returns the evaluations made and
+    a list with, per level up to the first failing one, the weighted sum of
+    the integrand over the level's new nodes, the weighted sum of their
+    error bounds, the level's evaluations, and a failure message ("" if
+    none). A level's estimate is its difference from the previous level
+    plus the weighted error bounds, floored at one rounding of the value (a
+    difference of exactly zero certifies nothing below that); the rule
+    converges when that is below tol.
+
+    Convergence is tested level by level, so a pass of several levels stops
+    at the same level, with the same value and estimate, as one pass per
+    level would. The evaluations reported are those made: a rule that
+    converges inside a pass counts the whole pass. On a failure the
+    previous level's value stands, and the evaluations are counted up to
+    the failing level only.
     """
     scale = b - a
     acc = acc_err = prev = 0.0
     estimate = math.inf
-    count = 0
+    done = 0  # evaluations of the finished passes
     for levels, x in _passes(a, b, max_level):
-        for level, (total, error, evals, message) in zip(levels, level_sums(levels, x)):
+        evaluated, sums = level_sums(levels, x)
+        count = done
+        for level, (total, error, evals, message) in zip(levels, sums):
             count += evals
             if message:
                 return QuadratureResult(prev, math.inf, count, False, message)
@@ -211,10 +234,11 @@ def _rule(
                 estimate = abs(value - prev) + h * acc_err
                 reported = max(estimate, _EPS * (1.0 + abs(value)))
                 if reported < tol:
-                    return QuadratureResult(value, reported, count, True)
+                    return QuadratureResult(value, reported, done + evaluated, True)
             prev = value
+        done += evaluated
     message = f"no convergence within {max_level} {what} levels"
-    return QuadratureResult(prev, estimate, count, False, message)
+    return QuadratureResult(prev, estimate, done, False, message)
 
 
 def _integrate_rows(
@@ -316,6 +340,10 @@ def integrate(
     singularities of log-power type at the endpoints are fine. max_level is
     the last level tried, 1 <= max_level <= MAX_LEVEL.
 
+    f is called once on the nodes of levels 1..min(3, max_level) and then
+    once per further level. evaluations counts every node evaluated, so a
+    result that converges at level 2 reports the whole first call.
+
     A non-finite integrand value at an interior node yields a failure
     result (converged False, infinite error estimate), never an exception.
     """
@@ -332,13 +360,16 @@ def integrate(
 
     def level_sums(levels, x):
         values = _block(np.reshape(f(x), (1, -1)), (1, x.size))
+        sums = []
         start = 0
         for level in levels:
             w = _interval_nodes(a, b, level)[1]
             stop = start + w.size
             total = np.einsum("ij,j->i", values[:, start:stop], w).item()
             start = stop
-            yield total, 0.0, w.size, "" if math.isfinite(total) else _NON_FINITE
+            message = "" if math.isfinite(total) else _NON_FINITE
+            sums.append((total, 0.0, w.size, message))
+        return x.size, sums
 
     return _rule(a, b, tol, max_level, level_sums, "refinement")
 
@@ -360,12 +391,14 @@ def integrate2d(
     makes the whole result non-converged; the message names the first
     failing outer node.
 
-    All outer nodes of a pass are integrated together, those of levels 1
-    and 2 as one block: each inner level evaluates f once on the
+    All outer nodes of a pass are integrated together, those of outer
+    levels 1 to 3 as one block: each inner level evaluates f once on the
     (outer rows x inner nodes) block of rows still running, and a row
-    drops out when it meets its inner test, so the evaluation count and
-    every inner result are those of the inner rule run on each outer node
-    alone (up to summation order, see _integrate_rows). A failure reports
+    drops out when it meets its inner test, so each row's evaluation count
+    and inner result are those of the inner rule run on its outer node
+    alone (up to summation order, see _integrate_rows). evaluations sums
+    the counts of every row integrated, so a result that converges at
+    outer level 2 includes the rows of outer level 3. A failure reports
     the first failing node in visiting order, with the evaluations made up
     to it.
 
@@ -385,6 +418,7 @@ def integrate2d(
         values, estimates, counts, failures = _integrate_rows(
             evaluate, us.size, inner_tol, max_level
         )
+        sums = []
         start = 0
         for level in levels:
             _, ws, n_low = _interval_nodes(0.0, 1.0, level)
@@ -404,16 +438,17 @@ def integrate2d(
                 )
                 row = min(failed, key=position.__getitem__)
                 u = float(us[start + row])
-                yield 0.0, 0.0, int(level_counts[position <= position[row]].sum()), (
-                    f"inner integral failed at u={u!r}: {failed[row]}"
-                )
-                return
-            yield (
+                count = int(level_counts[position <= position[row]].sum())
+                message = f"inner integral failed at u={u!r}: {failed[row]}"
+                sums.append((0.0, 0.0, count, message))
+                break
+            sums.append((
                 float((ws * values[start:stop]).sum()),
                 float((ws * estimates[start:stop]).sum()),
                 int(level_counts.sum()),
                 "",
-            )
+            ))
             start = stop
+        return int(counts.sum()), sums
 
     return _rule(0.0, 1.0, tol, max_level, level_sums, "outer refinement")

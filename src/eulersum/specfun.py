@@ -339,8 +339,7 @@ def harmonic_float(n: int) -> float:
     expansion log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) is already
     accurate to well below a rounding error.
     """
-    if n < 1:
-        raise ValueError(f"harmonic_float requires n >= 1, got {n}")
+    _check_integer("harmonic_float", "n", n, 1)
     if n <= 1_000_000:
         return math.fsum(1.0 / k for k in range(1, n + 1))
     x = float(n)

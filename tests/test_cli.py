@@ -10,6 +10,7 @@ import pytest
 from eulersum.cli import main
 from eulersum.constants import zeta
 from eulersum.eulersums import EulerSumSpec, sum_series
+from eulersum.specfun import polylog
 
 
 def run_cli(*args):
@@ -170,6 +171,14 @@ class TestTolValidation:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "0 < X < 1" in proc.stderr.splitlines()[-1]
+
+
+    @pytest.mark.parametrize("x", ["-1e-05", "-5e-324", "-1E-5"])
+    def test_negative_exponent_argument(self, x):
+        # argparse reads "-1e-05" as an option unless params take the rest.
+        code, out, err = run_cli("eval", "polylog", "2", x)
+        assert (code, err) == (0, "")
+        assert float(out) == polylog(2, float(x))
 
 
 class TestEvalErrors:

@@ -1,5 +1,5 @@
 """Hypothesis properties of zeta, polylog, polylog_one_minus, the Euler-sum
-routes and integrate.
+routes, integrate and the CLI's eval subcommands.
 
 Over each function's accepted domain (and just outside it), every call
 either returns a finite value within its bound or raises ValueError, and
@@ -8,7 +8,9 @@ s <= 200 is checked against mpmath at 30 digits; above that, Li_s(x) is
 within 2^(1-s) of x and zeta(s) within 2^(1-s) of 1, far below a rounding
 error. The Euler sums S(m; q) are checked against closed forms in mpmath
 at 30 digits (or a 30-digit partial sum with a bounded tail), integrals
-against their antiderivatives in mpmath.
+against their antiderivatives in mpmath. `eulersum eval` prints the
+package function's value and exits 0 on an accepted request, and
+otherwise exits 2 with a one-line message.
 """
 
 import functools
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eulersum.cli import main
 from eulersum.constants import CERTIFIED_ABS_ERROR, zeta
 from eulersum.eulersums import (
     MAX_Q,
@@ -284,3 +287,86 @@ def test_integrate(integral, tol, max_level):
         assert result.abs_error_estimate < tol
         # The README's bound: the true error within 10 times the estimate.
         assert abs(result.value - exact) <= 10.0 * result.abs_error_estimate
+
+
+# eval NAME: (parameter kinds, accepted domain, the package function).
+EVAL = {
+    "zeta": ("i", lambda s: s >= 2, zeta),
+    "polylog": (
+        "if",
+        lambda s, x: s >= 0 and -1.0 <= x <= 1.0 and not (x == 1.0 and s < 2),
+        polylog,
+    ),
+    "hsum": (
+        "ii",
+        lambda m, q: m in (1, 2) and 2 <= q <= MAX_Q,
+        lambda m, q: sum_series(EulerSumSpec(m, q)),
+    ),
+    "gp": ("i", lambda p: 1 <= p <= (MAX_Q - 1) // 2, sum_gp_closed_form),
+    "integral": ("i", lambda q: 2 <= q <= MAX_Q, sum_via_integral),
+}
+cli_ints = st.one_of(
+    st.integers(min_value=-3, max_value=70),
+    st.sampled_from([MAX_Q, MAX_Q + 1, (MAX_Q - 1) // 2, (MAX_Q + 1) // 2, 10**12]),
+    st.integers(min_value=-(10**15), max_value=10**15),
+)
+cli_floats = st.one_of(
+    st.floats(min_value=-1.5, max_value=1.5),
+    st.sampled_from([-1.0, 1.0, -0.0, -1e-05, 5e-324, -5e-324, math.inf, math.nan]),
+    st.floats(),
+)
+# Strings that are no number of either kind, or no int ("2.0", "1e3"), or
+# out of every domain as a float ("2.0", "1e3", "nan"); "-h" and "-x" look
+# like options.
+cli_junk = st.sampled_from(
+    ["", "x", "2.0", "2.5", "1e3", "0x10", "1,5", "nan", "-h", "-x"]
+)
+
+
+@st.composite
+def eval_requests(draw):
+    """(name, parameter strings, accepted?) for `eulersum eval`."""
+    name = draw(st.sampled_from(sorted(EVAL)))
+    kinds, in_domain, _ = EVAL[name]
+    params, values = [], []
+    for kind in kinds:
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            params.append(draw(cli_junk))
+            values.append(None)
+        else:
+            value = draw(cli_ints if kind == "i" else cli_floats)
+            params.append(str(value) if kind == "i" else repr(value))
+            values.append(value)
+    # Sometimes one parameter too few or too many.
+    extra = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    if extra < 0:
+        params.pop()
+    elif extra > 0:
+        params.append("2")
+    accepted = extra == 0 and None not in values and in_domain(*values)
+    return name, params, accepted
+
+
+@settings(
+    SETTINGS,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(eval_requests())
+def test_cli_eval(capsys, eval_request):
+    name, params, accepted = eval_request
+    capsys.readouterr()  # drop the output of earlier examples
+    start = time.perf_counter()
+    code = main(["eval", name, *params])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    if accepted:
+        assert (code, err) == (0, "")
+        value = float(out)
+        assert out == f"{value!r}\n" and math.isfinite(value)
+        kinds, _, function = EVAL[name]
+        args = [int(p) if k == "i" else float(p) for k, p in zip(kinds, params)]
+        assert value == function(*args)
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"eulersum: eval {name}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")

@@ -1,6 +1,7 @@
 """Quadrature engine: the reference battery has independently known values."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,8 +331,16 @@ def node_counts(a=0.0, b=1.0):
     return [_interval_nodes(a, b, level)[0].size for level in range(1, MAX_LEVEL + 1)]
 
 
+def opening_nodes(a, b, last):
+    """Abscissas of levels 1..last on (a, b), in level order."""
+    return np.concatenate(
+        [_interval_nodes(a, b, level)[0] for level in range(1, last + 1)]
+    )
+
+
 class TestLevelPasses:
-    """Each level is one integrand call over both halves of the interval."""
+    """Levels 1-3 are one integrand call, every later level one call, each
+    over both halves of the interval."""
 
     @pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
     def test_level_table_matches_math_construction(self, level):
@@ -378,18 +387,19 @@ class TestLevelPasses:
         ],
     )
     def test_one_integrand_call_per_level(self, f, a, b, tol):
-        sizes = []
+        seen = []
 
         def counting(t):
-            sizes.append(t.size)
+            seen.append(t.copy())
             return f(t)
 
         r = integrate(counting, a, b, tol)
         assert r.converged
-        # Levels 1 and 2 are one call on both levels' nodes, every later
-        # level one call on its own.
-        counts = node_counts(a, b)
-        assert sizes == [counts[0] + counts[1]] + counts[2 : len(sizes) + 1]
+        # Levels 1-3 are one call on the three levels' nodes in level
+        # order, every later level one call on its own.
+        assert np.array_equal(seen[0], opening_nodes(a, b, 3))
+        sizes = [t.size for t in seen]
+        assert sizes[1:] == node_counts(a, b)[3 : len(sizes) + 2]
         assert sum(sizes) == r.evaluations
 
     def test_2d_kernel_called_once_per_inner_level(self):
@@ -403,7 +413,7 @@ class TestLevelPasses:
 
         r = integrate2d(f, 1e-8)
         assert r.converged
-        # Outer levels 1 and 2 are one block of both levels' nodes, every
+        # Outer levels 1-3 are one block of the three levels' nodes, every
         # later outer level one block of its own; inner levels 1, 2, ...
         # each make one call on the rows still running, so the call sizes
         # restart at inner level 1 exactly once per block.
@@ -412,7 +422,8 @@ class TestLevelPasses:
             if t_size == counts[0]:
                 runs.append([])
             runs[-1].append((t_size, rows))
-        block_rows = [counts[0] + counts[1]] + counts[2:]
+        block_rows = [sum(counts[:3])] + counts[3:]
+        assert block_rows[0] == 75
         assert len(runs) <= len(block_rows)
         for first_rows, run in zip(block_rows, runs):
             assert [t for t, _ in run] == counts[: len(run)]
@@ -420,6 +431,67 @@ class TestLevelPasses:
             assert rows[0] == first_rows
             assert rows == sorted(rows, reverse=True)  # rows only leave
         assert sum(t * n for t, n in calls) == r.evaluations
+
+    @pytest.mark.parametrize("max_level", [1, 2, 3])
+    def test_no_node_above_max_level(self, max_level):
+        allowed = opening_nodes(0.0, 1.0, max_level)
+        seen = []
+
+        def f(t):
+            seen.append(t.copy())
+            return np.log(t)
+
+        r = integrate(f, 0.0, 1.0, 1e-18, max_level=max_level)
+        assert not r.converged
+        assert len(seen) == 1 and np.array_equal(seen[0], allowed)
+        assert r.evaluations == allowed.size
+
+        seen_t, seen_u = [], []
+
+        def g(t, u):
+            seen_t.append(np.ravel(t).copy())
+            seen_u.append(np.ravel(u).copy())
+            return np.log(t) * np.log(u)
+
+        r = integrate2d(g, 1e-18, max_level=max_level)
+        assert not r.converged
+        # One outer block of all outer nodes up to max_level, and inner
+        # calls on the inner nodes of levels 1..max_level, in order.
+        assert np.array_equal(np.unique(np.concatenate(seen_u)), np.unique(allowed))
+        assert np.array_equal(np.concatenate(seen_t), allowed)
+
+    def test_level_2_convergence_counts_the_opening_pass(self):
+        # At tol 1e-5 the rule stops at level 2 (at 1e-6 it needs level 3),
+        # after one call on the nodes of levels 1-3.
+        def f(t):
+            return np.log(t) ** 2 / (1.0 - t)
+
+        counts = node_counts()
+        r = integrate(f, 0.0, 1.0, 1e-5)
+        ref = float_loop(f, 0.0, 1.0, 1e-5, relative=False)
+        assert ref.converged and ref.evaluations == counts[0] + counts[1]
+        assert r.converged and r.evaluations == sum(counts[:3]) == 75
+        assert r.value.hex() == ref.value.hex()
+        assert r.abs_error_estimate.hex() == ref.abs_error_estimate.hex()
+
+    def test_2d_outer_level_2_convergence_counts_the_opening_block(self):
+        # t u at tol 1e-3: the outer rule stops at level 2, every inner
+        # integral at inner level 2, so all 75 rows of the opening block
+        # count 38 evaluations each, where one block per outer level counts
+        # the 38 rows of levels 1 and 2 only.
+        calls = []
+
+        def f(t, u):
+            calls.append((t.size, u.size))
+            return t * u
+
+        block = integrate2d(f, 1e-3)
+        loop = per_node_integrate2d(lambda t, u: t * u, 1e-3)
+        assert block.converged and loop.converged
+        assert loop.evaluations == 38 * 38
+        assert block.evaluations == sum(t * n for t, n in calls) == 75 * 38
+        assert block.value == loop.value
+        assert_same_estimate(block, loop)
 
 
 def one_row_integrate(f, tol, *, max_level=MAX_LEVEL):
@@ -475,6 +547,9 @@ ONE_ROW_CASES = [
     ("constant", lambda t: 1.0, lambda t: 1.0, 0.0, 1.0, 1e-15),
     ("endpoint-singular", lambda t: math.log(t) ** 2 / (1.0 - t),
      lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-12),
+    # Converges at level 2, inside the opening pass of levels 1-3.
+    ("level-2", lambda t: math.log(t) ** 2 / (1.0 - t),
+     lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-5),
     ("large", lambda t: 1e6 * math.log(t), lambda t: 1e6 * np.log(t),
      0.0, 1.0, 1e-9),
     ("non-finite-interior", lambda t: math.inf if 0.4 < t < 0.6 else 1.0,
@@ -521,11 +596,16 @@ class TestFloatLoop:
     ):
         f = f_vector if native else np.vectorize(f_scalar, otypes=[float])
         for max_level in (1, 2, 3, MAX_LEVEL):
+            ref = float_loop(f, a, b, tol, relative=relative, max_level=max_level)
             if relative:
                 r = one_row_integrate(f, tol, max_level=max_level)
             else:
                 r = integrate(f, a, b, tol, max_level=max_level)
-            ref = float_loop(f, a, b, tol, relative=relative, max_level=max_level)
+                if ref.converged:
+                    # integrate() evaluates levels 1..3 in one pass and
+                    # counts every node it evaluated.
+                    opening = opening_nodes(a, b, min(3, max_level)).size
+                    ref = replace(ref, evaluations=max(ref.evaluations, opening))
             assert bits(r) == bits(ref), (name, max_level)
             assert type(r.value) is float and type(r.abs_error_estimate) is float
 

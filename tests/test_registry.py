@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from paper_kernels import raw_double_integral_kernel
 
-from eulersum import eulersums, exactmath, registry as registry_module
+from eulersum import eulersums, exactmath, quad, registry as registry_module
 from eulersum.quad import integrate2d
 from eulersum.registry import (
     IdentityCase,
@@ -388,6 +388,34 @@ class TestEvaluationCounts:
         (result,) = report.cases
         assert result.status == "pass"
         assert result.evaluations == evaluations
+
+
+    def test_integrand_calls_per_suite_pass(self, monkeypatch):
+        # Levels 1-3 are one pass: every 1-D rule of the suite converges at
+        # level 3 or 4, so it makes one or two integrand calls, and both
+        # 2-D rules converge at outer level 3, one kernel call per inner
+        # level of one outer block.
+        calls = {"integrate": 0, "integrate2d": 0}
+
+        def counted(name):
+            rule = getattr(quad, name)
+
+            def run(f, *args, **kwargs):
+                def f_counted(*x):
+                    calls[name] += 1
+                    return f(*x)
+
+                return rule(f_counted, *args, **kwargs)
+
+            return run
+
+        for module in (eulersums, registry_module):
+            for name in calls:
+                if getattr(module, name, None) is getattr(quad, name):
+                    monkeypatch.setattr(module, name, counted(name))
+        report = run_suite()
+        assert report.summary["passed"] == report.summary["total"]
+        assert calls == {"integrate": 18, "integrate2d": 6}
 
 
 class TestQuadratureTrustGate:

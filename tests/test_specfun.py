@@ -325,6 +325,11 @@ class TestHarmonicFloat:
         with pytest.raises(ValueError):
             harmonic_float(0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, None, "3"])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="harmonic_float requires an integer n"):
+            harmonic_float(n)
+
 
 class TestPolylogEval:
     def test_wrapper_fields(self):
