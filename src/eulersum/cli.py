@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -26,25 +27,34 @@ from .specfun import polylog
 
 __all__ = ["main"]
 
+# Numbers are plain ASCII decimal literals: int() and float() also read
+# "3_0", " 3 " and "٣". re compiles it on first use, not at import.
+_DECIMAL = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+
+
+def _number(text: str, kind: type = int):
+    if not re.fullmatch(_DECIMAL, text):
+        raise ValueError(f"expected a decimal number, got {text!r}")
+    return kind(text)  # int() still rejects "2.5" and "1e3"
+
+
 # eval NAME: its parameter names and its evaluation from the parameter
 # strings. The package functions are looked up when a request runs, so
 # wrappers installed on the modules' namespaces apply.
 _EVAL = {
-    "zeta": (("s",), lambda s: zeta(int(s))),
-    "polylog": (("s", "x"), lambda s, x: polylog(int(s), float(x))),
-    "hsum": (
-        ("m", "q"),
-        lambda m, q: eulersums.sum_series(eulersums.EulerSumSpec(int(m), int(q))),
-    ),
-    "gp": (("p",), lambda p: eulersums.sum_gp_closed_form(int(p))),
-    "integral": (("q",), lambda q: eulersums.sum_via_integral(int(q))),
+    "zeta": (("s",), lambda s: zeta(_number(s))),
+    "polylog": (("s", "x"), lambda s, x: polylog(_number(s), _number(x, float))),
+    "hsum": (("m", "q"), lambda m, q: eulersums.sum_series(
+        eulersums.EulerSumSpec(_number(m), _number(q)))),
+    "gp": (("p",), lambda p: eulersums.sum_gp_closed_form(_number(p))),
+    "integral": (("q",), lambda q: eulersums.sum_via_integral(_number(q))),
 }
 
 
 def _tolerance(text: str) -> float:
     """--tol value, held to the registry's rule for tol_override."""
     try:
-        value = float(text)
+        value = _number(text, float)
         registry._check_tol_override(value)
     except ValueError:
         raise argparse.ArgumentTypeError(

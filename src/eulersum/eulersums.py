@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -191,31 +192,23 @@ def _harmonic_power_expansion(m: int) -> tuple:
     return tuple(expansion.items())
 
 
-def _harmonic_table() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(H_1..H_200 by compensated summation, 1.0..200.0), n to SERIES_CUTOFF."""
-    h = 0.0
-    comp = 0.0  # Neumaier compensation for the running harmonic number
-    harmonics = []
-    for n in range(1, SERIES_CUTOFF + 1):
-        t = 1.0 / n
-        s = h + t
-        if abs(h) >= abs(t):
-            comp += (h - s) + t
-        else:
-            comp += (t - s) + h
-        h = s
-        harmonics.append(h + comp)
-    return tuple(harmonics), tuple(float(n) for n in range(1, SERIES_CUTOFF + 1))
-
-
-_HARMONICS, _NS = _harmonic_table()
+# n = 1..200, and H_n as the correctly rounded sum of the doubles 1.0/k,
+# math.fsum's value: for k <= 256 each is a multiple of 2^-60, so the
+# prefix sums of the integers 2^60/k are exact.
+_NS = tuple(float(n) for n in range(1, SERIES_CUTOFF + 1))
+_HARMONICS = tuple(s / 2**60 for s in accumulate(int(2.0**60 / n) for n in _NS))
+_HARMONIC_POWERS = {m: np.array([h**m for h in _HARMONICS]) for m in (1, 2)}
+_N_ARRAY = np.array(_NS)
 
 
 def sum_series(spec: EulerSumSpec, tol: float = 1e-10) -> float:
     """S(h_power; q) by direct summation with an Euler-Maclaurin tail.
 
-    The partial sum runs to n = SERIES_CUTOFF = 200 over a table of H_n
-    built once, at import, by compensated accumulation; the tail sums the
+    The partial sum runs to n = SERIES_CUTOFF = 200 as one array
+    expression over tables of H_n^m and n built at import, then math.fsum,
+    several times faster than 200 Python powers and divisions; numpy's n^q
+    may round an ulp off the math module's above 2^53, far below the sum's
+    last bit (a test pins the double for every q < 64). The tail sums the
     asymptotic form of H_n^m / n^q (for m = 2 the squared expansion is
     truncated consistently at order n^-4 inside the square; the first
     dropped term, 1/(120 n^5), sums to about 2e-17 beyond n = 200). The
@@ -228,7 +221,7 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10) -> float:
     m, q = spec.h_power, spec.q
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
-    partial = math.fsum([h**m / n**q for h, n in zip(_HARMONICS, _NS)])
+    partial = math.fsum((_HARMONIC_POWERS[m] / _N_ARRAY**q).tolist())
     return partial + _tail_sum(_harmonic_power_expansion(m), q, SERIES_CUTOFF)
 
 

@@ -129,7 +129,8 @@ def alt_binomial_sum(n: int, p: int) -> Rational:
     """
     _check_integer("alt_binomial_sum", "n", n, 1)
     _check_integer("alt_binomial_sum", "exponent", p, 1)
-    return weighted_power_sum(_signed_binomials(n)[1:], p)
+    shares, denominator = _share_table(n, p)
+    return Fraction(sum(map(mul, _signed_binomials(n)[1:], shares)), denominator)
 
 
 def moment_integral_exact(n: int, p: int) -> Rational:

@@ -146,14 +146,13 @@ def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseRe
     """
     _check_tol_override(tol_override)
     tol = case.tol
-    if case.kind == "numeric" and tol_override is not None:
+    if tol and tol_override is not None:
         tol = max(tol, tol_override)
-    result = CaseResult(case.id, "error", None, None, None, None, tol, 0, 0.0)
     start = time.perf_counter()
     try:
         lhs, lhs_evals = _eval_side(case.lhs)
         rhs, rhs_evals = _eval_side(case.rhs)
-        if case.kind == "exact":
+        if not tol:  # an exact case: tol 0, which no override changes
             if not isinstance(lhs, Fraction) or not isinstance(rhs, Fraction):
                 raise TypeError("exact case sides must evaluate to Fractions")
             passed = lhs == rhs
@@ -171,14 +170,15 @@ def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseRe
             rel_res = abs_res / denom if denom else 0.0
             bound = tol if case.criterion == "abs" else tol * max(1e-300, denom)
             passed = abs_res <= bound
-        result.status = "pass" if passed else "fail"
-        result.lhs_value, result.rhs_value = lhs, rhs
-        result.abs_residual, result.rel_residual = abs_res, rel_res
-        result.evaluations = lhs_evals + rhs_evals
+        status = "pass" if passed else "fail"
+        evaluations, message = lhs_evals + rhs_evals, ""
     except Exception as exc:  # evaluator failures are data, not control flow
-        result.message = f"{type(exc).__name__}: {exc}"
-    result.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return result
+        status, message = "error", f"{type(exc).__name__}: {exc}"
+        lhs = rhs = abs_res = rel_res = None
+        evaluations = 0
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    return CaseResult(case.id, status, lhs, rhs, abs_res, rel_res, tol,
+                      evaluations, elapsed_ms, message)
 
 
 def run_suite(
@@ -237,6 +237,12 @@ def inject_failure(cases: list[IdentityCase], case_id: str) -> list[IdentityCase
 # --------------------------------------------------------------------------
 # Builtin cases
 # --------------------------------------------------------------------------
+
+
+def _factorial_times_alt_sum(n: int, p: int) -> Fraction:
+    """p! alt_binomial_sum(n, p) from its integer pair, not int * Fraction."""
+    alt_sum = alt_binomial_sum(n, p)
+    return Fraction(factorial(p) * alt_sum.numerator, alt_sum.denominator)
 
 
 def _log_power_integral(p: int) -> QuadratureResult:
@@ -301,7 +307,7 @@ _CATALOGUE = (
         "binomial-exact/n={n},p={p}",
         "p! * alternating binomial sum equals the moment expansion of the "
         "beta-log integral (n={n}, p={p})",
-        lambda n, p: factorial(p) * alt_binomial_sum(n, p),
+        _factorial_times_alt_sum,
         lambda n, p: moment_integral_exact(n, p),
         source="binomial moment identity",
         grid=tuple({"n": n, "p": p} for n in range(1, 13) for p in range(1, 5)),

@@ -181,6 +181,49 @@ class TestTolValidation:
         assert float(out) == polylog(2, float(x))
 
 
+class TestStrictNumbers:
+    """Parameters and --tol are plain ASCII decimal literals: int() and
+    float() would also read digit-group underscores, surrounding whitespace
+    and non-ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("zeta", "3_0"), ("zeta", " 3"), ("zeta", "3 "), ("zeta", "\u0663"),
+         ("hsum", "1", "\u0663"), ("hsum", "1_0", "2"), ("gp", "\uff11"),
+         ("integral", "+2\n"), ("polylog", "2", " 0.5_0 "),
+         ("polylog", "2", "0.5_0"), ("polylog", "2", "\u0660.5"),
+         ("polylog", "2", "nan"), ("polylog", "2", "0x1p-1")],
+    )
+    def test_eval_rejects_non_decimal_parameters(self, args):
+        code, out, err = run_cli("eval", *args)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"eulersum: eval {args[0]}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "args,value",
+        [(("zeta", "+3"), zeta(3)), (("polylog", "2", ".5"), polylog(2, 0.5)),
+         (("polylog", "2", "-1."), polylog(2, -1.0)),
+         (("polylog", "2", "5E-1"), polylog(2, 0.5))],
+    )
+    def test_eval_accepts_decimal_literals(self, args, value):
+        assert run_cli("eval", *args) == (0, f"{value!r}\n", "")
+
+    @pytest.mark.parametrize(
+        "value", [" 0.000_1 ", " 0.5 ", "0.5 ", "1e-0_3", "\u0660.5", "0x1p-1"]
+    )
+    def test_tol_rejects_non_decimal_values(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--filter", "zeta", "--tol", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "eulersum verify: error: argument --tol: must be a finite number "
+            f"with 0 < X < 1, got {value!r}"
+        )
+
+
 class TestEvalErrors:
     def test_overflow_exits_2(self):
         code, out, err = run_cli("eval", "hsum", "2", "1000000000000")

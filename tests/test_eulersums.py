@@ -154,10 +154,26 @@ class TestSeriesTables:
         assert sum_series(EulerSumSpec(m, q)) == expected
         assert sum_series(EulerSumSpec(m, q)) == expected  # memoised tables
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", range(2, 64))
+    def test_bit_identical_to_per_term_formula(self, m, q):
+        # The partial sum as 200 Python powers and divisions, plus the tail.
+        partial = math.fsum(
+            [h**m / n**q for h, n in zip(eulersums._HARMONICS, eulersums._NS)]
+        )
+        tail = eulersums._tail_sum(
+            eulersums._harmonic_power_expansion(m), q, eulersums.SERIES_CUTOFF
+        )
+        assert sum_series(EulerSumSpec(m, q)) == partial + tail
+
     def test_tables_are_immutable_and_bounded(self):
         harmonics, ns = eulersums._HARMONICS, eulersums._NS
         assert type(harmonics) is tuple and type(ns) is tuple
         assert len(harmonics) == len(ns) == eulersums.SERIES_CUTOFF
+        assert ns == tuple(float(n) for n in range(1, eulersums.SERIES_CUTOFF + 1))
+        assert harmonics == tuple(
+            math.fsum(1.0 / k for k in range(1, n + 1)) for n in range(1, 201)
+        )
         chain = eulersums._derivative_chain(1, 3)
         assert type(chain) is tuple and all(type(d) is tuple for d in chain)
         assert type(eulersums._harmonic_power_expansion(2)) is tuple

@@ -317,9 +317,12 @@ cli_floats = st.one_of(
 )
 # Strings that are no number of either kind, or no int ("2.0", "1e3"), or
 # out of every domain as a float ("2.0", "1e3", "nan"); "-h" and "-x" look
-# like options.
+# like options. The rest are no ASCII decimal literal, though int() or
+# float() would read them: underscores, surrounding whitespace, non-ASCII
+# digits.
 cli_junk = st.sampled_from(
-    ["", "x", "2.0", "2.5", "1e3", "0x10", "1,5", "nan", "-h", "-x"]
+    ["", "x", "2.0", "2.5", "1e3", "0x10", "1,5", "nan", "-h", "-x",
+     "3_0", " 3", "3 ", "\u0663", "1_000", " 0.5 ", "0.5_0", "\t2", "\u0660.5"]
 )
 
 

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,38 @@ class TestRunCase:
             assert result.abs_residual == 0.0 and result.rel_residual == 0.0
             assert type(result.abs_residual) is float
             assert type(result.rel_residual) is float
+
+    def test_exact_sides_match_a_naive_oracle(self, registry):
+        # Term by term in Fractions, with no share table or binomial row.
+        def alt_sum(n, p):
+            return factorial(p) * sum(
+                Fraction(comb(n, k) * (-1) ** k, k**p) for k in range(1, n + 1)
+            )
+
+        def moments(n, p):
+            # (-1)^(p+1) n sum_j C(n-1, j) (-1)^j int_0^1 t^j log(t)^p dt
+            return (-1) ** (p + 1) * n * sum(
+                Fraction(comb(n - 1, j) * (-1) ** j * (-1) ** p * factorial(p),
+                         (j + 1) ** (p + 1))
+                for j in range(n)
+            )
+
+        def minus_harmonic(n):
+            return -sum(Fraction(1, k) for k in range(1, n + 1))
+
+        exact = [case for case in registry if case.kind == "exact"]
+        assert len(exact) == 108
+        for case in exact:
+            family, _, point = case.id.partition("/")
+            params = {key: int(value) for key, value in
+                      (item.split("=") for item in point.split(","))}
+            if family == "binomial-exact":
+                expected = alt_sum(**params), moments(**params)
+            else:
+                assert family == "altsum-harmonic"
+                expected = alt_sum(params["n"], 1), minus_harmonic(params["n"])
+            result = run_case(case)
+            assert (result.lhs_value, result.rhs_value) == tuple(map(str, expected))
 
     def test_unequal_exact_sides_report_their_residual(self, registry):
         cases = inject_failure(registry, "binomial-exact/n=3,p=2")

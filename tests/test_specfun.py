@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from eulersum import specfun
+from eulersum.cli import main
 from eulersum.constants import zeta
 from eulersum.exactmath import harmonic_exact
 from eulersum.specfun import (
@@ -339,3 +341,48 @@ class TestPolylogEval:
         assert result.argument == 0.5
         assert result.value == polylog(2, 0.5)
         assert result.abs_error_bound == POLYLOG_ABS_ERROR
+
+
+def float_horner(coeffs, x: float) -> float:
+    """Horner's rule on one Python float, the reference for _horner's array
+    path: the same multiply and add per coefficient, without numpy."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    acc = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        acc = acc * x + c
+    return acc
+
+
+class TestHornerArrayPath:
+    """The array path adds 0-d float64 coefficients; every double it returns
+    is that of the Python-float loop on the same point."""
+
+    ORDERS = [*range(2, 12), 63]
+
+    @pytest.mark.parametrize("size", [1, 27, 1000])
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_bit_identical_to_float_loop(self, s, size):
+        rng = np.random.default_rng(1000 * s + size)
+        tables = [
+            (specfun._taylor_coeffs(s), rng.uniform(-0.5, 0.5, size)),
+            (specfun._log_expansion_coeffs(s)[0], rng.uniform(-math.log(2.0), 0.0, size)),
+        ]
+        for coeffs, x in tables:
+            values = specfun._horner(coeffs, x)
+            if len(coeffs) == 1:  # a constant (Taylor from s = 57) stays a float
+                values = np.full_like(x, values)
+            assert type(values) is np.ndarray and values.shape == x.shape
+            assert values.tolist() == [float_horner(coeffs, p) for p in x.tolist()]
+
+    def test_scalar_paths_return_python_floats(self):
+        # Taylor, log expansion, argument squaring; then t < 1/2 and t >= 1/2.
+        for s in (2, 3, 11, 63):
+            for x in (0.3, 0.9, -0.9):
+                assert type(polylog(s, x)) is float
+            for t in (1e-3, 0.3, 0.7):
+                assert type(polylog_one_minus(s, t)) is float
+
+    def test_eval_prints_the_same_double(self, capsys):
+        assert main(["eval", "polylog", "2", "0.5"]) == 0
+        assert capsys.readouterr().out == "0.5822405264650126\n"
