@@ -63,8 +63,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one line, "<prog>: error: <message>", exit 2;
+    subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eulersum",
         description="Verify the package's Euler-sum and polylogarithm identities.",
     )

@@ -4,7 +4,8 @@ Everything here is arithmetic over arbitrary-precision integers and
 fractions; nothing rounds. The exact paths exist so that the finite
 identities (the alternating binomial sum against its moment-expansion
 form, Bernoulli recurrences, harmonic differences) can be tested by
-structural equality instead of tolerances.
+structural equality instead of tolerances: a Fraction is fully reduced,
+with a positive denominator, after every operation.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Iterable
 
-# Exact rational type used across the package. fractions.Fraction already
-# maintains the canonical form the equality checks rely on: fully reduced
-# terms and a strictly positive denominator after every operation.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "binomial",
     "harmonic_exact",
     "alt_binomial_sum",
@@ -87,7 +82,7 @@ def _share_table(n: int, p: int) -> tuple[tuple[int, ...], int]:
     return _build_share_table(n, p)
 
 
-def weighted_power_sum(weights: Iterable[int], p: int) -> Rational:
+def weighted_power_sum(weights: Iterable[int], p: int) -> Fraction:
     """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n and p >= 0."""
     _check_integer("weighted_power_sum", "exponent", p, 0)
     weights = tuple(weights)
@@ -114,7 +109,7 @@ def _signed_binomials(n: int) -> tuple[int, ...]:
     return _build_signed_binomials(n)
 
 
-def harmonic_exact(n: int, r: int = 1) -> Rational:
+def harmonic_exact(n: int, r: int = 1) -> Fraction:
     """Generalised harmonic number sum_{k=1..n} 1/k^r as an exact fraction."""
     _check_integer("harmonic_exact", "n", n, 1)
     _check_integer("harmonic_exact", "exponent", r, 1)
@@ -122,7 +117,7 @@ def harmonic_exact(n: int, r: int = 1) -> Rational:
     return Fraction(sum(shares), denominator)
 
 
-def alt_binomial_sum(n: int, p: int) -> Rational:
+def alt_binomial_sum(n: int, p: int) -> Fraction:
     """Alternating binomial sum  sum_{k=1..n} C(n, k) (-1)^k / k^p, exactly.
 
     For p = 1 the sum telescopes to -H_n, the negated harmonic number.
@@ -133,7 +128,7 @@ def alt_binomial_sum(n: int, p: int) -> Rational:
     return Fraction(sum(map(mul, _signed_binomials(n)[1:], shares)), denominator)
 
 
-def moment_integral_exact(n: int, p: int) -> Rational:
+def moment_integral_exact(n: int, p: int) -> Fraction:
     """Exact value of (-1)^(p+1) * n * integral_0^1 (1-t)^(n-1) log(t)^p dt.
 
     Computed by expanding (1-t)^(n-1) binomially and using the monomial
@@ -167,7 +162,7 @@ def _extend_bernoulli(m: int) -> None:
         _BERNOULLI.append(-acc / (idx + 1))
 
 
-def bernoulli(m: int) -> Rational:
+def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m for even m >= 0, exactly.
 
     Odd indices are rejected: B_1 is a convention question and B_m = 0 for

@@ -21,9 +21,9 @@ matrix-vector product. The first pass covers levels 1 to 3 (75 nodes on
 (0, 1)): every call runs levels 1 and 2 (the test needs a level
 difference), and the integrals of the verification suite all run level 3
 as well. Convergence is still tested level by level, so the values,
-estimates and stopping levels are those of one pass per level; the
-evaluation count is the number of points evaluated, so a rule that stops
-at level 2 counts the 75 nodes of the first pass.
+estimates and stopping levels are those of one pass per level. Every
+result, converged or failed, counts the points evaluated, so a rule that
+stops or fails at level 2 counts the 75 nodes of the first pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
 Mori, 1974) are one level loop, _rule, kept in Python floats: the same
@@ -126,10 +126,8 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=2 * MAX_LEVEL)
-def _interval_nodes(
-    a: float, b: float, level: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Abscissas, weights and low-side count of one level on (a, b).
+def _interval_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and weights of one level on (a, b).
 
     The low side a + (b - a) delta comes first, then the mirrored high side
     b - (b - a) delta, each in table order. Each side keeps only the nodes
@@ -150,7 +148,7 @@ def _interval_nodes(
     w = np.concatenate((weights[keep_lo], weights[keep_hi]))
     x.flags.writeable = False
     w.flags.writeable = False
-    return x, w, int(keep_lo.sum())
+    return x, w
 
 
 # Levels of the first evaluation pass: every call runs levels 1 and 2, and
@@ -202,30 +200,28 @@ def _rule(
     the integrand over the whole pass and returns the evaluations made and
     a list with, per level up to the first failing one, the weighted sum of
     the integrand over the level's new nodes, the weighted sum of their
-    error bounds, the level's evaluations, and a failure message ("" if
-    none). A level's estimate is its difference from the previous level
-    plus the weighted error bounds, floored at one rounding of the value (a
-    difference of exactly zero certifies nothing below that); the rule
-    converges when that is below tol.
+    error bounds, and a failure message ("" if none). A level's estimate is
+    its difference from the previous level plus the weighted error bounds,
+    floored at one rounding of the value (a difference of exactly zero
+    certifies nothing below that); the rule converges when that is below
+    tol.
 
     Convergence is tested level by level, so a pass of several levels stops
     at the same level, with the same value and estimate, as one pass per
-    level would. The evaluations reported are those made: a rule that
-    converges inside a pass counts the whole pass. On a failure the
-    previous level's value stands, and the evaluations are counted up to
-    the failing level only.
+    level would. The evaluations reported are those made, whether the rule
+    converges or fails: a rule that stops inside a pass counts the whole
+    pass. On a failure the previous level's value stands.
     """
     scale = b - a
     acc = acc_err = prev = 0.0
     estimate = math.inf
-    done = 0  # evaluations of the finished passes
+    done = 0  # evaluations made
     for levels, x in _passes(a, b, max_level):
         evaluated, sums = level_sums(levels, x)
-        count = done
-        for level, (total, error, evals, message) in zip(levels, sums):
-            count += evals
+        done += evaluated
+        for level, (total, error, message) in zip(levels, sums):
             if message:
-                return QuadratureResult(prev, math.inf, count, False, message)
+                return QuadratureResult(prev, math.inf, done, False, message)
             acc += total
             acc_err += error
             h = 2.0**-level * scale
@@ -234,9 +230,8 @@ def _rule(
                 estimate = abs(value - prev) + h * acc_err
                 reported = max(estimate, _EPS * (1.0 + abs(value)))
                 if reported < tol:
-                    return QuadratureResult(value, reported, done + evaluated, True)
+                    return QuadratureResult(value, reported, done, True)
             prev = value
-        done += evaluated
     message = f"no convergence within {max_level} {what} levels"
     return QuadratureResult(prev, estimate, done, False, message)
 
@@ -246,7 +241,7 @@ def _integrate_rows(
     rows: int,
     tol: float,
     max_level: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+) -> tuple[np.ndarray, np.ndarray, int, dict[int, str]]:
     """Tanh-sinh over (0, 1) for `rows` integrands at once: the inner rule
     of integrate2d.
 
@@ -255,25 +250,22 @@ def _integrate_rows(
     call on all of its new nodes, both halves of the interval, for every
     row still running, and weights the block by one matrix-vector product;
     a row leaves the block at the level where it passes the convergence
-    test, so its evaluation count is that of the rule run on that row
-    alone, and so are its value and estimate up to summation order (from
-    level 11, over 8192 nodes, numpy's einsum can sum a block of several
-    rows in another order than one row). The test is relative to the row's
-    value: reported < tol * max(1, |value|). Returns per-row (value,
-    abs_error_estimate, evaluations) and a map from each failed row to its
-    message.
+    test or fails, so its value and estimate are those of the rule run on
+    that row alone, up to summation order (from level 11, over 8192 nodes,
+    numpy's einsum can sum a block of several rows in another order than
+    one row). The test is relative to the row's value: reported < tol *
+    max(1, |value|). Returns per-row (value, abs_error_estimate), the
+    evaluations made and a map from each failed row to its message.
     """
     value_out = np.zeros(rows)
     estimate_out = np.full(rows, math.inf)
-    evals_out = np.zeros(rows, dtype=np.int64)
     failures: dict[int, str] = {}
-    # State of the rows still running, aligned with live. Every live row
-    # has run the same levels, so one evaluation count serves them all.
+    # State of the rows still running, aligned with live.
     live = np.arange(rows)
     acc = np.zeros(rows)
     prev = np.zeros(rows)
     diff = np.full(rows, math.inf)
-    count = 0
+    evaluations = 0
 
     def finish(keep: np.ndarray, values: np.ndarray, estimates: np.ndarray) -> None:
         """Record the rows not in keep as finished and drop them from live."""
@@ -281,14 +273,13 @@ def _integrate_rows(
         gone = live[~keep]
         value_out[gone] = values[~keep]
         estimate_out[gone] = estimates[~keep]
-        evals_out[gone] = count
         live, acc, prev, diff = live[keep], acc[keep], prev[keep], diff[keep]
 
     for level in range(1, max_level + 1):
         if live.size == 0:
             break
-        x, w, _ = _interval_nodes(0.0, 1.0, level)
-        count += x.size
+        x, w = _interval_nodes(0.0, 1.0, level)
+        evaluations += live.size * x.size
         # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
         # resident buffers on its first call, for no gain at these sizes.
         sums = np.einsum("ij,j->i", _block(evaluate(x, live), (live.size, x.size)), w)
@@ -318,8 +309,7 @@ def _integrate_rows(
         failures[row] = f"no convergence within {max_level} refinement levels"
     value_out[live] = prev
     estimate_out[live] = diff
-    evals_out[live] = count
-    return value_out, estimate_out, evals_out, failures
+    return value_out, estimate_out, evaluations, failures
 
 
 def integrate(
@@ -342,7 +332,7 @@ def integrate(
 
     f is called once on the nodes of levels 1..min(3, max_level) and then
     once per further level. evaluations counts every node evaluated, so a
-    result that converges at level 2 reports the whole first call.
+    result that converges or fails at level 2 reports the whole first call.
 
     A non-finite integrand value at an interior node yields a failure
     result (converged False, infinite error estimate), never an exception.
@@ -368,7 +358,7 @@ def integrate(
             total = np.einsum("ij,j->i", values[:, start:stop], w).item()
             start = stop
             message = "" if math.isfinite(total) else _NON_FINITE
-            sums.append((total, 0.0, w.size, message))
+            sums.append((total, 0.0, message))
         return x.size, sums
 
     return _rule(a, b, tol, max_level, level_sums, "refinement")
@@ -389,18 +379,17 @@ def integrate2d(
     weighted sum of inner estimates to the outer level difference, and
     convergence is declared on that combined figure. Any inner failure
     makes the whole result non-converged; the message names the first
-    failing outer node.
+    failing outer node in node order: by level, and within a level the
+    nodes u = delta from 1/2 toward 0, then their mirrors 1 - delta.
 
     All outer nodes of a pass are integrated together, those of outer
     levels 1 to 3 as one block: each inner level evaluates f once on the
     (outer rows x inner nodes) block of rows still running, and a row
-    drops out when it meets its inner test, so each row's evaluation count
-    and inner result are those of the inner rule run on its outer node
-    alone (up to summation order, see _integrate_rows). evaluations sums
-    the counts of every row integrated, so a result that converges at
-    outer level 2 includes the rows of outer level 3. A failure reports
-    the first failing node in visiting order, with the evaluations made up
-    to it.
+    drops out when it meets its inner test or fails, so each row's inner
+    result is that of the inner rule run on its outer node alone (up to
+    summation order, see _integrate_rows). evaluations counts every point
+    evaluated, so a result that converges or fails at outer level 2
+    includes the rows of outer level 3.
 
     f(t, u) must broadcast over numpy arrays: it is called with a row of t
     values against a column of u values.
@@ -415,40 +404,27 @@ def integrate2d(
         def evaluate(t, live):
             return f(t[None, :], column[live])
 
-        values, estimates, counts, failures = _integrate_rows(
+        values, estimates, evaluated, failures = _integrate_rows(
             evaluate, us.size, inner_tol, max_level
         )
+        # Rows are in level order: the first failed row is the first failure.
+        first = min(failures, default=us.size)
         sums = []
         start = 0
         for level in levels:
-            _, ws, n_low = _interval_nodes(0.0, 1.0, level)
+            ws = _interval_nodes(0.0, 1.0, level)[1]
             stop = start + ws.size
-            failed = {
-                row - start: message
-                for row, message in failures.items()
-                if start <= row < stop
-            }
-            level_counts = counts[start:stop]
-            if failed:
-                # Outer nodes are visited in table order, each delta before
-                # its mirror 1 - delta; the evaluations counted are those
-                # made up to the first failing node in that order.
-                position = np.concatenate(
-                    (2 * np.arange(n_low), 2 * np.arange(ws.size - n_low) + 1)
-                )
-                row = min(failed, key=position.__getitem__)
-                u = float(us[start + row])
-                count = int(level_counts[position <= position[row]].sum())
-                message = f"inner integral failed at u={u!r}: {failed[row]}"
-                sums.append((0.0, 0.0, count, message))
+            if first < stop:
+                u = float(us[first])
+                message = f"inner integral failed at u={u!r}: {failures[first]}"
+                sums.append((0.0, 0.0, message))
                 break
             sums.append((
                 float((ws * values[start:stop]).sum()),
                 float((ws * estimates[start:stop]).sum()),
-                int(level_counts.sum()),
                 "",
             ))
             start = stop
-        return int(counts.sum()), sums
+        return evaluated, sums
 
     return _rule(0.0, 1.0, tol, max_level, level_sums, "outer refinement")

@@ -308,19 +308,28 @@ class TestList:
 
 
 class TestArgumentErrors:
+    """A usage error is one stderr line, "<prog>: error: <message>", and
+    exit 2."""
+
     def test_unknown_command(self):
         proc = subprocess.run(
             [sys.executable, "-m", "eulersum", "frobnicate"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
-        assert "usage" in proc.stderr.lower()
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(
+            "eulersum: error: argument command: invalid choice: 'frobnicate'"
+        )
 
     def test_no_command(self):
         proc = subprocess.run(
             [sys.executable, "-m", "eulersum"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+        assert proc.stderr == (
+            "eulersum: error: the following arguments are required: command\n"
+        )
 
     def test_unknown_flag(self):
         proc = subprocess.run(
@@ -328,3 +337,23 @@ class TestArgumentErrors:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+        assert proc.stderr == "eulersum: error: unrecognized arguments: --frob\n"
+
+    @pytest.mark.parametrize(
+        "prog,argv",
+        [
+            ("eulersum verify", ["verify", "--tol", "0.5x"]),
+            ("eulersum verify", ["verify", "--output", "xml"]),
+            ("eulersum eval", ["eval", "nope", "1"]),
+            ("eulersum eval", ["eval"]),
+            ("eulersum", ["list", "extra"]),
+        ],
+    )
+    def test_one_line(self, prog, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"{prog}: error: ")

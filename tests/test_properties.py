@@ -8,9 +8,10 @@ s <= 200 is checked against mpmath at 30 digits; above that, Li_s(x) is
 within 2^(1-s) of x and zeta(s) within 2^(1-s) of 1, far below a rounding
 error. The Euler sums S(m; q) are checked against closed forms in mpmath
 at 30 digits (or a 30-digit partial sum with a bounded tail), integrals
-against their antiderivatives in mpmath. `eulersum eval` prints the
-package function's value and exits 0 on an accepted request, and
-otherwise exits 2 with a one-line message.
+against their antiderivatives in mpmath, and every integrate result,
+converged or failed, counts exactly the points its integrand was called
+on. `eulersum eval` prints the package function's value and exits 0 on
+an accepted request, and otherwise exits 2 with a one-line message.
 """
 
 import functools
@@ -271,10 +272,23 @@ def integrals(draw):
         st.integers(min_value=1, max_value=MAX_LEVEL),
         st.sampled_from([0, -1, MAX_LEVEL + 1, 40, 2.5, True]),
     ),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
 )
-def test_integrate(integral, tol, max_level):
+def test_integrate(integral, tol, max_level, nan_from):
     f, a, b, exact = integral
-    result, rejected = timed(lambda: integrate(f, a, b, tol, max_level=max_level))
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        if nan_from is None:
+            return f(t)
+        # NaN from the fraction nan_from of the interval on: a failed
+        # result, unless no node evaluated lies there.
+        return np.where(t - a >= nan_from * (b - a), np.nan, f(t))
+
+    result, rejected = timed(
+        lambda: integrate(counted, a, b, tol, max_level=max_level)
+    )
     in_domain = (
         exact is not None and math.isfinite(b - a) and tol > 0.0
         and is_int(max_level) and 1 <= max_level <= MAX_LEVEL
@@ -283,6 +297,8 @@ def test_integrate(integral, tol, max_level):
     if rejected:
         return
     assert math.isfinite(result.value)
+    # Converged or not, the count is every point evaluated.
+    assert result.evaluations == sum(sizes)
     if result.converged:
         assert result.abs_error_estimate < tol
         # The README's bound: the true error within 10 times the estimate.

@@ -208,8 +208,10 @@ class TestIntegrate2d:
 def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
     """Reference 2-D rule: one relative float_loop call per outer node, in
     the order delta, 1 - delta over each level's table, stopping at the
-    first inner failure. integrate2d must reproduce its counts, values and
-    messages."""
+    first inner failure. integrate2d must reproduce its values, the
+    counts of its converged results, and its messages where the failing
+    level fails on one side of the square only (integrate2d names the
+    first failure in node order, and counts every point it evaluated)."""
     acc_val = acc_err = 0.0
     evals = 0
     prev = None
@@ -284,29 +286,60 @@ class TestIntegrate2dBlocks:
         assert abs(block.value - loop.value) <= block.abs_error_estimate
         assert_same_estimate(block, loop)
 
-    def test_first_failing_node_in_visiting_order(self):
-        # Fails on both sides of the square: in visiting order the first
-        # failure is a mirror node 1 - delta, not the smallest delta.
-        def bad(t, u):
-            return np.where((u < 0.05) | (u > 0.8), np.nan, t * u)
+    def test_first_failing_node_in_node_order(self):
+        # Fails on both sides of the square from outer level 1 on. In node
+        # order (the nodes u = delta from 1/2 toward 0, then their mirrors)
+        # the first failure is the first delta below 0.05; the per-node
+        # loop, which visits each delta before its mirror, meets a mirror
+        # node above 0.8 first.
+        def failing(u):
+            return (u < 0.05) | (u > 0.8)
 
-        block = integrate2d(bad, 1e-9)
+        def bad(t, u):
+            return np.where(failing(u), np.nan, t * u)
+
+        calls = []
+
+        def counted(t, u):
+            calls.append(t.size * u.size)
+            return bad(t, u)
+
+        block = integrate2d(counted, 1e-9)
         loop = per_node_integrate2d(bad, 1e-9)
-        assert not block.converged
-        assert block.message == loop.message
-        assert block.evaluations == loop.evaluations
+        assert not block.converged and not loop.converged
+        deltas = _level_table(1)[0]
+        nodes = np.concatenate((deltas, 1.0 - deltas))
+        u = float(nodes[failing(nodes)][0])
+        assert u < 0.05
+        inner = float_loop(lambda t: bad(t, u), 0.0, 1.0, 1e-10, relative=True)
+        assert block.message == f"inner integral failed at u={u!r}: {inner.message}"
+        assert block.message != loop.message
+        # Every row of the opening block is integrated: 2,105 evaluations
+        # made, where the per-node loop stops after 245.
+        assert block.evaluations == sum(calls) == 2105
+        assert loop.evaluations == 245
+        assert block.value == loop.value == 0.0  # nothing before level 1
         assert block.abs_error_estimate == math.inf
 
     def test_inner_non_convergence_names_node(self):
         # The corner-singular raw kernel: the one after u = t v converges
         # within three levels.
         kernel = raw_double_integral_kernel(2)
-        block = integrate2d(kernel, 1e-8, max_level=3)
+        calls = []
+
+        def counted(t, u):
+            calls.append(t.size * u.size)
+            return kernel(t, u)
+
+        block = integrate2d(counted, 1e-8, max_level=3)
         loop = per_node_integrate2d(kernel, 1e-8, max_level=3)
         assert not block.converged
         assert "no convergence within 3 refinement levels" in block.message
         assert block.message == loop.message
-        assert block.evaluations == loop.evaluations
+        # The whole opening block is integrated; the per-node loop stops
+        # at the failing node after 225 evaluations.
+        assert block.evaluations == sum(calls) == 5218
+        assert loop.evaluations == 225
 
 
 def math_level_table(level):
@@ -351,7 +384,7 @@ class TestLevelPasses:
         assert np.array_equal(weights, ref_weights)
 
     def test_cached_nodes_are_read_only(self):
-        x, w, _ = _interval_nodes(0.0, 1.0, 3)
+        x, w = _interval_nodes(0.0, 1.0, 3)
         for array in (x, w):
             with pytest.raises(ValueError):
                 array[0] = 0.5
@@ -370,13 +403,12 @@ class TestLevelPasses:
             x = _interval_nodes(a, b, level)[0]
             assert ((a < x) & (x < b)).all(), level
         deltas, weights = _level_table(4)
-        x, w, n_low = _interval_nodes(a, b, 4)
+        x, w = _interval_nodes(a, b, 4)
         x_lo, x_hi = a + (b - a) * deltas, b - (b - a) * deltas
         # The per-side collision guards: strictly inside (a, b).
         low, high = (a < x_lo) & (x_lo < b), (a < x_hi) & (x_hi < b)
         assert np.array_equal(x, np.concatenate((x_lo[low], x_hi[high])))
         assert np.array_equal(w, np.concatenate((weights[low], weights[high])))
-        assert n_low == low.sum()
 
     @pytest.mark.parametrize(
         "f,a,b,tol",
@@ -384,6 +416,12 @@ class TestLevelPasses:
             (lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-12),
             (lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-6),
             (np.sin, 0.0, math.pi, 1e-13),
+            # Failures: NaN at a level-2 node (t = 0.3114) and at no
+            # level-1 node, inside the first call; NaN at a level-4 node
+            # (t = 0.1949) and at none of levels 1-3; no convergence.
+            (lambda t: np.where((0.3 < t) & (t < 0.32), np.nan, t), 0.0, 1.0, 1e-14),
+            (lambda t: np.where((0.19 < t) & (t < 0.2), np.nan, t), 0.0, 1.0, 1e-14),
+            (np.log, 0.0, 1.0, 1e-18),
         ],
     )
     def test_one_integrand_call_per_level(self, f, a, b, tol):
@@ -394,7 +432,7 @@ class TestLevelPasses:
             return f(t)
 
         r = integrate(counting, a, b, tol)
-        assert r.converged
+        assert r.converged == float_loop(f, a, b, tol, relative=False).converged
         # Levels 1-3 are one call on the three levels' nodes in level
         # order, every later level one call on its own.
         assert np.array_equal(seen[0], opening_nodes(a, b, 3))
@@ -404,33 +442,41 @@ class TestLevelPasses:
 
     def test_2d_kernel_called_once_per_inner_level(self):
         counts = node_counts()
-        calls = []
-        kernel = double_integral_kernel(3)
+        kernels = [
+            double_integral_kernel(3),
+            # Failures: NaN on both sides of the square from outer level 1
+            # on; NaN at an outer level-2 node only.
+            lambda t, u: np.where((u < 0.05) | (u > 0.8), np.nan, t * u),
+            lambda t, u: np.where((0.3 < u) & (u < 0.32), np.nan, t * u),
+        ]
+        for kernel in kernels:
+            calls = []
 
-        def f(t, u):
-            calls.append((t.size, u.size))
-            return kernel(t, u)
+            def f(t, u):
+                calls.append((t.size, u.size))
+                return kernel(t, u)
 
-        r = integrate2d(f, 1e-8)
-        assert r.converged
-        # Outer levels 1-3 are one block of the three levels' nodes, every
-        # later outer level one block of its own; inner levels 1, 2, ...
-        # each make one call on the rows still running, so the call sizes
-        # restart at inner level 1 exactly once per block.
-        runs = []
-        for t_size, rows in calls:
-            if t_size == counts[0]:
-                runs.append([])
-            runs[-1].append((t_size, rows))
-        block_rows = [sum(counts[:3])] + counts[3:]
-        assert block_rows[0] == 75
-        assert len(runs) <= len(block_rows)
-        for first_rows, run in zip(block_rows, runs):
-            assert [t for t, _ in run] == counts[: len(run)]
-            rows = [n for _, n in run]
-            assert rows[0] == first_rows
-            assert rows == sorted(rows, reverse=True)  # rows only leave
-        assert sum(t * n for t, n in calls) == r.evaluations
+            r = integrate2d(f, 1e-8)
+            assert r.converged == per_node_integrate2d(kernel, 1e-8).converged
+            # Outer levels 1-3 are one block of the three levels' nodes,
+            # every later outer level one block of its own; inner levels
+            # 1, 2, ... each make one call on the rows still running, so
+            # the call sizes restart at inner level 1 exactly once per
+            # block.
+            runs = []
+            for t_size, rows in calls:
+                if t_size == counts[0]:
+                    runs.append([])
+                runs[-1].append((t_size, rows))
+            block_rows = [sum(counts[:3])] + counts[3:]
+            assert block_rows[0] == 75
+            assert len(runs) <= len(block_rows)
+            for first_rows, run in zip(block_rows, runs):
+                assert [t for t, _ in run] == counts[: len(run)]
+                rows = [n for _, n in run]
+                assert rows[0] == first_rows
+                assert rows == sorted(rows, reverse=True)  # rows only leave
+            assert sum(t * n for t, n in calls) == r.evaluations
 
     @pytest.mark.parametrize("max_level", [1, 2, 3])
     def test_no_node_above_max_level(self, max_level):
@@ -503,7 +549,7 @@ def one_row_integrate(f, tol, *, max_level=MAX_LEVEL):
     value, estimate, evals, failures = _integrate_rows(evaluate, 1, tol, max_level)
     message = failures.get(0, "")
     return QuadratureResult(
-        float(value[0]), float(estimate[0]), int(evals[0]), not message, message
+        float(value[0]), float(estimate[0]), evals, not message, message
     )
 
 
@@ -516,7 +562,7 @@ def float_loop(f, a, b, tol, *, relative, max_level=MAX_LEVEL):
     diff = math.inf
     count = 0
     for level in range(1, max_level + 1):
-        x, w, _ = _interval_nodes(a, b, level)
+        x, w = _interval_nodes(a, b, level)
         values = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
         total = np.einsum("ij,j->i", values.reshape(1, -1), w).item()
         count += x.size
@@ -601,11 +647,10 @@ class TestFloatLoop:
                 r = one_row_integrate(f, tol, max_level=max_level)
             else:
                 r = integrate(f, a, b, tol, max_level=max_level)
-                if ref.converged:
-                    # integrate() evaluates levels 1..3 in one pass and
-                    # counts every node it evaluated.
-                    opening = opening_nodes(a, b, min(3, max_level)).size
-                    ref = replace(ref, evaluations=max(ref.evaluations, opening))
+                # integrate() evaluates levels 1..3 in one pass and counts
+                # every node it evaluated, whether it converges or fails.
+                opening = opening_nodes(a, b, min(3, max_level)).size
+                ref = replace(ref, evaluations=max(ref.evaluations, opening))
             assert bits(r) == bits(ref), (name, max_level)
             assert type(r.value) is float and type(r.abs_error_estimate) is float
 
@@ -650,11 +695,20 @@ class TestFloatLoop:
         def bad(t, u):
             return np.where(inside(u), np.nan, t * u)
 
-        block = integrate2d(bad, 1e-9)
+        calls = []
+
+        def counted(t, u):
+            calls.append(t.size * u.size)
+            return bad(t, u)
+
+        block = integrate2d(counted, 1e-9)
         loop = per_node_integrate2d(bad, 1e-9)
         assert not block.converged
         assert block.message == loop.message
-        assert block.evaluations == loop.evaluations
+        # Every row of the opening block is integrated; the per-node loop
+        # stops at the failing node after 1,187 evaluations.
+        assert block.evaluations == sum(calls) == 4312
+        assert loop.evaluations == 1187
         assert block.value == loop.value != 0.0  # level 1's value stands
 
 
