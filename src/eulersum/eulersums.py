@@ -13,15 +13,16 @@ independent ways:
   * sum_via_integral        tanh-sinh quadrature of the representation
                             S(1; q) = -int_0^1 Li_{q-1}(1-t) log t/(1-t) dt,
                             with the polylog evaluated over each quadrature
-                            level's nodes as one array,
+                            pass's nodes as one array,
 
 plus, for the squared-harmonic sums, a reduction of the double integral
 representation to one dimension (quadratic_sum_q2_via_outer) and its 2-D
 quadrature after splitting the square on its diagonal and setting u = t v
-(Duffy, 1982; quadratic_sum_double_integral). The three routes above take
-the orders EulerSumSpec accepts and return 1.0 where the sum rounds to it;
-the quadrature routes the registry checks return their QuadratureResult, so
-the caller sees the evaluation count and decides on convergence.
+(Duffy, 1982; quadratic_sum_double_integral, Li_{q-2} from polylog_array).
+The three routes above take the orders EulerSumSpec accepts and return 1.0
+where the sum rounds to it; the quadrature routes the registry checks
+return their QuadratureResult, so the caller sees the evaluation count and
+decides on convergence.
 
 The tail machinery manipulates expansions of the form
 sum c * log(x)^i * x^(-e) symbolically (as coefficient maps), which keeps
@@ -43,7 +44,7 @@ import numpy as np
 from .constants import euler_gamma, zeta
 from .exactmath import _check_integer, bernoulli
 from .quad import QuadratureError, QuadratureResult, integrate, integrate2d
-from .specfun import _horner, _taylor_coeffs, dilog_neg_ratio, polylog_one_minus
+from .specfun import dilog_neg_ratio, polylog_array, polylog_one_minus
 
 __all__ = [
     "EulerSumSpec",
@@ -97,15 +98,16 @@ class EulerSumSpec:
 # --------------------------------------------------------------------------
 
 _Expansion = Dict[Tuple[int, int], float]
+_E_MAX = 4  # truncation order: H_x's expansion stops at x^-4, so must its square
 
 
-def _expansion_product(p: _Expansion, q: _Expansion, e_max: int = 4) -> _Expansion:
-    """Product of two expansions, truncated at x^(-e_max)."""
+def _expansion_product(p: _Expansion, q: _Expansion) -> _Expansion:
+    """Product of two expansions, truncated at x^(-_E_MAX)."""
     out: _Expansion = {}
     for (i1, e1), c1 in p.items():
         for (i2, e2), c2 in q.items():
             e = e1 + e2
-            if e > e_max:
+            if e > _E_MAX:
                 continue
             key = (i1 + i2, e)
             out[key] = out.get(key, 0.0) + c1 * c2
@@ -265,7 +267,7 @@ def sum_via_integral(q: int, tol: float = 1e-10) -> float:
     to 1.0, which is returned directly. tol takes sum_series' floor, 1e-12,
     at every q. Raises QuadratureError when the quadrature does not converge.
     """
-    EulerSumSpec(1, q)  # the domain check: an integer 2 <= q <= MAX_Q
+    _check_integer("sum_via_integral", "q", q, 2, MAX_Q)
     if not tol >= _MIN_SERIES_TOL:  # also rejects NaN
         raise ValueError(f"sum_via_integral needs tol >= {_MIN_SERIES_TOL}, got {tol}")
     if q >= _Q_ROUNDS_TO_ONE:
@@ -331,10 +333,9 @@ def double_integral_kernel(q: int) -> Callable:
 
     w = (1-t)(1-t v) and 1 - w = t (1 + v (1-t)), both free of
     cancellation. q = 2 is 2 log t (log t + log v) / (1 + v (1-t)), q = 3
-    uses Li_1(w) = -log(1 - w). For q >= 4, Li_{q-2}(w)/w is the Taylor
-    polynomial where w <= 1/2 and polylog_one_minus(q-2, 1-w)/w where
-    w > 1/2, each branch evaluated on its own points only. t (integrate2d's
-    inner variable) and v are numpy arrays that broadcast to one shape.
+    uses Li_1(w) = -log(1 - w) and q >= 4 takes Li_{q-2}(w) from
+    polylog_array. t (integrate2d's inner variable) and v are numpy arrays
+    that broadcast to one shape.
     """
     _check_integer("double integral kernel", "q", q, 2, 11)
 
@@ -344,14 +345,9 @@ def double_integral_kernel(q: int) -> Callable:
         if q == 2:
             return logs / (1.0 + v * (1.0 - t))
         w = (1.0 - t) * (1.0 - t * v)
-        one_minus_w = t * (1.0 + v * (1.0 - t))
         if q == 3:
-            return -t * np.log(one_minus_w) * logs / w
-        ratio = np.empty(w.shape)  # Li_{q-2}(w) / w
-        low = w <= 0.5
-        ratio[low] = _horner(_taylor_coeffs(q - 2), w[low])
-        ratio[~low] = polylog_one_minus(q - 2, one_minus_w[~low]) / w[~low]
-        return t * ratio * logs
+            return -t * np.log(t * (1.0 + v * (1.0 - t))) * logs / w
+        return t * polylog_array(q - 2, w) / w * logs
 
     return kernel
 

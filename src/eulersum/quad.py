@@ -15,15 +15,16 @@ evaluated there, and the skipped weights are negligible), while its mirror
 twin on the other side keeps contributing.
 
 Each level's whole node set is evaluated in one pass, as in Bailey,
-Jeyabalan and Li (2005): the abscissas of both halves of the interval are
-built once per interval and level, and the weighted sum of a level is one
-matrix-vector product. The first pass covers levels 1 to 3 (75 nodes on
-(0, 1)): every call runs levels 1 and 2 (the test needs a level
-difference), and the integrals of the verification suite all run level 3
-as well. Convergence is still tested level by level, so the values,
-estimates and stopping levels are those of one pass per level. Every
-result, converged or failed, counts the points evaluated, so a rule that
-stops or fails at level 2 counts the 75 nodes of the first pass.
+Jeyabalan and Li (2005): one table per interval and pass, _pass_nodes,
+holds the abscissas of both halves of the interval and each level's slice
+and weights, and a level's weighted sum is one matrix-vector product. The
+first pass covers levels 1 to 3 (75 nodes on (0, 1)): every call runs
+levels 1 and 2 (the test needs a level difference), and the integrals of
+the verification suite all run level 3 as well. Convergence is still
+tested level by level, so the values, estimates and stopping levels are
+those of one pass per level. Every result, converged or failed, counts
+the points evaluated, so a rule that stops or fails at level 2 counts the
+75 nodes of the first pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
 Mori, 1974) are one level loop, _rule, kept in Python floats: the same
@@ -125,7 +126,6 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     return delta, weight
 
 
-@lru_cache(maxsize=2 * MAX_LEVEL)
 def _interval_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Abscissas and weights of one level on (a, b).
 
@@ -135,8 +135,7 @@ def _interval_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndar
     endpoint is dropped, but its mirror twin is kept (the twin can carry
     real mass when the integrand is large near the other end). On (0, 1)
     no node reaches the far endpoint (delta <= 1/2), so each side keeps a
-    prefix of the table. Built once per interval and level (every suite
-    integral is on (0, 1)) and read-only.
+    prefix of the table.
     """
     deltas, weights = _level_table(level)
     scale = b - a
@@ -146,8 +145,6 @@ def _interval_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndar
     keep_hi = (a < x_hi) & (x_hi < b)
     x = np.concatenate((x_lo[keep_lo], x_hi[keep_hi]))
     w = np.concatenate((weights[keep_lo], weights[keep_hi]))
-    x.flags.writeable = False
-    w.flags.writeable = False
     return x, w
 
 
@@ -156,27 +153,30 @@ def _interval_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndar
 _OPENING_LEVELS = 3
 
 
-@lru_cache(maxsize=4)
-def _opening_nodes(a: float, b: float, last: int) -> np.ndarray:
-    """Abscissas of levels 1..last on (a, b), in level order, as one
-    read-only array."""
-    x = np.concatenate(
-        [_interval_nodes(a, b, level)[0] for level in range(1, last + 1)]
-    )
+@lru_cache(maxsize=2 * MAX_LEVEL)
+def _pass_nodes(a: float, b: float, levels: tuple[int, ...]):
+    """The node table of one evaluation pass over (a, b): the abscissas of
+    its levels as one array, in level order, and per level (level, slice of
+    that array, weights). Built once per interval and pass (every suite
+    integral is on (0, 1)) and read-only."""
+    parts = [_interval_nodes(a, b, level) for level in levels]
+    x = np.concatenate([xl for xl, _ in parts])
     x.flags.writeable = False
-    return x
+    table, start = [], 0
+    for level, (_, w) in zip(levels, parts):
+        w.flags.writeable = False
+        table.append((level, slice(start, start + w.size), w))
+        start += w.size
+    return x, tuple(table)
 
 
 def _passes(a: float, b: float, max_level: int):
-    """(levels, abscissas) of each evaluation pass over (a, b), in order.
-
-    Levels 1..min(_OPENING_LEVELS, max_level) form the first pass, their
-    abscissas in level order; every later level is a pass of its own.
-    """
+    """The _pass_nodes table of each evaluation pass over (a, b), in order:
+    levels 1..min(_OPENING_LEVELS, max_level) first, then one level each."""
     last = min(_OPENING_LEVELS, max_level)
-    yield tuple(range(1, last + 1)), _opening_nodes(a, b, last)
+    yield _pass_nodes(a, b, tuple(range(1, last + 1)))
     for level in range(last + 1, max_level + 1):
-        yield (level,), _interval_nodes(a, b, level)[0]
+        yield _pass_nodes(a, b, (level,))
 
 
 def _check_tol(tol: float) -> None:
@@ -196,15 +196,15 @@ def _rule(
 ) -> QuadratureResult:
     """The tanh-sinh level loop over (a, b), in Python floats.
 
-    For each pass (levels, x) of _passes, level_sums(levels, x) evaluates
-    the integrand over the whole pass and returns the evaluations made and
-    a list with, per level up to the first failing one, the weighted sum of
-    the integrand over the level's new nodes, the weighted sum of their
-    error bounds, and a failure message ("" if none). A level's estimate is
-    its difference from the previous level plus the weighted error bounds,
-    floored at one rounding of the value (a difference of exactly zero
-    certifies nothing below that); the rule converges when that is below
-    tol.
+    For each pass (x, table) of _passes, level_sums(x, table) evaluates the
+    integrand over the whole pass and returns the evaluations made and a
+    list with, per level of the table up to the first failing one, the
+    weighted sum of the integrand over the level's new nodes, the weighted
+    sum of their error bounds, and a failure message ("" if none). A
+    level's estimate is its difference from the previous level plus the
+    weighted error bounds, floored at one rounding of the value (a
+    difference of exactly zero certifies nothing below that); the rule
+    converges when that is below tol.
 
     Convergence is tested level by level, so a pass of several levels stops
     at the same level, with the same value and estimate, as one pass per
@@ -216,10 +216,10 @@ def _rule(
     acc = acc_err = prev = 0.0
     estimate = math.inf
     done = 0  # evaluations made
-    for levels, x in _passes(a, b, max_level):
-        evaluated, sums = level_sums(levels, x)
+    for x, table in _passes(a, b, max_level):
+        evaluated, sums = level_sums(x, table)
         done += evaluated
-        for level, (total, error, message) in zip(levels, sums):
+        for (level, _, _), (total, error, message) in zip(table, sums):
             if message:
                 return QuadratureResult(prev, math.inf, done, False, message)
             acc += total
@@ -278,7 +278,7 @@ def _integrate_rows(
     for level in range(1, max_level + 1):
         if live.size == 0:
             break
-        x, w = _interval_nodes(0.0, 1.0, level)
+        x, ((_, _, w),) = _pass_nodes(0.0, 1.0, (level,))
         evaluations += live.size * x.size
         # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
         # resident buffers on its first call, for no gain at these sizes.
@@ -348,15 +348,11 @@ def integrate(
     if not math.isfinite(b - a):
         raise ValueError(f"integration requires a finite width b - a, got ({a}, {b})")
 
-    def level_sums(levels, x):
+    def level_sums(x, table):
         values = _block(np.reshape(f(x), (1, -1)), (1, x.size))
         sums = []
-        start = 0
-        for level in levels:
-            w = _interval_nodes(a, b, level)[1]
-            stop = start + w.size
-            total = np.einsum("ij,j->i", values[:, start:stop], w).item()
-            start = stop
+        for _, part, w in table:
+            total = np.einsum("ij,j->i", values[:, part], w).item()
             message = "" if math.isfinite(total) else _NON_FINITE
             sums.append((total, 0.0, message))
         return x.size, sums
@@ -398,7 +394,7 @@ def integrate2d(
     _check_integer("integrate2d", "max_level", max_level, 1, MAX_LEVEL)
     inner_tol = tol / 10.0
 
-    def level_sums(levels, us):
+    def level_sums(us, table):
         column = us[:, None]
 
         def evaluate(t, live):
@@ -410,21 +406,17 @@ def integrate2d(
         # Rows are in level order: the first failed row is the first failure.
         first = min(failures, default=us.size)
         sums = []
-        start = 0
-        for level in levels:
-            ws = _interval_nodes(0.0, 1.0, level)[1]
-            stop = start + ws.size
-            if first < stop:
+        for _, part, ws in table:
+            if first < part.stop:
                 u = float(us[first])
                 message = f"inner integral failed at u={u!r}: {failures[first]}"
                 sums.append((0.0, 0.0, message))
                 break
             sums.append((
-                float((ws * values[start:stop]).sum()),
-                float((ws * estimates[start:stop]).sum()),
+                float((ws * values[part]).sum()),
+                float((ws * estimates[part]).sum()),
                 "",
             ))
-            start = stop
         return evaluated, sums
 
     return _rule(0.0, 1.0, tol, max_level, level_sums, "outer refinement")

@@ -266,6 +266,16 @@ class TestEvalErrors:
         assert err.startswith(f"eulersum: eval {name}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_integral_orders_below_2_exit_2(self, q):
+        # The domain check is sum_via_integral's own, so the message names it.
+        code, out, err = run_cli("eval", "integral", q)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"eulersum: eval integral: sum_via_integral requires 2 <= q <= {2**20}, "
+            f"got {q}\n"
+        )
+
     def test_quadrature_failure_exits_2(self, monkeypatch):
         from eulersum import eulersums
         from eulersum.quad import QuadratureError, QuadratureResult

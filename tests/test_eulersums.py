@@ -430,37 +430,32 @@ class TestDoubleIntegral:
             expected, rel=1e-15
         )
 
-    def test_branches_see_only_their_own_arguments(self, monkeypatch):
-        # For q >= 4 the Taylor polynomial serves w <= 1/2 and
-        # polylog_one_minus(q-2, 1-w) serves w > 1/2, each on its own points.
-        taylor, one_minus = [], []
-        real_horner, real_one_minus = eulersums._horner, eulersums.polylog_one_minus
+    def test_kernel_takes_li_from_polylog_array(self, monkeypatch):
+        # For q >= 4 specfun alone splits Li_{q-2} by branch: the kernel
+        # makes one polylog_array(q - 2, w) call per block, on w itself.
+        calls = []
+        real_polylog_array = eulersums.polylog_array
 
-        def horner(coeffs, w):
-            taylor.append(w)
-            return real_horner(coeffs, w)
+        def polylog_array(s, x):
+            calls.append((s, x))
+            return real_polylog_array(s, x)
 
-        def polylog_one_minus(s, r):
-            one_minus.append(r)
-            return real_one_minus(s, r)
-
-        monkeypatch.setattr(eulersums, "_horner", horner)
-        monkeypatch.setattr(eulersums, "polylog_one_minus", polylog_one_minus)
+        monkeypatch.setattr(eulersums, "polylog_array", polylog_array)
         t = np.linspace(0.01, 0.99, 41)[None, :]
         v = np.linspace(0.01, 0.99, 23)[:, None]
         w = (1.0 - t) * (1.0 - t * v)
         assert (w <= 0.5).any() and (w > 0.5).any()  # the block straddles 1/2
+        logs = 2.0 * np.log(t) * (np.log(t) + np.log(v))
+        for q in (2, 3):
+            double_integral_kernel(q)(t, v)
+        assert calls == []
         for q in (4, 7, 11):
-            taylor.clear()
-            one_minus.clear()
+            calls.clear()
             values = double_integral_kernel(q)(t, v)
-            (low,), (high,) = taylor, one_minus
-            assert low.size + high.size == w.size
-            assert 0.0 < low.min() and low.max() <= 0.5
-            assert 0.0 < high.min() and high.max() < 0.5 + 2.0**-52
-            np.testing.assert_array_equal(np.sort(low), np.sort(w[w <= 0.5]))
-            # Both branches against the scalar polylog, point by point.
-            logs = 2.0 * np.log(t) * (np.log(t) + np.log(v))
+            ((order, argument),) = calls
+            assert order == q - 2
+            np.testing.assert_array_equal(argument, w)
+            # Every point against the scalar polylog.
             reference = np.vectorize(lambda x: polylog(q - 2, x))(w) / w * t * logs
             np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0.0)
 

@@ -16,6 +16,8 @@ from eulersum.quad import (
     _integrate_rows,
     _interval_nodes,
     _level_table,
+    _pass_nodes,
+    _passes,
     integrate,
     integrate2d,
 )
@@ -384,10 +386,32 @@ class TestLevelPasses:
         assert np.array_equal(weights, ref_weights)
 
     def test_cached_nodes_are_read_only(self):
-        x, w = _interval_nodes(0.0, 1.0, 3)
-        for array in (x, w):
-            with pytest.raises(ValueError):
-                array[0] = 0.5
+        for levels in ((1, 2, 3), (4,)):
+            x, table = _pass_nodes(0.0, 1.0, levels)
+            for array in (x, *(w for _, _, w in table)):
+                with pytest.raises(ValueError):
+                    array[0] = 0.5
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.5, 2.25)])
+    @pytest.mark.parametrize("max_level", [1, 2, 3, 4, MAX_LEVEL])
+    def test_pass_tables_are_the_levels_nodes(self, a, b, max_level):
+        # Levels 1..min(3, max_level) form the first pass, then one level
+        # per pass; each table holds exactly its levels' _interval_nodes.
+        passes = list(_passes(a, b, max_level))
+        opening = list(range(1, min(3, max_level) + 1))
+        later = [[level] for level in range(len(opening) + 1, max_level + 1)]
+        assert [[level for level, _, _ in table] for _, table in passes] == (
+            [opening] + later
+        )
+        for x, table in passes:
+            start = 0
+            for level, part, w in table:
+                level_x, level_w = _interval_nodes(a, b, level)
+                assert part == slice(start, start + level_x.size)
+                assert np.array_equal(x[part], level_x)
+                assert np.array_equal(w, level_w)
+                start = part.stop
+            assert start == x.size
 
     @pytest.mark.parametrize(
         "a,b",

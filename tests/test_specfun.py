@@ -147,6 +147,35 @@ class TestPolylogArray:
             # Same kernels; numpy's log may round differently by an ulp.
             assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), xi
 
+    @pytest.mark.parametrize("s", [2, 3, 10])
+    def test_each_branch_sees_only_its_own_points(self, s, monkeypatch):
+        # The Taylor series serves |x| <= 1/2 and the expansion about x = 1
+        # serves z = log|x| in (-log 2, 0); x = +-1 reaches neither kernel.
+        seen = {"taylor": [], "log": []}
+        real_taylor, real_log_expansion = specfun._taylor, specfun._log_expansion
+
+        def taylor(order, x):
+            seen["taylor"].append(np.asarray(x))
+            return real_taylor(order, x)
+
+        def log_expansion(order, z, log):
+            seen["log"].append(np.asarray(z))
+            return real_log_expansion(order, z, log)
+
+        monkeypatch.setattr(specfun, "_taylor", taylor)
+        monkeypatch.setattr(specfun, "_log_expansion", log_expansion)
+        x = branch_grid()
+        assert np.isin([-1.0, -0.5, 0.5, 1.0], x).all()
+        polylog_array(s, x)
+        taylor_points = np.concatenate(seen["taylor"])
+        log_points = np.concatenate(seen["log"])
+        assert (np.abs(taylor_points) <= 0.5).all()
+        assert ((-math.log(2.0) < log_points) & (log_points < 0.0)).all()
+        # Every point reaches its own branch.
+        assert np.isin(x[np.abs(x) <= 0.5], taylor_points).all()
+        assert np.isin(np.log(x[(0.5 < x) & (x < 1.0)]), log_points).all()
+        assert np.isin(np.log(-x[(-1.0 < x) & (x < -0.5)]), log_points).all()
+
     @pytest.mark.parametrize("s", [0, 1, 2, 5])
     def test_one_minus_matches_scalar(self, s):
         t = np.array([1e-300, 1e-12, 1e-3, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0])
