@@ -272,11 +272,10 @@ def sum_via_integral(q: int, tol: float = 1e-10) -> float:
         raise ValueError(f"sum_via_integral needs tol >= {_MIN_SERIES_TOL}, got {tol}")
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
-    result = integrate(integral_representation_integrand(q), 0.0, 1.0, tol)
+    result = integrate(integral_representation_integrand(q), tol)
     if not result.converged:
-        raise QuadratureError(
-            f"integral representation of S(1; {q}) did not converge", result
-        )
+        message = f"integral representation of S(1; {q}) did not converge"
+        raise QuadratureError(f"{message}: {result.message}", result)
     return result.value
 
 
@@ -300,7 +299,7 @@ def inner_integral_quadrature(u: float) -> QuadratureResult:
         # 1 - (1-t)(1-u) expanded as t + u - t u: no cancellation for small t, u.
         return np.log(t) / (t + u - t * u)
 
-    return integrate(f, 0.0, 1.0, 1e-11)
+    return integrate(f, 1e-11)
 
 
 def outer_integrand(u):
@@ -318,7 +317,7 @@ def quadratic_sum_q2_via_outer() -> QuadratureResult:
     what makes the u -> 0 corner (where the raw argument diverges)
     integrable numerically; the value is 17/4 zeta(4), to tol 1e-10.
     """
-    return integrate(outer_integrand, 0.0, 1.0, 1e-10)
+    return integrate(outer_integrand, 1e-10)
 
 
 def double_integral_kernel(q: int) -> Callable:

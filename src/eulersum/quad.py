@@ -1,30 +1,31 @@
-"""Tanh-sinh (double-exponential) quadrature on finite intervals.
+"""Tanh-sinh (double-exponential) quadrature on (0, 1) and the unit square,
+the domains of every integral of the package.
 
-The change of variable x = a + (b - a) / (1 + exp(-pi sinh t)) pushes the
-trapezoid nodes toward the endpoints at a doubly exponential rate, which
-integrates endpoint singularities of log-power type to near machine
-precision without any interval splitting. Levels halve the trapezoid step
+The change of variable x = 1 / (1 + exp(-pi sinh t)) pushes the trapezoid
+nodes toward 0 and 1 at a doubly exponential rate, which integrates
+endpoint singularities of log-power type to near machine precision
+without any interval splitting. Levels halve the trapezoid step
 (h = 2^-level, level = 1..12); previously evaluated nodes are reused, and
 the error estimate is the difference between the last two levels.
 
 Nodes are stored as the distance delta from the nearer endpoint together
-with a weight, so positions stay meaningful down to delta ~ 1e-300; a node
-whose floating-point position would round onto either endpoint is dropped
-on that side only (integrands with endpoint singularities cannot be
-evaluated there, and the skipped weights are negligible), while its mirror
-twin on the other side keeps contributing.
+with a weight, so positions stay meaningful down to delta ~ 1e-300: the
+low half of (0, 1) is delta itself, and a mirrored node 1 - delta that
+would round onto 1 is dropped (integrands with endpoint singularities
+cannot be evaluated there, and the skipped weight is negligible) while
+its twin delta keeps contributing.
 
 Each level's whole node set is evaluated in one pass, as in Bailey,
-Jeyabalan and Li (2005): one table per interval and pass, _pass_nodes,
-holds the abscissas of both halves of the interval and each level's slice
-and weights, and a level's weighted sum is one matrix-vector product. The
-first pass covers levels 1 to 3 (75 nodes on (0, 1)): every call runs
-levels 1 and 2 (the test needs a level difference), and the integrals of
-the verification suite all run level 3 as well. Convergence is still
-tested level by level, so the values, estimates and stopping levels are
-those of one pass per level. Every result, converged or failed, counts
-the points evaluated, so a rule that stops or fails at level 2 counts the
-75 nodes of the first pass.
+Jeyabalan and Li (2005): one table per pass, _pass_nodes, holds the
+abscissas of both halves of (0, 1) and each level's slice and weights,
+and a level's weighted sum is one matrix-vector product. The first pass
+covers levels 1 to 3 (75 nodes): every call runs levels 1 and 2 (the test
+needs a level difference), and the integrals of the verification suite
+all run level 3 as well. Convergence is still tested level by level, so
+the values, estimates and stopping levels are those of one pass per
+level. Every result, converged or failed, counts the points evaluated, so
+a rule that stops or fails at level 2 counts the 75 nodes of the first
+pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
 Mori, 1974) are one level loop, _rule, kept in Python floats: the same
@@ -126,25 +127,15 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     return delta, weight
 
 
-def _interval_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissas and weights of one level on (a, b).
-
-    The low side a + (b - a) delta comes first, then the mirrored high side
-    b - (b - a) delta, each in table order. Each side keeps only the nodes
-    strictly inside (a, b): a node whose floating position lands on an
-    endpoint is dropped, but its mirror twin is kept (the twin can carry
-    real mass when the integrand is large near the other end). On (0, 1)
-    no node reaches the far endpoint (delta <= 1/2), so each side keeps a
-    prefix of the table.
-    """
+def _interval_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and weights of one level on (0, 1), in table order: the
+    low side delta, the whole table (_MIN_DELTA <= delta <= 1/2), then the
+    mirrored high side 1 - delta, a prefix of the table: it drops a node
+    that rounds onto 1, whose twin delta keeps the mass near 0."""
     deltas, weights = _level_table(level)
-    scale = b - a
-    x_lo = a + scale * deltas
-    x_hi = b - scale * deltas
-    keep_lo = (a < x_lo) & (x_lo < b)
-    keep_hi = (a < x_hi) & (x_hi < b)
-    x = np.concatenate((x_lo[keep_lo], x_hi[keep_hi]))
-    w = np.concatenate((weights[keep_lo], weights[keep_hi]))
+    keep_hi = 1.0 - deltas < 1.0
+    x = np.concatenate((deltas, 1.0 - deltas[keep_hi]))
+    w = np.concatenate((weights, weights[keep_hi]))
     return x, w
 
 
@@ -154,12 +145,11 @@ _OPENING_LEVELS = 3
 
 
 @lru_cache(maxsize=2 * MAX_LEVEL)
-def _pass_nodes(a: float, b: float, levels: tuple[int, ...]):
-    """The node table of one evaluation pass over (a, b): the abscissas of
+def _pass_nodes(levels: tuple[int, ...]):
+    """The node table of one evaluation pass over (0, 1): the abscissas of
     its levels as one array, in level order, and per level (level, slice of
-    that array, weights). Built once per interval and pass (every suite
-    integral is on (0, 1)) and read-only."""
-    parts = [_interval_nodes(a, b, level) for level in levels]
+    that array, weights). Built once per pass and read-only."""
+    parts = [_interval_nodes(level) for level in levels]
     x = np.concatenate([xl for xl, _ in parts])
     x.flags.writeable = False
     table, start = [], 0
@@ -170,13 +160,13 @@ def _pass_nodes(a: float, b: float, levels: tuple[int, ...]):
     return x, tuple(table)
 
 
-def _passes(a: float, b: float, max_level: int):
-    """The _pass_nodes table of each evaluation pass over (a, b), in order:
-    levels 1..min(_OPENING_LEVELS, max_level) first, then one level each."""
+def _passes(max_level: int):
+    """The _pass_nodes table of each evaluation pass, in order: levels
+    1..min(_OPENING_LEVELS, max_level) first, then one level each."""
     last = min(_OPENING_LEVELS, max_level)
-    yield _pass_nodes(a, b, tuple(range(1, last + 1)))
+    yield _pass_nodes(tuple(range(1, last + 1)))
     for level in range(last + 1, max_level + 1):
-        yield _pass_nodes(a, b, (level,))
+        yield _pass_nodes((level,))
 
 
 def _check_tol(tol: float) -> None:
@@ -192,9 +182,9 @@ def _block(values, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _rule(
-    a: float, b: float, tol: float, max_level: int, level_sums: Callable, what: str
+    tol: float, max_level: int, level_sums: Callable, what: str
 ) -> QuadratureResult:
-    """The tanh-sinh level loop over (a, b), in Python floats.
+    """The tanh-sinh level loop over (0, 1), in Python floats.
 
     For each pass (x, table) of _passes, level_sums(x, table) evaluates the
     integrand over the whole pass and returns the evaluations made and a
@@ -212,11 +202,10 @@ def _rule(
     converges or fails: a rule that stops inside a pass counts the whole
     pass. On a failure the previous level's value stands.
     """
-    scale = b - a
     acc = acc_err = prev = 0.0
     estimate = math.inf
     done = 0  # evaluations made
-    for x, table in _passes(a, b, max_level):
+    for x, table in _passes(max_level):
         evaluated, sums = level_sums(x, table)
         done += evaluated
         for (level, _, _), (total, error, message) in zip(table, sums):
@@ -224,7 +213,7 @@ def _rule(
                 return QuadratureResult(prev, math.inf, done, False, message)
             acc += total
             acc_err += error
-            h = 2.0**-level * scale
+            h = 2.0**-level
             value = h * acc
             if level > 1:
                 estimate = abs(value - prev) + h * acc_err
@@ -278,7 +267,7 @@ def _integrate_rows(
     for level in range(1, max_level + 1):
         if live.size == 0:
             break
-        x, ((_, _, w),) = _pass_nodes(0.0, 1.0, (level,))
+        x, ((_, _, w),) = _pass_nodes((level,))
         evaluations += live.size * x.size
         # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
         # resident buffers on its first call, for no gain at these sizes.
@@ -313,20 +302,13 @@ def _integrate_rows(
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
-    *,
-    max_level: int = MAX_LEVEL,
+    f: Callable[[np.ndarray], np.ndarray], tol: float, *, max_level: int = MAX_LEVEL
 ) -> QuadratureResult:
-    """Integrate f over (a, b) to absolute tolerance tol.
+    """Integrate f over (0, 1) to absolute tolerance tol.
 
     f takes a numpy array of abscissas and returns the array of values (or
     one constant); a scalar function can be passed as
-    np.vectorize(f, otypes=[float]). a and b must be finite, a < b with a
-    double strictly between them (no node can sample a narrower interval),
-    and the width b - a finite. f is never evaluated at a or b;
+    np.vectorize(f, otypes=[float]). f is never evaluated at 0 or 1;
     singularities of log-power type at the endpoints are fine. max_level is
     the last level tried, 1 <= max_level <= MAX_LEVEL.
 
@@ -341,12 +323,6 @@ def integrate(
     # Level L adds about 4.6 * 2^L nodes: a level past MAX_LEVEL would
     # cost memory and time without bound before any convergence test.
     _check_integer("integrate", "max_level", max_level, 1, MAX_LEVEL)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration requires finite limits, got ({a}, {b})")
-    if not math.nextafter(a, b) < b:
-        raise ValueError(f"integration requires a double in (a, b), got ({a}, {b})")
-    if not math.isfinite(b - a):
-        raise ValueError(f"integration requires a finite width b - a, got ({a}, {b})")
 
     def level_sums(x, table):
         values = _block(np.reshape(f(x), (1, -1)), (1, x.size))
@@ -357,7 +333,7 @@ def integrate(
             sums.append((total, 0.0, message))
         return x.size, sums
 
-    return _rule(a, b, tol, max_level, level_sums, "refinement")
+    return _rule(tol, max_level, level_sums, "refinement")
 
 
 def integrate2d(
@@ -419,4 +395,4 @@ def integrate2d(
             ))
         return evaluated, sums
 
-    return _rule(0.0, 1.0, tol, max_level, level_sums, "outer refinement")
+    return _rule(tol, max_level, level_sums, "outer refinement")

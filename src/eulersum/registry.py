@@ -217,17 +217,20 @@ def inject_failure(cases: list[IdentityCase], case_id: str) -> list[IdentityCase
     """Corrupt one case's right side (negative control for the harness).
 
     Numeric cases get 100x their tolerance added, exact cases get +1; both
-    must flip the case to "fail" on a correct build.
+    must flip the case to "fail" on a correct build. A quadrature side keeps
+    its QuadratureResult, value shifted: its evaluations and trust gate stay.
     """
     target = next((case for case in cases if case.id == case_id), None)
     if target is None:
         raise KeyError(f"no case with id {case_id!r}")
-    if target.kind == "exact":
-        def bad_rhs():
-            return target.rhs() + 1
-    else:
-        def bad_rhs():
-            return float(_eval_side(target.rhs)[0]) + 100.0 * target.tol
+    shift = 1 if target.kind == "exact" else 100.0 * target.tol
+
+    def bad_rhs():
+        value = target.rhs()
+        if isinstance(value, QuadratureResult):
+            return replace(value, value=value.value + shift)
+        return value + shift
+
     corrupted = replace(
         target, description=target.description + " [corrupted]", rhs=bad_rhs
     )
@@ -248,7 +251,7 @@ def _factorial_times_alt_sum(n: int, p: int) -> Fraction:
 def _log_power_integral(p: int) -> QuadratureResult:
     """int_0^1 log(t)^p/(1-t) dt by direct quadrature: 2 zeta(3) at p = 2,
     -6 zeta(4) at p = 3."""
-    return integrate(lambda t: np.log(t) ** p / (1.0 - t), 0.0, 1.0, 1e-12)
+    return integrate(lambda t: np.log(t) ** p / (1.0 - t), 1e-12)
 
 
 def _neg_half_log_cubed() -> QuadratureResult:
@@ -264,7 +267,7 @@ def _neg_half_log_cubed() -> QuadratureResult:
 def _integral_representation(q: int) -> QuadratureResult:
     """The quadrature of eulersums.sum_via_integral(q), as a result."""
     f = eulersums.integral_representation_integrand(q)
-    return integrate(f, 0.0, 1.0, 1e-10)
+    return integrate(f, 1e-10)
 
 
 def _series(m: int, q: int) -> float:

@@ -72,9 +72,7 @@ def test_criterion_03_euler_two_zeta3_three_paths():
     assert abs(target - 2.404113806319188) < 1e-14
     series = sum_series(EulerSumSpec(1, 2))
     integral = sum_via_integral(2)
-    quadrature = integrate(
-        lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-12
-    ).value
+    quadrature = integrate(lambda t: np.log(t) ** 2 / (1.0 - t), 1e-12).value
     residuals = {
         "series": abs(series - target),
         "integral": abs(integral - target),
@@ -169,8 +167,8 @@ def test_criterion_08_inner_integral_closed_form():
 
 
 def test_criterion_09_reference_integrals_and_estimate_honesty():
-    log2_result = integrate(lambda t: np.log(t) ** 2 / (1.0 - t), 0.0, 1.0, 1e-12)
-    log3_result = integrate(lambda u: np.log(u) ** 3 / (1.0 - u), 0.0, 1.0, 1e-12)
+    log2_result = integrate(lambda t: np.log(t) ** 2 / (1.0 - t), 1e-12)
+    log3_result = integrate(lambda u: np.log(u) ** 3 / (1.0 - u), 1e-12)
     res_log2 = abs(log2_result.value - 2.0 * zeta(3))
     res_log3 = abs(log3_result.value - (-6.493939402266829))
 
@@ -183,7 +181,7 @@ def test_criterion_09_reference_integrals_and_estimate_honesty():
     honest = True
     worst_ratio = 0.0
     for f, exact in battery:
-        r = integrate(f, 0.0, 1.0, 1e-12)
+        r = integrate(f, 1e-12)
         honest &= r.converged and abs(r.value - exact) <= 10.0 * r.abs_error_estimate
         if r.abs_error_estimate > 0:
             worst_ratio = max(worst_ratio, abs(r.value - exact) / r.abs_error_estimate)

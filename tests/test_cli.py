@@ -290,6 +290,21 @@ class TestEvalErrors:
         assert out == ""
         assert err == "eulersum: eval integral: integral of S(1; 2) did not converge\n"
 
+    def test_integral_non_convergence_names_its_reason(self, monkeypatch):
+        import functools
+
+        from eulersum import eulersums, quad
+
+        monkeypatch.setattr(
+            eulersums, "integrate", functools.partial(quad.integrate, max_level=2)
+        )
+        code, out, err = run_cli("eval", "integral", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "eulersum: eval integral: integral representation of S(1; 2) did not "
+            "converge: no convergence within 2 refinement levels\n"
+        )
+
     @pytest.mark.parametrize("x", ["0.9", "-0.9"])
     def test_polylog_huge_order_is_fast(self, x):
         start = time.perf_counter()

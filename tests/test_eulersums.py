@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from paper_kernels import raw_double_integral_kernel
 
-from eulersum import eulersums
+from eulersum import eulersums, quad
 from eulersum.constants import euler_gamma, zeta
 from eulersum.exactmath import bernoulli
 from eulersum.eulersums import (
@@ -24,6 +24,7 @@ from eulersum.eulersums import (
     sum_series,
     sum_via_integral,
 )
+from eulersum.quad import QuadratureError
 from eulersum.specfun import polylog
 
 TWO_ZETA3 = 2.0 * zeta(3)
@@ -282,6 +283,26 @@ class TestSumViaIntegral:
         with pytest.raises(ValueError):
             sum_via_integral(1)
 
+    def test_failure_names_its_reason(self, monkeypatch):
+        points = []
+
+        def limited(f, tol):
+            def counted(t):
+                points.append(t.size)
+                return f(t)
+
+            return quad.integrate(counted, tol, max_level=2)
+
+        monkeypatch.setattr(eulersums, "integrate", limited)
+        with pytest.raises(QuadratureError) as raised:
+            sum_via_integral(2)
+        assert str(raised.value) == (
+            "integral representation of S(1; 2) did not converge: "
+            "no convergence within 2 refinement levels"
+        )
+        assert not raised.value.result.converged
+        assert raised.value.result.evaluations == sum(points) > 0
+
     @pytest.mark.parametrize("q", [3, 63, 64, 10**6])
     def test_tol_floor(self, q):
         # sum_series' floor, checked before the q >= 64 shortcut.
@@ -376,7 +397,7 @@ class TestQuadraticSumOuter:
         # zeta(2)^2 = 5/2 zeta(4).
         from eulersum.quad import integrate
 
-        r = integrate(lambda u: np.log(u) ** 3 / (1.0 - u), 0.0, 1.0, 1e-12)
+        r = integrate(lambda u: np.log(u) ** 3 / (1.0 - u), 1e-12)
         half_log3 = -0.5 * r.value
         assert abs(half_log3 - 3.0 * zeta(4)) <= 1e-10
         assert abs(zeta(2) ** 2 - 2.5 * zeta(4)) <= 1e-14

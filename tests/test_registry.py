@@ -519,6 +519,25 @@ class TestInjectFailure:
         with pytest.raises(KeyError):
             inject_failure(registry, "no-such-case")
 
+    def test_quadrature_rhs_keeps_its_evaluations(self, registry, monkeypatch):
+        # The corrupted rhs is the quadrature's own result, value shifted:
+        # the runner still counts its evaluations and applies its trust gate.
+        case_id = "inner-integral/u=0.1"
+        clean = run_case(next(c for c in registry if c.id == case_id))
+        target = next(c for c in inject_failure(registry, case_id) if c.id == case_id)
+        corrupted = run_case(target)
+        assert (clean.status, corrupted.status) == ("pass", "fail")
+        assert corrupted.evaluations == clean.evaluations == 149
+        assert corrupted.rhs_value == clean.rhs_value + 100.0 * target.tol
+        monkeypatch.setattr(
+            eulersums, "integrate", functools.partial(quad.integrate, max_level=2)
+        )
+        result = run_case(target)
+        assert result.status == "error"
+        assert result.message == (
+            "QuadratureError: no convergence within 2 refinement levels"
+        )
+
     @pytest.mark.parametrize("case_id", ["euler-q2-series", "altsum-harmonic/n=5"])
     def test_changes_only_rhs_and_description(self, registry, case_id):
         cases = inject_failure(registry, case_id)
