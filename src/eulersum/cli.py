@@ -1,11 +1,12 @@
 """Command-line front end.
 
-    eulersum verify [--tol X] [--filter PREFIX] [--output text|json]
+    eulersum verify [--filter PREFIX] [--output text|json]
     eulersum eval NAME PARAMS...
     eulersum list
 
 verify exits 0 only when every case passed; any failure or error gives 1,
 bad arguments (a --filter that matches no case among them) give 2.
+A case is judged only against its own tolerance; no option loosens it.
 Reports go to stdout (text or schema-stable JSON), diagnostics to stderr.
 Numbers print with shortest round-trip precision.
 """
@@ -19,7 +20,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import eulersums, registry
+from . import eulersums
 from .constants import zeta
 from .quad import QuadratureError
 from .registry import VerificationReport, builtin_registry, inject_failure, run_suite
@@ -51,18 +52,6 @@ _EVAL = {
 }
 
 
-def _tolerance(text: str) -> float:
-    """--tol value, held to the registry's rule for tol_override."""
-    try:
-        value = _number(text, float)
-        registry._check_tol_override(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number with 0 < X < 1, got {text!r}"
-        ) from None
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors as one line, "<prog>: error: <message>", exit 2;
     subcommand parsers are of the same class."""
@@ -79,14 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the identity verification suite")
-    verify.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=None,
-        metavar="X",
-        help="loosen every numeric tolerance to at least X, 0 < X < 1 "
-        "(default: per-case)",
-    )
     verify.add_argument(
         "--filter",
         default=None,
@@ -161,11 +142,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except KeyError as exc:
             print(f"eulersum: {exc.args[0]}", file=sys.stderr)
             return 2
-    report = run_suite(
-        id_prefix=args.filter,
-        tol_override=args.tol,
-        cases=cases,
-    )
+    report = run_suite(id_prefix=args.filter, cases=cases)
     if report.summary["total"] == 0:
         # a report of 0 cases would pass while checking nothing
         print(f"eulersum: verify: no case id starts with {args.filter!r}", file=sys.stderr)

@@ -117,42 +117,19 @@ def _eval_side(fn: Callable[[], object]) -> tuple[object, int]:
     return value, 0
 
 
-def _check_tol_override(tol_override: Optional[float]) -> None:
-    """Reject an override that could let every identity pass, or none.
+def run_case(case: IdentityCase) -> CaseResult:
+    """Evaluate both sides of a case and judge them against its own tol.
 
-    At 1 and above the relative criterion |l - r| <= X max(|l|, |r|)
-    accepts any two values of the same sign; NaN would be dropped by max().
+    An errored case reports the evaluations its sides made, those of a
+    quadrature that did not converge included.
     """
-    if tol_override is None:
-        return
-    try:
-        valid = 0.0 < tol_override < 1.0  # also rejects NaN and both infinities
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(
-            "tol_override must be a finite number with 0 < X < 1, "
-            f"got {tol_override!r}"
-        )
-
-
-def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseResult:
-    """Evaluate both sides of a case and classify the outcome.
-
-    tol_override can only loosen: the effective tolerance is the larger of
-    the case's own tolerance and the override, so a suite-wide override
-    never makes a method fail a bar it was not designed to meet. It must be
-    a finite number with 0 < X < 1 (ValueError otherwise).
-    """
-    _check_tol_override(tol_override)
-    tol = case.tol
-    if tol and tol_override is not None:
-        tol = max(tol, tol_override)
+    tol, evaluations = case.tol, 0
     start = time.perf_counter()
     try:
-        lhs, lhs_evals = _eval_side(case.lhs)
+        lhs, evaluations = _eval_side(case.lhs)
         rhs, rhs_evals = _eval_side(case.rhs)
-        if not tol:  # an exact case: tol 0, which no override changes
+        evaluations += rhs_evals
+        if not tol:  # an exact case
             if not isinstance(lhs, Fraction) or not isinstance(rhs, Fraction):
                 raise TypeError("exact case sides must evaluate to Fractions")
             passed = lhs == rhs
@@ -171,20 +148,19 @@ def run_case(case: IdentityCase, tol_override: Optional[float] = None) -> CaseRe
             bound = tol if case.criterion == "abs" else tol * max(1e-300, denom)
             passed = abs_res <= bound
         status = "pass" if passed else "fail"
-        evaluations, message = lhs_evals + rhs_evals, ""
+        message = ""
     except Exception as exc:  # evaluator failures are data, not control flow
         status, message = "error", f"{type(exc).__name__}: {exc}"
         lhs = rhs = abs_res = rel_res = None
-        evaluations = 0
+        if isinstance(exc, QuadratureError):  # the side that did not converge
+            evaluations += exc.result.evaluations
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return CaseResult(case.id, status, lhs, rhs, abs_res, rel_res, tol,
                       evaluations, elapsed_ms, message)
 
 
 def run_suite(
-    id_prefix: Optional[str] = None,
-    tol_override: Optional[float] = None,
-    cases: Optional[list[IdentityCase]] = None,
+    id_prefix: Optional[str] = None, *, cases: Optional[list[IdentityCase]] = None
 ) -> VerificationReport:
     """Run all (or id-prefix filtered) cases in order and assemble the report.
 
@@ -193,15 +169,14 @@ def run_suite(
     are pure Python and numpy work under one interpreter lock, so a thread
     pool only adds scheduling overhead. Without `cases` it runs the builtin
     cases, built once at import; every call still evaluates both sides of
-    every case. tol_override follows run_case (ValueError when invalid).
+    every case, each judged only against its own tol.
     """
-    _check_tol_override(tol_override)
     if cases is None:
         cases = _CATALOGUE
     if id_prefix is not None:
         cases = [c for c in cases if c.id.startswith(id_prefix)]
     start = time.perf_counter()
-    results = [run_case(c, tol_override) for c in cases]
+    results = [run_case(c) for c in cases]
     suite_elapsed = (time.perf_counter() - start) * 1e3
     results.sort(key=lambda r: r.id)
     summary = {
