@@ -102,12 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_number(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip representation
-    return str(value)
-
-
 def _print_text_report(report: VerificationReport) -> None:
     for case in report.cases:
         line = f"{case.id:32s} {case.status:5s}"
@@ -122,8 +116,8 @@ def _print_text_report(report: VerificationReport) -> None:
             )
         if case.status == "fail":
             line += (
-                f"  lhs={_format_number(case.lhs_value)}"
-                f"  rhs={_format_number(case.rhs_value)}"
+                f"  lhs={case.lhs_value}"
+                f"  rhs={case.rhs_value}"
             )
         print(line)
     s = report.summary
@@ -167,7 +161,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except (ValueError, OverflowError, QuadratureError) as exc:
         print(f"eulersum: eval {name}: {exc}", file=sys.stderr)
         return 2
-    print(_format_number(value))
+    print(value)
     return 0
 
 

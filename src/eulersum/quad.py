@@ -33,11 +33,12 @@ IEEE operations on one value, without a numpy call each. Per pass, the
 1-D rule makes one integrand call; the 2-D rule integrates the inner
 integrals of all outer nodes of the pass as one block in the vectorised
 row kernel _integrate_rows, where each inner level evaluates the
-integrand once on (rows still running) x (new inner nodes) and a row
-leaves the block as soon as its inner integral passes its convergence
-test, relative to the inner value. The inner rule stays one level per
-call: many rows stop at inner level 2, and a first inner pass of levels
-1 to 3 would evaluate level-3 nodes that those rows never need.
+integrand once on (rows still running) x (new inner nodes). Every row
+keeps its place in the block's arrays; a row stops running, with its
+value and estimate in place, as soon as its inner integral passes its
+convergence test, relative to the inner value. The inner rule stays one
+level per call: many rows stop at inner level 2, and a first inner pass
+of levels 1 to 3 would evaluate level-3 nodes that those rows never need.
 """
 
 from __future__ import annotations
@@ -226,79 +227,65 @@ def _rule(
 
 
 def _integrate_rows(
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rows: int,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    us: np.ndarray,
     tol: float,
     max_level: int,
 ) -> tuple[np.ndarray, np.ndarray, int, dict[int, str]]:
-    """Tanh-sinh over (0, 1) for `rows` integrands at once: the inner rule
-    of integrate2d.
+    """Tanh-sinh over t in (0, 1) of f(t, u) for every u in us at once: the
+    inner rule of integrate2d, one row per u.
 
-    evaluate(x, live) returns the integrands of the rows listed in live at
-    the abscissas x, shaped (len(live), len(x)). Each level makes one such
-    call on all of its new nodes, both halves of the interval, for every
-    row still running, and weights the block by one matrix-vector product;
-    a row leaves the block at the level where it passes the convergence
-    test or fails, so its value and estimate are those of the rule run on
-    that row alone, up to summation order (from level 11, over 8192 nodes,
-    numpy's einsum can sum a block of several rows in another order than
-    one row). The test is relative to the row's value: reported < tol *
+    Each level calls f once with a row of its new nodes t, both halves of
+    the interval, against the column of the u still running, and weights
+    the block by one matrix-vector product. The rows keep their places in
+    the value and estimate arrays: a row stops, and drops out of the
+    running rows, at the level where it passes the convergence test or
+    fails, so its value and estimate are those of the rule run on that row
+    alone, up to summation order (from level 11, over 8192 nodes, numpy's
+    einsum can sum a block of several rows in another order than one row).
+    The test is relative to the row's value: reported < tol *
     max(1, |value|). Returns per-row (value, abs_error_estimate), the
     evaluations made and a map from each failed row to its message.
     """
-    value_out = np.zeros(rows)
-    estimate_out = np.full(rows, math.inf)
+    acc = np.zeros(us.size)
+    value = np.zeros(us.size)
+    estimate = np.full(us.size, math.inf)
     failures: dict[int, str] = {}
-    # State of the rows still running, aligned with live.
-    live = np.arange(rows)
-    acc = np.zeros(rows)
-    prev = np.zeros(rows)
-    diff = np.full(rows, math.inf)
+    live = np.arange(us.size)  # the rows still running
     evaluations = 0
-
-    def finish(keep: np.ndarray, values: np.ndarray, estimates: np.ndarray) -> None:
-        """Record the rows not in keep as finished and drop them from live."""
-        nonlocal live, acc, prev, diff
-        gone = live[~keep]
-        value_out[gone] = values[~keep]
-        estimate_out[gone] = estimates[~keep]
-        live, acc, prev, diff = live[keep], acc[keep], prev[keep], diff[keep]
-
     for level in range(1, max_level + 1):
         if live.size == 0:
             break
         x, ((_, _, w),) = _pass_nodes((level,))
         evaluations += live.size * x.size
+        block = _block(f(x[None, :], us[live, None]), (live.size, x.size))
         # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
         # resident buffers on its first call, for no gain at these sizes.
-        sums = np.einsum("ij,j->i", _block(evaluate(x, live), (live.size, x.size)), w)
+        sums = np.einsum("ij,j->i", block, w)
 
         finite = np.isfinite(sums)
         if not finite.all():
-            for row in live[~finite].tolist():
-                failures[row] = _NON_FINITE
             # A failed row keeps the previous level's value.
-            finish(finite, prev, np.full(live.size, math.inf))
-            sums = sums[finite]
-        acc += sums
-        value = 2.0**-level * acc
+            failed = live[~finite]
+            failures.update(dict.fromkeys(failed.tolist(), _NON_FINITE))
+            estimate[failed] = math.inf
+            live, sums = live[finite], sums[finite]
+        acc[live] += sums
+        previous = value[live]
+        value[live] = level_value = 2.0**-level * acc[live]
         if level > 1:
-            diff = np.abs(value - prev)
-            size = np.abs(value)
+            diff = np.abs(level_value - previous)
+            size = np.abs(level_value)
             # Roundoff floor: a level difference of exactly zero does not
             # certify anything below one rounding of the result.
             reported = np.maximum(diff, _EPS * (1.0 + size))
             passed = reported < tol * np.maximum(1.0, size)
-            if passed.any():
-                finish(~passed, value, reported)
-                value = value[~passed]
-        prev = value
+            estimate[live] = np.where(passed, reported, diff)
+            live = live[~passed]
 
-    for row in live.tolist():
-        failures[row] = f"no convergence within {max_level} refinement levels"
-    value_out[live] = prev
-    estimate_out[live] = diff
-    return value_out, estimate_out, evaluations, failures
+    message = f"no convergence within {max_level} refinement levels"
+    failures.update(dict.fromkeys(live.tolist(), message))
+    return value, estimate, evaluations, failures
 
 
 def integrate(
@@ -357,9 +344,9 @@ def integrate2d(
     All outer nodes of a pass are integrated together, those of outer
     levels 1 to 3 as one block: each inner level evaluates f once on the
     (outer rows x inner nodes) block of rows still running, and a row
-    drops out when it meets its inner test or fails, so each row's inner
-    result is that of the inner rule run on its outer node alone (up to
-    summation order, see _integrate_rows). evaluations counts every point
+    stops running when it meets its inner test or fails, so each row's
+    inner result is that of the inner rule run on its outer node alone (up
+    to summation order, see _integrate_rows). evaluations counts every point
     evaluated, so a result that converges or fails at outer level 2
     includes the rows of outer level 3.
 
@@ -371,13 +358,8 @@ def integrate2d(
     inner_tol = tol / 10.0
 
     def level_sums(us, table):
-        column = us[:, None]
-
-        def evaluate(t, live):
-            return f(t[None, :], column[live])
-
         values, estimates, evaluated, failures = _integrate_rows(
-            evaluate, us.size, inner_tol, max_level
+            f, us, inner_tol, max_level
         )
         # Rows are in level order: the first failed row is the first failure.
         first = min(failures, default=us.size)

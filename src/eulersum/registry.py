@@ -229,16 +229,6 @@ def _log_power_integral(p: int) -> QuadratureResult:
     return integrate(lambda t: np.log(t) ** p / (1.0 - t), 1e-12)
 
 
-def _neg_half_log_cubed() -> QuadratureResult:
-    """-1/2 int_0^1 log(u)^3/(1-u) du, the first piece of the 17/4 split."""
-    result = _log_power_integral(3)
-    return replace(
-        result,
-        value=-0.5 * result.value,
-        abs_error_estimate=0.5 * result.abs_error_estimate,
-    )
-
-
 def _integral_representation(q: int) -> QuadratureResult:
     """The quadrature of eulersums.sum_via_integral(q), as a result."""
     f = eulersums.integral_representation_integrand(q)
@@ -346,8 +336,8 @@ _CATALOGUE = (
                  lambda: _log_power_integral(3), lambda: -6.0 * zeta(4), 1e-11,
                  "abs", "classical"),
     IdentityCase("dedoelder-halflog3", "-1/2 int_0^1 log(u)^3/(1-u) du = 3 zeta(4)",
-                 _neg_half_log_cubed, lambda: 3.0 * zeta(4), 1e-10, "rel",
-                 "classical"),
+                 lambda: integrate(lambda t: -0.5 * np.log(t) ** 3 / (1.0 - t), 1e-12),
+                 lambda: 3.0 * zeta(4), 1e-10, "rel", "classical"),
     IdentityCase("dedoelder-series",
                  "sum [H_n]^2/n^2 = 17/4 zeta(4), accelerated series",
                  lambda: _series(2, 2), lambda: 17.0 / 4.0 * zeta(4), 1e-10, "rel",

@@ -518,10 +518,9 @@ class TestLevelPasses:
 def one_row_integrate(f, tol, *, max_level=MAX_LEVEL):
     """The one-row case of the multi-row kernel on (0, 1), under its
     relative test, as a QuadratureResult."""
-    def evaluate(x, live):
-        return np.asarray(f(x), dtype=float).reshape(1, -1)
-
-    value, estimate, evals, failures = _integrate_rows(evaluate, 1, tol, max_level)
+    value, estimate, evals, failures = _integrate_rows(
+        lambda t, u: f(t), np.zeros(1), tol, max_level
+    )
     message = failures.get(0, "")
     return QuadratureResult(
         float(value[0]), float(estimate[0]), evals, not message, message
@@ -683,6 +682,48 @@ class TestFloatLoop:
         assert block.evaluations == sum(calls) == 4312
         assert loop.evaluations == 1187
         assert block.value == loop.value != 0.0  # level 1's value stands
+
+
+class TestIntegrateRows:
+    # Row i integrates ROWS[i][1] in one block at relative tol 1e-6 and
+    # max_level 8; ROWS[i][0] is the last level the row runs when run
+    # alone. Rows 2 and 3 fail; the others converge.
+    ROWS = [
+        (4, lambda t: np.cos(10.0 * t)),
+        (2, lambda t: t**-0.5),
+        # Finite at levels 1 and 2, NaN from level 3 on.
+        (3, lambda t: np.where((0.2 < t) & (t < 0.25), np.nan, t)),
+        (8, lambda t: np.abs(t - 1.0 / 3.0)),
+        (3, np.log),
+        (6, lambda t: 1.0 / (0.01 + (t - 0.5) ** 2)),
+        (3, np.sqrt),
+        (2, lambda t: t**-0.5),
+    ]
+
+    def test_rows_stopping_apart_match_one_row_runs(self):
+        def f(t, u):
+            return np.vstack([
+                np.broadcast_to(self.ROWS[int(i)][1](t[0]), t[0].shape)
+                for i in u[:, 0]
+            ])
+
+        values, estimates, evaluations, failures = _integrate_rows(
+            f, np.arange(len(self.ROWS), dtype=float), 1e-6, 8
+        )
+        assert failures == {
+            2: "non-finite integrand value at an interior node",
+            3: "no convergence within 8 refinement levels",
+        }
+        last_node = np.cumsum(node_counts()).tolist()
+        alone = []
+        for i, (last, g) in enumerate(self.ROWS):
+            ref = one_row_integrate(g, 1e-6, max_level=8)
+            alone.append(ref.evaluations)
+            assert last_node.index(ref.evaluations) + 1 == last, i
+            assert values[i].hex() == ref.value.hex(), i
+            assert estimates[i].hex() == ref.abs_error_estimate.hex(), i
+            assert failures.get(i, "") == ref.message, i
+        assert evaluations == sum(alone)
 
 
 class TestMaxLevel:

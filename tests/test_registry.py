@@ -502,12 +502,12 @@ class TestQuadratureTrustGate:
         failed = self.FAILED_EVALUATIONS["integrate"]
         assert result.evaluations == lhs.evaluations + failed
 
-    def test_halflog3_scales_value_and_estimate(self):
+    def test_halflog3_is_half_the_log3_integral(self, registry):
         cubed = registry_module._log_power_integral(3)
-        half = registry_module._neg_half_log_cubed()
-        assert half.value == -0.5 * cubed.value
-        assert half.abs_error_estimate == 0.5 * cubed.abs_error_estimate
-        assert (half.evaluations, half.converged) == (cubed.evaluations, True)
+        (case,) = [c for c in registry if c.id == "dedoelder-halflog3"]
+        half = case.lhs()
+        assert half.value.hex() == (-0.5 * cubed.value).hex()
+        assert (half.evaluations, half.converged) == (149, True)
 
 
 class TestInjectFailure:
