@@ -5,7 +5,8 @@
     eulersum list
 
 verify exits 0 only when every case passed; any failure or error gives 1,
-bad arguments (a --filter that matches no case among them) give 2.
+bad arguments (among them a --filter that matches no case or drops the
+--inject-failure case) give 2.
 A case is judged only against its own tolerance; no option loosens it.
 Reports go to stdout (text or schema-stable JSON), diagnostics to stderr.
 Numbers print with shortest round-trip precision.
@@ -135,6 +136,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             cases = inject_failure(cases, args.inject_failure)
         except KeyError as exc:
             print(f"eulersum: {exc.args[0]}", file=sys.stderr)
+            return 2
+        if args.filter is not None and not args.inject_failure.startswith(args.filter):
+            # the corrupted case would not run, so the control checks nothing
+            print(f"eulersum: verify: --filter {args.filter!r} excludes the "
+                  f"injected case {args.inject_failure!r}", file=sys.stderr)
             return 2
     report = run_suite(id_prefix=args.filter, cases=cases)
     if report.summary["total"] == 0:

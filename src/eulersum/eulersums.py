@@ -24,11 +24,12 @@ where the sum rounds to it; the quadrature routes the registry checks
 return their QuadratureResult, so the caller sees the evaluation count and
 decides on convergence.
 
-The tail machinery manipulates expansions of the form
-sum c * log(x)^i * x^(-e) symbolically (as coefficient maps), which keeps
-the Euler-Maclaurin derivatives exact instead of finite-differenced. The
-tables that do not depend on the sum being evaluated (H_1..H_200, the
-expansion of H_x^m and each term's derivative chain) are built once.
+The series tail sums an expansion of the form sum c * log(x)^i * x^(-e)
+term by term: each term's tail is (-d/ds)^i of the Hurwitz-zeta tail
+sum_{n>N} n^-s at s = q + e, whose Euler-Maclaurin form is one polynomial
+in s (Johansson, Numer. Algorithms 69, 2015). The tables that do not
+depend on the sum being evaluated (H_1..H_200, the expansion of H_x^m and
+that polynomial with its two derivatives) are built once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .constants import euler_gamma, zeta
 from .exactmath import _check_integer, bernoulli
 from .quad import QuadratureError, QuadratureResult, integrate, integrate2d
-from .specfun import dilog_neg_ratio, polylog_array, polylog_one_minus
+from .specfun import _horner, dilog_neg_ratio, polylog_array, polylog_one_minus
 
 __all__ = [
     "EulerSumSpec",
@@ -114,67 +115,53 @@ def _expansion_product(p: _Expansion, q: _Expansion) -> _Expansion:
     return out
 
 
-def _expansion_derivative(p: _Expansion) -> _Expansion:
-    """d/dx of an expansion (closed under differentiation)."""
-    out: _Expansion = {}
-    for (i, e), c in p.items():
-        if i >= 1:
-            key = (i - 1, e + 1)
-            out[key] = out.get(key, 0.0) + c * i
-        key = (i, e + 1)
-        out[key] = out.get(key, 0.0) - c * e
-    return out
+def _hurwitz_tail_polynomials(n: int) -> tuple:
+    """Horner tables of P, P' and P'' for the Hurwitz-zeta tail at n.
 
-
-def _expansion_value(terms, x, log_x: float) -> float:
-    """Value of the expansion items ((i, e), c) at x, with log_x = log(x)."""
-    return math.fsum(c * log_x**i * x ** (-float(e)) for (i, e), c in terms)
-
-
-def _tail_integral(i: int, s: float, n: float) -> float:
-    """int_n^inf log(x)^i x^(-s) dx for s > 1, by parts recursively."""
-    if i == 0:
-        return n ** (1.0 - s) / (s - 1.0)
-    head = math.log(n) ** i * n ** (1.0 - s) / (s - 1.0)
-    return head + i / (s - 1.0) * _tail_integral(i - 1, s, n)
-
-
-# Euler-Maclaurin weights B_2k / (2k)! of the odd derivatives, k = 1, 2, 3.
-_EM_WEIGHTS = tuple(
-    float(bernoulli(2 * k)) / math.factorial(2 * k) for k in (1, 2, 3)
-)
-
-
-@lru_cache(maxsize=128)
-def _derivative_chain(i: int, s: int) -> tuple:
-    """log(x)^i x^(-s) and its derivatives of orders 1, 3 and 5, as items."""
-    d: _Expansion = {(i, s): 1.0}
-    chain = [tuple(d.items())]
-    for order in range(1, 6):
-        d = _expansion_derivative(d)
-        if order % 2:
-            chain.append(tuple(d.items()))
-    return tuple(chain)
-
-
-def _tail_sum(p, q: int, n_cut: int) -> float:
-    """sum_{n > n_cut} of p(n) / n^q by Euler-Maclaurin with terms to B_6.
-
-    p is an expansion as ((i, e), c) items. For the expansions in play
-    (exponents up to 4, log powers up to 2) the first neglected
-    correction, the B_8 term, is below 2e-21 at n_cut = 200 for every q
-    from 2 to 11.
+    Euler-Maclaurin through B_6 gives
+        sum_{k>n} k^-s = n^-s (n/(s-1) + P(s)) + O(n^(-s-7)),
+        P(s) = -1/2 + sum_{j=1..3} B_2j/(2j)! (s)_(2j-1) n^(1-2j),
+    with (s)_k the rising factorial. P is built in exact fractions; its
+    constant term is -1/2, since every (s)_k has the factor s.
     """
-    log_n = math.log(n_cut)
+    coeffs = [0] * 6  # lowest power first
+    for j in (1, 2, 3):
+        weight = bernoulli(2 * j) / math.factorial(2 * j) / n ** (2 * j - 1)
+        rising = [1]
+        for k in range(2 * j - 1):  # times (s + k)
+            rising = [k * a + b for a, b in zip(rising + [0], [0] + rising)]
+        for d, a in enumerate(rising):
+            coeffs[d] += weight * a
+    coeffs[0] = -0.5
+    tables = []
+    for _ in range(3):
+        tables.append(tuple(float(c) for c in reversed(coeffs)))
+        coeffs = [d * c for d, c in enumerate(coeffs)][1:]
+    return tuple(tables)
+
+
+_TAIL_POLYNOMIALS = _hurwitz_tail_polynomials(SERIES_CUTOFF)
+
+
+def _tail_sum(p, q: int) -> float:
+    """sum_{n > SERIES_CUTOFF} of p(n) / n^q, p an expansion as ((i, e), c) items.
+
+    With N = SERIES_CUTOFF and s = q + e, each item's tail is
+    (-d/ds)^i of the Hurwitz-zeta tail N^-s (N/(s-1) + P(s)), by Leibniz
+        c N^-s sum_{l<=i} C(i, l) log(N)^(i-l) (N l!/(s-1)^(l+1) + (-1)^l P^(l)(s)).
+    Tests check it against mpmath's Hurwitz-zeta derivatives for q = 2..11.
+    """
+    n = float(SERIES_CUTOFF)
+    log_n = math.log(n)
     total = 0.0
     for (i, e), c in p:
-        s = q + e
-        g, *derivatives = _derivative_chain(i, s)
-        val = _tail_integral(i, float(s), float(n_cut))
-        val -= 0.5 * _expansion_value(g, n_cut, log_n)
-        for weight, d in zip(_EM_WEIGHTS, derivatives):
-            val -= weight * _expansion_value(d, n_cut, log_n)
-        total += c * val
+        s = float(q + e)
+        val = 0.0
+        for l in range(i + 1):
+            integral = n * math.factorial(l) / (s - 1.0) ** (l + 1)
+            correction = (-1) ** l * _horner(_TAIL_POLYNOMIALS[l], s)
+            val += math.comb(i, l) * log_n ** (i - l) * (integral + correction)
+        total += c * n**-s * val
     return total
 
 
@@ -224,7 +211,7 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10) -> float:
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
     partial = math.fsum((_HARMONIC_POWERS[m] / _N_ARRAY**q).tolist())
-    return partial + _tail_sum(_harmonic_power_expansion(m), q, SERIES_CUTOFF)
+    return partial + _tail_sum(_harmonic_power_expansion(m), q)
 
 
 def sum_gp_closed_form(p: int) -> float:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
-from math import factorial, inf
+from math import factorial, inf, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,7 +120,8 @@ def _eval_side(fn: Callable[[], object]) -> tuple[object, int]:
 def run_case(case: IdentityCase) -> CaseResult:
     """Evaluate both sides of a case and judge them against its own tol.
 
-    An errored case reports the evaluations its sides made, those of a
+    A numeric side that is NaN or infinite makes the case an error. An
+    errored case reports the evaluations its sides made, those of a
     quadrature that did not converge included.
     """
     tol, evaluations = case.tol, 0
@@ -142,6 +143,9 @@ def run_case(case: IdentityCase) -> CaseResult:
             lhs, rhs = str(lhs), str(rhs)
         else:
             lhs, rhs = float(lhs), float(rhs)
+            for side, value in (("lhs", lhs), ("rhs", rhs)):
+                if not isfinite(value):  # NaN residuals would judge nothing
+                    raise ValueError(f"non-finite {side}: {value}")
             abs_res = abs(lhs - rhs)
             denom = max(abs(lhs), abs(rhs))
             rel_res = abs_res / denom if denom else 0.0

@@ -1,15 +1,18 @@
 """CLI contract: exit codes, output formats, eval surface."""
 
 import json
+import math
 import subprocess
 import sys
 import time
 
 import pytest
 
+from eulersum import cli
 from eulersum.cli import main
 from eulersum.constants import zeta
 from eulersum.eulersums import EulerSumSpec, sum_series
+from eulersum.registry import IdentityCase
 from eulersum.specfun import polylog
 
 
@@ -107,6 +110,32 @@ class TestVerify:
         code, _, err = run_cli("verify", "--inject-failure", "nope")
         assert code == 2
         assert "nope" in err
+
+    def test_inject_failure_filtered_out_exits_2(self):
+        code, out, err = run_cli(
+            "verify", "--inject-failure", "euler-q2-series", "--filter", "euler-q3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "eulersum: verify: --filter 'euler-q3' excludes the injected case "
+            "'euler-q2-series'\n"
+        )
+
+    def test_non_finite_sides_give_valid_json(self, monkeypatch):
+        cases = [
+            IdentityCase(id=f"non-finite-{i}", description="not a number",
+                         lhs=lambda v=value: v, rhs=lambda v=value: v, tol=1e-6)
+            for i, value in enumerate((math.nan, math.inf))
+        ]
+        monkeypatch.setattr(cli, "builtin_registry", lambda: cases)
+        code, out, _ = run_cli("verify", "--output", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["summary"]["errored"] == 2
+        for case in payload["cases"]:
+            assert case["status"] == "error"
+            assert case["abs_residual"] is None and case["rel_residual"] is None
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_filter_matching_nothing_exits_2(self, output):

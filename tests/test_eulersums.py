@@ -10,7 +10,6 @@ from paper_kernels import raw_double_integral_kernel
 
 from eulersum import eulersums, quad
 from eulersum.constants import euler_gamma, zeta
-from eulersum.exactmath import bernoulli
 from eulersum.eulersums import (
     EulerSumSpec,
     double_integral_kernel,
@@ -94,11 +93,10 @@ class TestSumSeries:
 
 
 def reference_sum_series(m: int, q: int, cutoff: int) -> float:
-    """sum_series as a per-term Neumaier loop that re-derives every table.
+    """sum_series as a per-term Neumaier loop plus an independent tail.
 
     The reference for the table-driven sum_series: the partial sum
-    accumulates H_n term by term, and the tail builds the expansion of
-    H_x^m and each term's Euler-Maclaurin derivatives on every call.
+    accumulates H_n term by term, and the tail comes from mpmath.
     """
     terms = []
     h = 0.0
@@ -112,37 +110,39 @@ def reference_sum_series(m: int, q: int, cutoff: int) -> float:
             comp += (t - s) + h
         h = s
         terms.append((h + comp) ** m / float(n) ** q)
-    partial = math.fsum(terms)
+    return math.fsum(terms) + reference_tail(m, q, cutoff)
 
-    expansion = {
+
+def reference_tail(m: int, q: int, cutoff: int) -> float:
+    """sum_{n > cutoff} of the asymptotic expansion of H_n^m / n^q.
+
+    H_n ~ log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4), squared and
+    truncated at n^-4 for m = 2, summed term by term through mpmath's
+    Hurwitz-zeta derivatives at 30 digits:
+    sum_{n > N} log(n)^i n^-s = (-1)^i zeta^(i)(s, N + 1).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    h_items = {
         (1, 0): 1.0,
         (0, 0): euler_gamma(),
         (0, 1): 0.5,
         (0, 2): -1.0 / 12.0,
         (0, 4): 1.0 / 120.0,
     }
-    if m == 2:
-        expansion = eulersums._expansion_product(expansion, expansion)
-
-    def value(p, x):
-        log_x = math.log(x)
-        return math.fsum(c * log_x**i * x ** (-float(e)) for (i, e), c in p.items())
-
-    b_coeffs = [float(bernoulli(2 * k)) / math.factorial(2 * k) for k in (1, 2, 3)]
-    tail = 0.0
-    for (i, e), c in expansion.items():
-        s = q + e
-        d = {(i, s): 1.0}
-        val = eulersums._tail_integral(i, float(s), float(cutoff))
-        val -= 0.5 * value(d, cutoff)
-        order = 0
-        for k, b_over_fact in zip((1, 2, 3), b_coeffs):
-            while order < 2 * k - 1:
-                d = eulersums._expansion_derivative(d)
-                order += 1
-            val -= b_over_fact * value(d, cutoff)
-        tail += c * val
-    return partial + tail
+    with mpmath.workdps(30):
+        expansion = {key: mpmath.mpf(c) for key, c in h_items.items()}
+        if m == 2:
+            square = {}
+            for (i1, e1), c1 in expansion.items():
+                for (i2, e2), c2 in expansion.items():
+                    if e1 + e2 <= 4:
+                        key = (i1 + i2, e1 + e2)
+                        square[key] = square.get(key, 0) + c1 * c2
+            expansion = square
+        return float(mpmath.fsum(
+            c * (-1) ** i * mpmath.zeta(q + e, cutoff + 1, i)
+            for (i, e), c in expansion.items()
+        ))
 
 
 class TestSeriesTables:
@@ -162,9 +162,7 @@ class TestSeriesTables:
         partial = math.fsum(
             [h**m / n**q for h, n in zip(eulersums._HARMONICS, eulersums._NS)]
         )
-        tail = eulersums._tail_sum(
-            eulersums._harmonic_power_expansion(m), q, eulersums.SERIES_CUTOFF
-        )
+        tail = eulersums._tail_sum(eulersums._harmonic_power_expansion(m), q)
         assert sum_series(EulerSumSpec(m, q)) == partial + tail
 
     def test_tables_are_immutable_and_bounded(self):
@@ -175,9 +173,27 @@ class TestSeriesTables:
         assert harmonics == tuple(
             math.fsum(1.0 / k for k in range(1, n + 1)) for n in range(1, 201)
         )
-        chain = eulersums._derivative_chain(1, 3)
-        assert type(chain) is tuple and all(type(d) is tuple for d in chain)
+        polynomials = eulersums._TAIL_POLYNOMIALS
+        assert type(polynomials) is tuple
+        assert all(type(p) is tuple for p in polynomials)
+        assert all(type(c) is float for p in polynomials for c in p)
         assert type(eulersums._harmonic_power_expansion(2)) is tuple
+
+
+class TestTailAgainstHurwitzZeta:
+    """The Euler-Maclaurin tail against mpmath's Hurwitz-zeta derivatives.
+
+    Dropping the B_6 correction from the tail polynomial moves the tail by
+    up to about 7,900 units (q = 11) and fails here, though it moves no
+    double of S(m; q).
+    """
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", range(2, 12))
+    def test_tail_within_four_units(self, m, q):
+        tail = eulersums._tail_sum(eulersums._harmonic_power_expansion(m), q)
+        expected = reference_tail(m, q, eulersums.SERIES_CUTOFF)
+        assert abs(tail - expected) <= 4 * 2.0**-52 * abs(expected)
 
 
 class TestSeriesAgainstClosedForms:

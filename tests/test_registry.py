@@ -225,6 +225,21 @@ class TestRunCase:
         assert result.lhs_value is None
         assert result.abs_residual is None
 
+    @pytest.mark.parametrize(
+        "lhs, rhs, side",
+        [(math.nan, 1.0, "lhs"), (1.0, math.nan, "rhs"),
+         (math.inf, math.inf, "lhs"), (1.0, -math.inf, "rhs")],
+    )
+    def test_non_finite_side_is_error(self, lhs, rhs, side):
+        case = IdentityCase(
+            id="non-finite", description="a side that is not a number",
+            lhs=lambda: lhs, rhs=lambda: rhs, tol=1e-6,
+        )
+        result = run_case(case)
+        assert result.status == "error"
+        assert result.message.startswith(f"ValueError: non-finite {side}: ")
+        assert result.abs_residual is None and result.rel_residual is None
+
     def test_exact_case_type_mismatch_is_error(self):
         case = IdentityCase(
             id="mistyped",
