@@ -339,8 +339,10 @@ _CATALOGUE = (
     IdentityCase("ref-log3-integral", "int_0^1 log(u)^3/(1-u) du = -6 zeta(4)",
                  lambda: _log_power_integral(3), lambda: -6.0 * zeta(4), 1e-11,
                  "abs", "classical"),
-    IdentityCase("dedoelder-halflog3", "-1/2 int_0^1 log(u)^3/(1-u) du = 3 zeta(4)",
-                 lambda: integrate(lambda t: -0.5 * np.log(t) ** 3 / (1.0 - t), 1e-12),
+    IdentityCase("dedoelder-halflog3",
+                 "-3/2 int_0^1 log(u)^2 log(1-u)/u du = 3 zeta(4)",
+                 lambda: integrate(
+                     lambda t: -1.5 * np.log(t) ** 2 * np.log1p(-t) / t, 1e-12),
                  lambda: 3.0 * zeta(4), 1e-10, "rel", "classical"),
     IdentityCase("dedoelder-series",
                  "sum [H_n]^2/n^2 = 17/4 zeta(4), accelerated series",

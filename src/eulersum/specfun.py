@@ -3,7 +3,7 @@
 Evaluation strategy for Li_s(x), s >= 2:
 
   * |x| <= 1/2          direct Taylor series (geometric convergence), and
-                        all of (-1, 1) from s = 64 on, where |Li_s(x) - x| < 2^-63,
+                        all of [-1, 1] from s = 64 on, where |Li_s(x) - x| < 2^-63,
   * x in (1/2, 1)       expansion in powers of z = log x around x = 1,
   * x in (-1, -1/2)     square the argument: Li_s(x) = 2^(1-s) Li_s(x^2)
                         - Li_s(-x), which lands both calls in the branches
@@ -17,13 +17,13 @@ numbers; its radius of convergence is |z| < 2 pi, so on (1/2, 1) each term
 shrinks by better than a factor of 9.
 
 Both series are fixed polynomials for each order s, their coefficients
-computed once and evaluated by Horner's rule. The same kernels take a
-float or a numpy array: polylog() works on one argument, polylog_array()
-masks an array by branch and makes one kernel call per branch, and
-polylog_one_minus() and dilog_neg_ratio() accept either form. The scalar
-paths stay apart from the array ones: one point costs 4-8 us as a float
-but 76-161 us as an array (dilog_neg_ratio on a 2-core Xeon), so the 5
-scalar calls of a suite pass would add about 0.6 ms to its 4.1 ms.
+computed once and evaluated by Horner's rule. Each entry point writes its
+branch split once, for a float and an array alike (_piecewise): a float
+goes to one kernel, an array calls each kernel once on its own points.
+The arithmetic stays apart: a float runs on Python floats and the math
+module, an array on numpy, since one point costs 6-10 us as a float but
+100-180 us as a one-element array (dilog_neg_ratio, timeit minimum on a
+2-core Xeon), and a suite pass makes 5 such float calls.
 
 polylog_one_minus(s, t) computes Li_s(1-t) directly from t, so callers
 integrating toward t = 0 keep full accuracy even when 1-t is not
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -163,49 +163,60 @@ def _log_expansion_coeffs(s: int) -> tuple[tuple[float, ...], float, float]:
     return tuple(reversed(coeffs)), 1 / math.factorial(s - 1), harmonic
 
 
-def _log_expansion(s: int, z, log):
+def _lib(x):
+    """The math module for a float, numpy for an array; both have log and log1p."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _piecewise(x, pieces):
+    """Evaluate x piecewise by (condition, kernel) pairs, disjoint and covering x.
+
+    A float goes to the kernel whose condition holds; an array calls each
+    kernel once, on its points, and skips a piece with none: a kernel costs
+    a few dozen numpy calls however few points it gets.
+    """
+    if not isinstance(x, np.ndarray):
+        for condition, kernel in pieces:
+            if condition:
+                return kernel(x)
+    out = np.empty_like(x)
+    for condition, kernel in pieces:
+        part = x[condition]
+        if part.size:
+            out[condition] = kernel(part)
+    return out
+
+
+def _log_expansion(s: int, z):
     """Li_s(e^z) for z < 0, |z| < log 2, integer s >= 2.
 
     Li_s(e^z) = sum_{k >= 0, k != s-1} zeta(s-k) z^k / k!
                 + z^(s-1)/(s-1)! * (H_{s-1} - log(-z))
 
-    z may be a float or a numpy array, with log the matching math.log or
-    np.log.
+    z may be a float or a numpy array, and log is math.log or np.log to match.
     """
     coeffs, inv_factorial, harmonic = _log_expansion_coeffs(s)
+    log = _lib(z).log
     return _horner(coeffs, z) + z ** (s - 1) * inv_factorial * (harmonic - log(-z))
 
 
-def _polylog_open(s: int, x: float) -> float:
-    """Li_s(x) for s >= 2 and -1 < x < 1."""
-    if abs(x) <= 0.5 or s >= _TAYLOR_ONLY_ORDER:
-        return _taylor(s, x)
-    if x > 0.0:
-        return _log_expansion(s, math.log(x), math.log)
-    # x in (-1, -1/2): argument-squaring identity.
-    return 2.0 ** (1 - s) * _polylog_open(s, x * x) - _log_expansion(
-        s, math.log(-x), math.log
-    )
-
-
-def _polylog_open_array(s: int, x: np.ndarray) -> np.ndarray:
-    """_polylog_open on an array: one kernel call per branch mask."""
+def _polylog(s: int, x):
+    """Li_s(x) for s >= 0 and x in [-1, 1] (x = 1 needs s >= 2), either form."""
+    if s == 0:
+        return x / (1.0 - x)
+    if s == 1:
+        return -_lib(x).log1p(-x)
     if s >= _TAYLOR_ONLY_ORDER:
         return _taylor(s, x)
-    out = np.empty_like(x)
-    taylor = np.abs(x) <= 0.5
-    near_one = x > 0.5
-    near_minus_one = x < -0.5
-    if taylor.any():
-        out[taylor] = _taylor(s, x[taylor])
-    if near_one.any():
-        out[near_one] = _log_expansion(s, np.log(x[near_one]), np.log)
-    if near_minus_one.any():
-        xn = x[near_minus_one]
-        out[near_minus_one] = 2.0 ** (1 - s) * _polylog_open_array(
-            s, xn * xn
-        ) - _log_expansion(s, np.log(-xn), np.log)
-    return out
+    return _piecewise(x, (
+        (abs(x) <= 0.5, lambda x: _taylor(s, x)),
+        ((0.5 < x) & (x < 1.0), lambda x: _log_expansion(s, _lib(x).log(x))),
+        # x in (-1, -1/2): argument-squaring identity.
+        ((-1.0 < x) & (x < -0.5), lambda x: 2.0 ** (1 - s) * _polylog(s, x * x)
+                                            - _log_expansion(s, _lib(x).log(-x))),
+        (x == 1.0, lambda x: zeta(s)),
+        (x == -1.0, lambda x: -(1.0 - 2.0 ** (1 - s)) * zeta(s)),
+    ))
 
 
 def polylog(s: int, x: float) -> float:
@@ -219,17 +230,9 @@ def polylog(s: int, x: float) -> float:
     _check_integer("polylog", "order s", s, 0)
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"polylog argument must lie in [-1, 1], got {x}")
-    if x == 1.0:
-        if s < 2:
-            raise ValueError(f"polylog(s={s}, x=1) diverges")
-        return zeta(s)
-    if s == 0:
-        return x / (1.0 - x)
-    if s == 1:
-        return -math.log1p(-x)
-    if x == -1.0:
-        return -(1.0 - 2.0 ** (1 - s)) * zeta(s)
-    return _polylog_open(s, x)
+    if s < 2 and x == 1.0:
+        raise ValueError(f"polylog(s={s}, x=1) diverges")
+    return _polylog(s, float(x))
 
 
 def polylog_array(s: int, x) -> np.ndarray:
@@ -245,14 +248,7 @@ def polylog_array(s: int, x) -> np.ndarray:
         raise ValueError("polylog arguments must lie in [-1, 1]")
     if s < 2 and np.any(x == 1.0):
         raise ValueError(f"polylog(s={s}, x=1) diverges")
-    if s == 0:
-        return x / (1.0 - x)
-    if s == 1:
-        return -np.log1p(-x)
-    out = np.where(x > 0.0, zeta(s), -(1.0 - 2.0 ** (1 - s)) * zeta(s))
-    inside = np.abs(x) < 1.0
-    out[inside] = _polylog_open_array(s, x[inside])
-    return out
+    return _polylog(s, x)
 
 
 def polylog_eval(s: int, x: float) -> PolylogEval:
@@ -264,61 +260,44 @@ def polylog_eval(s: int, x: float) -> PolylogEval:
 def polylog_one_minus(s: int, t):
     """Li_s(1 - t) for t in [0, 1], accurate uniformly in t.
 
-    For t < 1/2 this goes straight into the x = 1 expansion with
+    For 0 < t < 1/2 this goes straight into the x = 1 expansion with
     z = log1p(-t), so t = 1e-300 is as accurate as t = 0.3; for t >= 1/2
     the complement 1 - t is exact in floating point and lies in [0, 1/2],
-    where the Taylor series serves it; from s = 64 on it serves every t.
-    Li_0(1 - t) = (1 - t)/t overflows for t < 5.6e-309 (ValueError). A
-    scalar t gives a float; an array of t gives an array, branch by branch.
+    where the Taylor series serves it; from s = 64 on it serves every t;
+    t = 0 is zeta(s). Order 1 is -log(t), as -log1p(-x) at x = 1 - t for
+    t >= 1/2; order 0 is (1 - t)/t, which overflows for t < 5.6e-309
+    (ValueError). A scalar t gives a float and an array of t an array,
+    through the same split.
     """
     _check_integer("polylog", "order s", s, 0)
     if np.ndim(t):
-        return _polylog_one_minus_array(s, np.asarray(t, dtype=float))
-    if not 0.0 <= t <= 1.0:
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise ValueError("polylog_one_minus requires t in [0, 1]")
+    elif 0.0 <= t <= 1.0:
+        t = float(t)  # a 0-d array or a numpy scalar takes the float path too
+    else:
         raise ValueError(f"polylog_one_minus requires t in [0, 1], got {t}")
-    if t >= 0.5 or t == 0.0 or s >= _TAYLOR_ONLY_ORDER:
-        return polylog(s, 1.0 - t)
-    if s == 1:
-        return -math.log(t)
-    if s == 0:
-        return _order_zero_one_minus(t)
-    return _log_expansion(s, math.log1p(-t), math.log)
-
-
-def _order_zero_one_minus(t):
-    """Li_0(1 - t) = (1 - t)/t, past the largest double for t < 5.6e-309."""
-    with np.errstate(over="ignore"):
-        value = (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
-    if np.any(np.isinf(value)):
-        raise ValueError("polylog_one_minus(0, t) overflows for t < 5.6e-309")
-    return value
-
-
-def _polylog_one_minus_array(s: int, t: np.ndarray) -> np.ndarray:
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValueError("polylog_one_minus requires t in [0, 1]")
     if s < 2 and np.any(t == 0.0):
         raise ValueError(f"polylog_one_minus({s}, 0) diverges")
     if s == 0:
-        return _order_zero_one_minus(t)
-    out = np.empty_like(t)
-    far = (t >= 0.5) | (s >= _TAYLOR_ONLY_ORDER)
-    x = 1.0 - t[far]  # exact for t >= 1/2, where x <= 1/2
-    near = ~far
-    tn = t[near]
+        with np.errstate(over="ignore"):
+            value = (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
+        if np.any(np.isinf(value)):
+            raise ValueError("polylog_one_minus(0, t) overflows for t < 5.6e-309")
+        return value
+    if s >= _TAYLOR_ONLY_ORDER:
+        return _taylor(s, 1.0 - t)
+    lib = _lib(t)
     if s == 1:
-        out[far] = -np.log1p(-x)
-        out[near] = -np.log(tn)
-        return out
-    # Each polynomial costs a few dozen numpy calls, so skip empty branches.
-    if x.size:
-        out[far] = _taylor(s, x)
-    if tn.size:
-        values = np.full_like(tn, zeta(s))
-        inside = tn > 0.0
-        values[inside] = _log_expansion(s, np.log1p(-tn[inside]), np.log)
-        out[near] = values
-    return out
+        at_x, near_one = partial(_polylog, 1), lambda t: -lib.log(t)
+    else:
+        at_x, near_one = partial(_taylor, s), lambda t: _log_expansion(s, lib.log1p(-t))
+    return _piecewise(t, (
+        (t >= 0.5, lambda t: at_x(1.0 - t)),  # 1 - t is exact, in [0, 1/2]
+        ((0.0 < t) & (t < 0.5), near_one),
+        (t == 0.0, lambda t: zeta(s)),
+    ))
 
 
 def dilog_neg_ratio(u):
@@ -329,19 +308,17 @@ def dilog_neg_ratio(u):
     tame on the whole interval; this function IS that right-hand side, so
     the identity itself is only testable against an independent Li_2 on
     the subdomain u >= 1/2 where -(1-u)/u lands back in [-1, 0]. Accepts a
-    scalar or an array of u.
+    scalar or an array of u, through the same body; u = 1 gives -0.0.
     """
     if np.ndim(u):
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("dilog_neg_ratio requires u in (0, 1]")
-        log_u = np.log(u)
+    elif 0.0 < u <= 1.0:
+        u = float(u)
     else:
-        if not 0.0 < u <= 1.0:
-            raise ValueError(f"dilog_neg_ratio requires u in (0, 1], got {u}")
-        if u == 1.0:
-            return 0.0
-        log_u = math.log(u)
+        raise ValueError(f"dilog_neg_ratio requires u in (0, 1], got {u}")
+    log_u = _lib(u).log(u)
     return -0.5 * log_u * log_u - polylog_one_minus(2, u)
 
 

@@ -134,6 +134,27 @@ def branch_grid() -> np.ndarray:
     return points[np.abs(points) <= 1.0]
 
 
+def watch_kernels(monkeypatch, evaluate):
+    """Run evaluate() and return every point it hands to _taylor and to
+    _log_expansion, as two flat arrays; the kernels are restored after."""
+    seen = {"taylor": [np.empty(0)], "log": [np.empty(0)]}
+    real_taylor, real_log_expansion = specfun._taylor, specfun._log_expansion
+
+    def taylor(order, x):
+        seen["taylor"].append(np.ravel(x))
+        return real_taylor(order, x)
+
+    def log_expansion(order, z):
+        seen["log"].append(np.ravel(z))
+        return real_log_expansion(order, z)
+
+    monkeypatch.setattr(specfun, "_taylor", taylor)
+    monkeypatch.setattr(specfun, "_log_expansion", log_expansion)
+    evaluate()
+    monkeypatch.undo()
+    return np.concatenate(seen["taylor"]), np.concatenate(seen["log"])
+
+
 class TestPolylogArray:
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 10, 60])
     def test_matches_scalar_polylog(self, s):
@@ -151,30 +172,33 @@ class TestPolylogArray:
     def test_each_branch_sees_only_its_own_points(self, s, monkeypatch):
         # The Taylor series serves |x| <= 1/2 and the expansion about x = 1
         # serves z = log|x| in (-log 2, 0); x = +-1 reaches neither kernel.
-        seen = {"taylor": [], "log": []}
-        real_taylor, real_log_expansion = specfun._taylor, specfun._log_expansion
-
-        def taylor(order, x):
-            seen["taylor"].append(np.asarray(x))
-            return real_taylor(order, x)
-
-        def log_expansion(order, z, log):
-            seen["log"].append(np.asarray(z))
-            return real_log_expansion(order, z, log)
-
-        monkeypatch.setattr(specfun, "_taylor", taylor)
-        monkeypatch.setattr(specfun, "_log_expansion", log_expansion)
         x = branch_grid()
         assert np.isin([-1.0, -0.5, 0.5, 1.0], x).all()
-        polylog_array(s, x)
-        taylor_points = np.concatenate(seen["taylor"])
-        log_points = np.concatenate(seen["log"])
-        assert (np.abs(taylor_points) <= 0.5).all()
-        assert ((-math.log(2.0) < log_points) & (log_points < 0.0)).all()
-        # Every point reaches its own branch.
-        assert np.isin(x[np.abs(x) <= 0.5], taylor_points).all()
-        assert np.isin(np.log(x[(0.5 < x) & (x < 1.0)]), log_points).all()
-        assert np.isin(np.log(-x[(-1.0 < x) & (x < -0.5)]), log_points).all()
+        for evaluate in (lambda: polylog_array(s, x),
+                         lambda: [polylog(s, p) for p in x.tolist()]):
+            taylor_points, log_points = watch_kernels(monkeypatch, evaluate)
+            assert (np.abs(taylor_points) <= 0.5).all()
+            assert ((-math.log(2.0) < log_points) & (log_points < 0.0)).all()
+            # Every point reaches its own branch.
+            assert np.isin(x[np.abs(x) <= 0.5], taylor_points).all()
+            assert np.isin(np.log(x[(0.5 < x) & (x < 1.0)]), log_points).all()
+            assert np.isin(np.log(-x[(-1.0 < x) & (x < -0.5)]), log_points).all()
+
+    @pytest.mark.parametrize("s", [2, 3, 10])
+    def test_one_minus_each_branch_sees_only_its_own_points(self, s, monkeypatch):
+        # Taylor at 1 - t for t >= 1/2, the expansion about x = 1 at
+        # z = log1p(-t) for 0 < t < 1/2, and t = 0 reaches neither kernel.
+        t = np.array([0.0, 1e-300, 0.25, np.nextafter(0.5, 0.0), 0.5,
+                      np.nextafter(0.5, 1.0), 0.75, 1.0])
+        for evaluate in (lambda: polylog_one_minus(s, t),
+                         lambda: [polylog_one_minus(s, p) for p in t.tolist()]):
+            taylor_points, log_points = watch_kernels(monkeypatch, evaluate)
+            assert (taylor_points <= 0.5).all()
+            assert ((-math.log(2.0) < log_points) & (log_points < 0.0)).all()
+            assert sorted(taylor_points.tolist()) == sorted((1.0 - t[t >= 0.5]).tolist())
+            assert sorted(log_points.tolist()) == sorted(
+                np.log1p(-t[(0.0 < t) & (t < 0.5)]).tolist()
+            )
 
     @pytest.mark.parametrize("s", [0, 1, 2, 5])
     def test_one_minus_matches_scalar(self, s):
@@ -309,6 +333,14 @@ class TestPolylogNearOne:
         with pytest.raises(ValueError):
             polylog_one_minus(0, 0.0)  # diverges like 1/t
 
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_divergence_names_this_function(self, s):
+        # A float and an array give the same message, naming this call.
+        for t in (0.0, np.array([0.5, 0.0])):
+            message = rf"^polylog_one_minus\({s}, 0\) diverges$"
+            with pytest.raises(ValueError, match=message):
+                polylog_one_minus(s, t)
+
     def test_order_zero_overflow_is_a_domain_error(self):
         # (1 - t)/t exceeds the largest double for t below about 5.6e-309.
         assert polylog_one_minus(0, 1e-300) == (1.0 - 1e-300) / 1e-300
@@ -411,6 +443,16 @@ class TestHornerArrayPath:
                 assert type(polylog(s, x)) is float
             for t in (1e-3, 0.3, 0.7):
                 assert type(polylog_one_minus(s, t)) is float
+
+    def test_zero_dimensional_arrays_take_the_float_path(self):
+        # A 0-d array is a scalar: the same double, as a Python float.
+        for s, x in ((2, 0.3), (3, 0.9), (2, -0.9), (70, 0.7)):
+            assert type(polylog(s, np.array(x))) is float
+            assert polylog(s, np.array(x)) == polylog(s, x)
+        for s, t in ((0, 0.3), (1, 0.7), (2, 0.3), (2, 0.7), (70, 0.3)):
+            assert type(polylog_one_minus(s, np.array(t))) is float
+            assert polylog_one_minus(s, np.array(t)) == polylog_one_minus(s, t)
+        assert type(dilog_neg_ratio(np.array(0.3))) is float
 
     def test_eval_prints_the_same_double(self, capsys):
         assert main(["eval", "polylog", "2", "0.5"]) == 0
