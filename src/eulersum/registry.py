@@ -5,10 +5,10 @@ tolerance: 0 makes an exact case, comparing arbitrary-precision rationals
 structurally; a positive one makes a numeric case, comparing floats under
 an absolute or relative criterion. Running a case never raises: evaluator
 exceptions become status "error" so one broken case cannot take down the
-suite. A quadrature side returns its QuadratureResult: the runner reports
-its evaluation count and turns a result that did not converge into an
-error. The builtin cases are one tuple, built at import: a case per
-identity, and a run of cases per parameter family.
+suite. One loop checks each side as it returns: a quadrature side adds
+its evaluation count and errors if it did not converge. The builtin cases
+are one tuple, built at import: a case per identity, and a run of cases
+per parameter family.
 """
 
 from __future__ import annotations
@@ -104,35 +104,33 @@ class VerificationReport:
         }
 
 
-def _eval_side(fn: Callable[[], object]) -> tuple[object, int]:
-    """A side's value and integrand evaluations: the one place where a
-    quadrature result that did not converge becomes an error."""
-    value = fn()
-    if isinstance(value, QuadratureResult):
-        if not value.converged:
-            raise QuadratureError(
-                value.message or "quadrature did not converge", value
-            )
-        return value.value, value.evaluations
-    return value, 0
-
-
 def run_case(case: IdentityCase) -> CaseResult:
     """Evaluate both sides of a case and judge them against its own tol.
 
-    A numeric side that is NaN or infinite makes the case an error. An
-    errored case reports the evaluations its sides made, those of a
-    quadrature that did not converge included.
+    Each side is checked as it returns, and the first side that fails ends
+    the case: a quadrature that did not converge, a non-Fraction side of an
+    exact case, or a NaN or infinite numeric side. An errored case reports
+    the evaluations of the sides it ran, a failed quadrature's included.
     """
-    tol, evaluations = case.tol, 0
+    tol, evaluations, values = case.tol, 0, []
     start = time.perf_counter()
     try:
-        lhs, evaluations = _eval_side(case.lhs)
-        rhs, rhs_evals = _eval_side(case.rhs)
-        evaluations += rhs_evals
+        for side, fn in (("lhs", case.lhs), ("rhs", case.rhs)):
+            value = fn()
+            if isinstance(value, QuadratureResult):
+                evaluations += value.evaluations
+                if not value.converged:
+                    why = value.message or "quadrature did not converge"
+                    raise QuadratureError(why, value)
+                value = value.value
+            if not tol:
+                if not isinstance(value, Fraction):
+                    raise TypeError("exact case sides must evaluate to Fractions")
+            elif not isfinite(value := float(value)):  # NaN judges nothing
+                raise ValueError(f"non-finite {side}: {value}")
+            values.append(value)
+        lhs, rhs = values
         if not tol:  # an exact case
-            if not isinstance(lhs, Fraction) or not isinstance(rhs, Fraction):
-                raise TypeError("exact case sides must evaluate to Fractions")
             passed = lhs == rhs
             if passed:
                 abs_res = rel_res = 0.0
@@ -142,10 +140,6 @@ def run_case(case: IdentityCase) -> CaseResult:
                 rel_res = float(diff / max(abs(lhs), abs(rhs)))
             lhs, rhs = str(lhs), str(rhs)
         else:
-            lhs, rhs = float(lhs), float(rhs)
-            for side, value in (("lhs", lhs), ("rhs", rhs)):
-                if not isfinite(value):  # NaN residuals would judge nothing
-                    raise ValueError(f"non-finite {side}: {value}")
             abs_res = abs(lhs - rhs)
             denom = max(abs(lhs), abs(rhs))
             rel_res = abs_res / denom if denom else 0.0
@@ -156,8 +150,6 @@ def run_case(case: IdentityCase) -> CaseResult:
     except Exception as exc:  # evaluator failures are data, not control flow
         status, message = "error", f"{type(exc).__name__}: {exc}"
         lhs = rhs = abs_res = rel_res = None
-        if isinstance(exc, QuadratureError):  # the side that did not converge
-            evaluations += exc.result.evaluations
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return CaseResult(case.id, status, lhs, rhs, abs_res, rel_res, tol,
                       evaluations, elapsed_ms, message)

@@ -248,7 +248,7 @@ def polylog_array(s: int, x) -> np.ndarray:
         raise ValueError("polylog arguments must lie in [-1, 1]")
     if s < 2 and np.any(x == 1.0):
         raise ValueError(f"polylog(s={s}, x=1) diverges")
-    return _polylog(s, x)
+    return np.asarray(_polylog(s, x))  # a 0-d x gives a numpy scalar at some orders
 
 
 def polylog_eval(s: int, x: float) -> PolylogEval:

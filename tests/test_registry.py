@@ -38,6 +38,11 @@ EXPECTED_KEYS = {
 }
 
 
+def log_squared_over_one_minus(t):
+    """log(t)^2/(1-t), whose integral over [0, 1] is 2 zeta(3)."""
+    return np.log(t) ** 2 / (1.0 - t)
+
+
 @pytest.fixture(scope="module")
 def registry():
     return builtin_registry()
@@ -249,6 +254,30 @@ class TestRunCase:
             rhs=lambda: Fraction(1),
         )
         assert run_case(case).status == "error"
+
+    @pytest.mark.parametrize(
+        "lhs, tol, message, evaluations",
+        [
+            (lambda: math.nan, 1e-6, "ValueError: non-finite lhs: nan", 0),
+            (lambda: 1.0, 0.0,
+             "TypeError: exact case sides must evaluate to Fractions", 0),
+            (lambda: quad.integrate(log_squared_over_one_minus, 1e-12, max_level=2),
+             1e-6, "QuadratureError: no convergence within 2 refinement levels", 38),
+        ],
+        ids=["nan", "float-in-exact-case", "non-converged"],
+    )
+    def test_first_failing_side_ends_the_case(self, lhs, tol, message, evaluations):
+        # The rhs would converge, but a failed lhs means it never runs.
+        calls = []
+
+        def rhs():
+            calls.append(1)
+            return quad.integrate(log_squared_over_one_minus, 1e-12)
+
+        result = run_case(IdentityCase("first-fails", "lhs fails", lhs, rhs, tol))
+        assert (result.status, result.message) == ("error", message)
+        assert result.evaluations == evaluations
+        assert calls == []
 
     def test_relative_criterion(self):
         case = IdentityCase(
@@ -534,6 +563,65 @@ class TestBlindSpotSweep:
     Each test scales one primitive's output by (1 + eps) and runs the whole
     suite; a case may start to catch the defect, none may stop catching it.
     """
+
+    @staticmethod
+    def failing(monkeypatch, patches, cache=None):
+        """Ids of the cases that do not pass while each (namespace, name,
+        value) of patches is set. A cache built from the patched primitive
+        is cleared before the run and again once the patches are undone."""
+        if cache is not None:
+            cache.cache_clear()
+        try:
+            with monkeypatch.context() as patched:
+                for namespace, name, value in patches:
+                    patched.setattr(namespace, name, value)
+                return {c.id for c in run_suite().cases if c.status != "pass"}
+        finally:
+            if cache is not None:
+                cache.cache_clear()
+
+    def test_tail_sum_scaled_by_1e_8_is_caught(self, monkeypatch):
+        real = eulersums._tail_sum
+        scaled = (eulersums, "_tail_sum", lambda p, q: real(p, q) * (1.0 + 1e-8))
+        failing = self.failing(monkeypatch, [scaled])
+        assert {"euler-q2-series", "dedoelder-series"} <= failing
+
+    def test_double_integral_kernel_scaled_by_1e_8_is_caught(self, monkeypatch):
+        real = eulersums.double_integral_kernel
+
+        def scaled_kernel(q):
+            kernel = real(q)
+            return lambda t, v: kernel(t, v) * (1.0 + 1e-8)
+
+        scaled = (eulersums, "double_integral_kernel", scaled_kernel)
+        assert "dedoelder-2d" in self.failing(monkeypatch, [scaled])
+
+    @pytest.mark.parametrize(
+        "order, eps, caught",
+        [(None, 1e-12, {"landen-grid", "zeta-product"}), (5, 1e-10, {"gp-closed/p=3"})],
+        ids=["every-order", "order-5-alone"],
+    )
+    def test_zeta_scaled_is_caught(self, monkeypatch, order, eps, caught):
+        def scaled(s):
+            return zeta(s) * (1.0 + eps) if order in (None, s) else zeta(s)
+
+        patches = [(namespace, "zeta", scaled)
+                   for namespace in (registry_module, eulersums, specfun)]
+        # _log_expansion_coeffs caches zeta(s - k) per order.
+        failing = self.failing(monkeypatch, patches, specfun._log_expansion_coeffs)
+        assert caught <= failing
+
+    def test_quadrature_weights_scaled_by_1e_11_are_caught(self, monkeypatch):
+        real = quad._interval_nodes
+
+        def scaled_nodes(level):
+            x, w = real(level)
+            return x, w * (1.0 + 1e-11)
+
+        scaled = (quad, "_interval_nodes", scaled_nodes)
+        # _pass_nodes caches every pass's weights.
+        failing = self.failing(monkeypatch, [scaled], quad._pass_nodes)
+        assert {"euler-q2-quadrature", "ref-log3-integral"} <= failing
 
     @pytest.mark.parametrize("kernel", ["_taylor", "_log_expansion"])
     def test_li2_kernel_scaled_by_1e_10_is_caught(self, monkeypatch, kernel):

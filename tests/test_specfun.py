@@ -168,6 +168,15 @@ class TestPolylogArray:
             # Same kernels; numpy's log may round differently by an ulp.
             assert abs(vi - reference) <= 4.0 * EPS * max(1.0, abs(reference)), xi
 
+    @pytest.mark.parametrize("s", [0, 1, 2, 63, 64, 70])
+    @pytest.mark.parametrize("x", [0.3, np.array(0.3)], ids=["float", "0-d"])
+    def test_zero_dimensional_argument_gives_an_array(self, s, x):
+        # Every order returns a 0-d array, the closed forms and the
+        # Taylor-only orders as well as the piecewise ones.
+        value = polylog_array(s, x)
+        assert isinstance(value, np.ndarray) and value.shape == ()
+        assert value == polylog(s, 0.3)
+
     @pytest.mark.parametrize("s", [2, 3, 10])
     def test_each_branch_sees_only_its_own_points(self, s, monkeypatch):
         # The Taylor series serves |x| <= 1/2 and the expansion about x = 1
