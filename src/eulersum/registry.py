@@ -132,13 +132,14 @@ def run_case(case: IdentityCase) -> CaseResult:
         lhs, rhs = values
         if not tol:  # an exact case
             passed = lhs == rhs
-            if passed:
+            if passed:  # equal reduced Fractions print the same
                 abs_res = rel_res = 0.0
+                lhs = rhs = str(lhs)
             else:
                 diff = abs(lhs - rhs)
                 abs_res = float(diff)
                 rel_res = float(diff / max(abs(lhs), abs(rhs)))
-            lhs, rhs = str(lhs), str(rhs)
+                lhs, rhs = str(lhs), str(rhs)
         else:
             abs_res = abs(lhs - rhs)
             denom = max(abs(lhs), abs(rhs))

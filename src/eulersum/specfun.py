@@ -1,9 +1,10 @@
 """Integer-order polylogarithms on [-1, 1] and floating harmonic numbers.
 
-Evaluation strategy for Li_s(x), s >= 2:
+Evaluation strategy for Li_s(x), s >= 3:
 
-  * |x| <= 1/2          direct Taylor series (geometric convergence), and
-                        all of [-1, 1] from s = 64 on, where |Li_s(x) - x| < 2^-63,
+  * |x| <= 1/2          direct Taylor series (geometric convergence, at
+                        most 42 terms), and all of [-1, 1] from s = 64 on,
+                        where |Li_s(x) - x| < 2^-63,
   * x in (1/2, 1)       expansion in powers of z = log x around x = 1,
   * x in (-1, -1/2)     square the argument: Li_s(x) = 2^(1-s) Li_s(x^2)
                         - Li_s(-x), which lands both calls in the branches
@@ -16,7 +17,14 @@ slow. It needs zeta at non-positive integers, which come from Bernoulli
 numbers; its radius of convergence is |z| < 2 pi, so on (1/2, 1) each term
 shrinks by better than a factor of 9.
 
-Both series are fixed polynomials for each order s, their coefficients
+Li_2 keeps the same split with its own two kernels: on |x| <= 1/2 the
+Bernoulli series in u = -log(1-x), which shrinks like (u/2 pi)^2 per term
+and needs 9 of them ('t Hooft & Veltman, Nucl. Phys. B153, 1979; Crandall,
+"Note on fast polylogarithm computation", 2006), and on (1/2, 1) the
+reflection Li_2(x) = zeta(2) - log x log(1-x) - Li_2(1-x), where 1 - x is
+exact.
+
+Every series is a fixed polynomial for each order s, its coefficients
 computed once and evaluated by Horner's rule. Each entry point writes its
 branch split once, for a float and an array alike (_piecewise): a float
 goes to one kernel, an array calls each kernel once on its own points.
@@ -127,8 +135,42 @@ def _taylor_coeffs(s: int) -> tuple[float, ...]:
 
 
 def _taylor(s: int, x):
-    """sum x^k / k^s for |x| <= 1/2 (at most 47 terms, at s = 2)."""
+    """sum x^k / k^s for |x| <= 1/2 (at most 42 terms, at s = 3)."""
     return x * _horner(_taylor_coeffs(s), x)
+
+
+@lru_cache(maxsize=1)
+def _dilog_coeffs() -> tuple[float, ...]:
+    """B_2k/(2k+1)! for k = K..1, the shortest series serving |u| <= log 2.
+
+    A term B_2k u^(2k+1)/(2k+1)! is kept while it can reach 2^-62 there;
+    the terms shrink like (u/2 pi)^2k, so K = 9.
+    """
+    coeffs: list[float] = []
+    k = 1
+    while True:
+        c = bernoulli(2 * k) / math.factorial(2 * k + 1)
+        if abs(c) * _LOG2 ** (2 * k + 1) < _NEGLIGIBLE:
+            return tuple(reversed(coeffs))
+        coeffs.append(float(c))
+        k += 1
+
+
+def _dilog(x):
+    """Li_2(x) for |x| <= 1/2 by the Bernoulli series in u = -log(1-x).
+
+    sum_n B_n u^(n+1)/(n+1)! = u + w (-1/4 + u P(w)) with w = u^2, where
+    P holds B_2k/(2k+1)! and |u| <= log 2.
+    """
+    u = -_lib(x).log1p(-x)
+    w = u * u
+    return u + w * (-0.25 + u * _horner(_dilog_coeffs(), w))
+
+
+def _dilog_one_minus(t):
+    """Li_2(1 - t) for 0 < t < 1/2: zeta(2) - log(1-t) log t - Li_2(t)."""
+    lib = _lib(t)
+    return zeta(2) - lib.log1p(-t) * lib.log(t) - _dilog(t)
 
 
 @lru_cache(maxsize=1024)
@@ -208,12 +250,18 @@ def _polylog(s: int, x):
         return -_lib(x).log1p(-x)
     if s >= _TAYLOR_ONLY_ORDER:
         return _taylor(s, x)
+    if s == 2:
+        # 1 - x is exact for x in (1/2, 1).
+        near_zero, near_one = _dilog, lambda x: _dilog_one_minus(1.0 - x)
+    else:
+        near_zero, near_one = (partial(_taylor, s),
+                               lambda x: _log_expansion(s, _lib(x).log(x)))
     return _piecewise(x, (
-        (abs(x) <= 0.5, lambda x: _taylor(s, x)),
-        ((0.5 < x) & (x < 1.0), lambda x: _log_expansion(s, _lib(x).log(x))),
+        (abs(x) <= 0.5, near_zero),
+        ((0.5 < x) & (x < 1.0), near_one),
         # x in (-1, -1/2): argument-squaring identity.
         ((-1.0 < x) & (x < -0.5), lambda x: 2.0 ** (1 - s) * _polylog(s, x * x)
-                                            - _log_expansion(s, _lib(x).log(-x))),
+                                            - near_one(-x)),
         (x == 1.0, lambda x: zeta(s)),
         (x == -1.0, lambda x: -(1.0 - 2.0 ** (1 - s)) * zeta(s)),
     ))
@@ -261,9 +309,10 @@ def polylog_one_minus(s: int, t):
     """Li_s(1 - t) for t in [0, 1], accurate uniformly in t.
 
     For 0 < t < 1/2 this goes straight into the x = 1 expansion with
-    z = log1p(-t), so t = 1e-300 is as accurate as t = 0.3; for t >= 1/2
-    the complement 1 - t is exact in floating point and lies in [0, 1/2],
-    where the Taylor series serves it; from s = 64 on it serves every t;
+    z = log1p(-t) (at s = 2, the reflection of Li_2(t)), so t = 1e-300 is
+    as accurate as t = 0.3; for t >= 1/2 the complement 1 - t is exact in
+    floating point and lies in [0, 1/2], where the Taylor series (at s = 2,
+    the Bernoulli series) serves it; from s = 64 on Taylor serves every t;
     t = 0 is zeta(s). Order 1 is -log(t), as -log1p(-x) at x = 1 - t for
     t >= 1/2; order 0 is (1 - t)/t, which overflows for t < 5.6e-309
     (ValueError). A scalar t gives a float and an array of t an array,
@@ -291,6 +340,8 @@ def polylog_one_minus(s: int, t):
     lib = _lib(t)
     if s == 1:
         at_x, near_one = partial(_polylog, 1), lambda t: -lib.log(t)
+    elif s == 2:
+        at_x, near_one = _dilog, _dilog_one_minus
     else:
         at_x, near_one = partial(_taylor, s), lambda t: _log_expansion(s, lib.log1p(-t))
     return _piecewise(t, (

@@ -623,20 +623,25 @@ class TestBlindSpotSweep:
         failing = self.failing(monkeypatch, [scaled], quad._pass_nodes)
         assert {"euler-q2-quadrature", "ref-log3-integral"} <= failing
 
-    @pytest.mark.parametrize("kernel", ["_taylor", "_log_expansion"])
+    @pytest.mark.parametrize("kernel", ["_dilog", "_dilog_one_minus"])
     def test_li2_kernel_scaled_by_1e_10_is_caught(self, monkeypatch, kernel):
         real = getattr(specfun, kernel)
-
-        def scaled(s, x):
-            value = real(s, x)
-            return value * (1.0 + 1e-10) if s == 2 else value
-
-        monkeypatch.setattr(specfun, kernel, scaled)
-        failing = {c.id for c in run_suite().cases if c.status != "pass"}
+        scaled = (specfun, kernel, lambda x: real(x) * (1.0 + 1e-10))
+        failing = self.failing(monkeypatch, [scaled])
         # The float path (inner-integral's closed form) and the array path
         # (landen-grid's stable form) each catch it.
         assert "landen-grid" in failing
         assert any(case_id.startswith("inner-integral/") for case_id in failing)
+
+    @pytest.mark.parametrize("kernel, eps", [("_dilog", 1e-12), ("_dilog_one_minus", 1e-11)])
+    def test_li2_kernel_scaled_below_1e_10_is_caught_by_landen_grid(
+        self, monkeypatch, kernel, eps
+    ):
+        # The series serves both sides of landen-grid; the reflection only
+        # its direct side, for arguments in (-1, -1/2).
+        real = getattr(specfun, kernel)
+        scaled = (specfun, kernel, lambda x: real(x) * (1.0 + eps))
+        assert "landen-grid" in self.failing(monkeypatch, [scaled])
 
 
 class TestInjectFailure:

@@ -3,6 +3,7 @@ serve as oracles for the fast evaluation paths."""
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -135,24 +136,20 @@ def branch_grid() -> np.ndarray:
 
 
 def watch_kernels(monkeypatch, evaluate):
-    """Run evaluate() and return every point it hands to _taylor and to
-    _log_expansion, as two flat arrays; the kernels are restored after."""
-    seen = {"taylor": [np.empty(0)], "log": [np.empty(0)]}
-    real_taylor, real_log_expansion = specfun._taylor, specfun._log_expansion
+    """Run evaluate() and return, per kernel name, every point handed to it
+    as one flat array: x for _taylor and _dilog, z for _log_expansion and t
+    for _dilog_one_minus. The kernels are restored after."""
+    seen = {name: [np.empty(0)] for name in
+            ("_taylor", "_log_expansion", "_dilog", "_dilog_one_minus")}
+    for name in seen:
+        def watched(*args, real=getattr(specfun, name), points=seen[name]):
+            points.append(np.ravel(args[-1]))
+            return real(*args)
 
-    def taylor(order, x):
-        seen["taylor"].append(np.ravel(x))
-        return real_taylor(order, x)
-
-    def log_expansion(order, z):
-        seen["log"].append(np.ravel(z))
-        return real_log_expansion(order, z)
-
-    monkeypatch.setattr(specfun, "_taylor", taylor)
-    monkeypatch.setattr(specfun, "_log_expansion", log_expansion)
+        monkeypatch.setattr(specfun, name, watched)
     evaluate()
     monkeypatch.undo()
-    return np.concatenate(seen["taylor"]), np.concatenate(seen["log"])
+    return {name: np.concatenate(points) for name, points in seen.items()}
 
 
 class TestPolylogArray:
@@ -179,35 +176,57 @@ class TestPolylogArray:
 
     @pytest.mark.parametrize("s", [2, 3, 10])
     def test_each_branch_sees_only_its_own_points(self, s, monkeypatch):
-        # The Taylor series serves |x| <= 1/2 and the expansion about x = 1
-        # serves z = log|x| in (-log 2, 0); x = +-1 reaches neither kernel.
+        # Li_2: the Bernoulli series serves |x| <= 1/2 and the reflection
+        # t = 1 - |x| in (0, 1/2); the Taylor and log kernels get no call.
+        # Higher orders: the Taylor series serves |x| <= 1/2 and the
+        # expansion about x = 1 serves z = log|x| in (-log 2, 0).
+        # x = +-1 reaches no kernel.
         x = branch_grid()
         assert np.isin([-1.0, -0.5, 0.5, 1.0], x).all()
+        near_one = x[(0.5 < np.abs(x)) & (np.abs(x) < 1.0)]
         for evaluate in (lambda: polylog_array(s, x),
                          lambda: [polylog(s, p) for p in x.tolist()]):
-            taylor_points, log_points = watch_kernels(monkeypatch, evaluate)
+            seen = watch_kernels(monkeypatch, evaluate)
+            if s == 2:
+                series, reflected = seen["_dilog"], seen["_dilog_one_minus"]
+                assert seen["_taylor"].size == seen["_log_expansion"].size == 0
+                assert (np.abs(series) <= 0.5).all()
+                assert ((0.0 < reflected) & (reflected < 0.5)).all()
+                # Every point reaches its own branch.
+                assert np.isin(x[np.abs(x) <= 0.5], series).all()
+                assert np.isin(1.0 - np.abs(near_one), reflected).all()
+                continue
+            taylor_points, log_points = seen["_taylor"], seen["_log_expansion"]
+            assert seen["_dilog"].size == seen["_dilog_one_minus"].size == 0
             assert (np.abs(taylor_points) <= 0.5).all()
             assert ((-math.log(2.0) < log_points) & (log_points < 0.0)).all()
             # Every point reaches its own branch.
             assert np.isin(x[np.abs(x) <= 0.5], taylor_points).all()
-            assert np.isin(np.log(x[(0.5 < x) & (x < 1.0)]), log_points).all()
-            assert np.isin(np.log(-x[(-1.0 < x) & (x < -0.5)]), log_points).all()
+            assert np.isin(np.log(np.abs(near_one)), log_points).all()
 
     @pytest.mark.parametrize("s", [2, 3, 10])
     def test_one_minus_each_branch_sees_only_its_own_points(self, s, monkeypatch):
-        # Taylor at 1 - t for t >= 1/2, the expansion about x = 1 at
-        # z = log1p(-t) for 0 < t < 1/2, and t = 0 reaches neither kernel.
+        # Li_2: the Bernoulli series at 1 - t for t >= 1/2 and the
+        # reflection at 0 < t < 1/2, whose own series call takes t. Higher
+        # orders: Taylor at 1 - t for t >= 1/2 and the expansion about x = 1
+        # at z = log1p(-t) for 0 < t < 1/2. t = 0 reaches no kernel.
         t = np.array([0.0, 1e-300, 0.25, np.nextafter(0.5, 0.0), 0.5,
                       np.nextafter(0.5, 1.0), 0.75, 1.0])
+        at_x, near_one = 1.0 - t[t >= 0.5], t[(0.0 < t) & (t < 0.5)]
         for evaluate in (lambda: polylog_one_minus(s, t),
                          lambda: [polylog_one_minus(s, p) for p in t.tolist()]):
-            taylor_points, log_points = watch_kernels(monkeypatch, evaluate)
+            seen = watch_kernels(monkeypatch, evaluate)
+            if s == 2:
+                assert seen["_taylor"].size == seen["_log_expansion"].size == 0
+                assert sorted(seen["_dilog"].tolist()) == sorted([*at_x, *near_one])
+                assert sorted(seen["_dilog_one_minus"].tolist()) == sorted(near_one)
+                continue
+            taylor_points, log_points = seen["_taylor"], seen["_log_expansion"]
+            assert seen["_dilog"].size == seen["_dilog_one_minus"].size == 0
             assert (taylor_points <= 0.5).all()
             assert ((-math.log(2.0) < log_points) & (log_points < 0.0)).all()
-            assert sorted(taylor_points.tolist()) == sorted((1.0 - t[t >= 0.5]).tolist())
-            assert sorted(log_points.tolist()) == sorted(
-                np.log1p(-t[(0.0 < t) & (t < 0.5)]).tolist()
-            )
+            assert sorted(taylor_points.tolist()) == sorted(at_x.tolist())
+            assert sorted(log_points.tolist()) == sorted(np.log1p(-near_one).tolist())
 
     @pytest.mark.parametrize("s", [0, 1, 2, 5])
     def test_one_minus_matches_scalar(self, s):
@@ -246,6 +265,38 @@ class TestPolylogArray:
             polylog_one_minus(1, np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             dilog_neg_ratio(np.array([0.0, 0.5]))
+
+
+class TestDilogAgainstMpmath:
+    """Li_2 from its Bernoulli series and its reflection: every entry point,
+    as a float and as an array, within 5 ulps of mpmath at 40 digits."""
+
+    X = branch_grid()
+    T = np.concatenate([[0.0], np.logspace(-300, 0, 301), X[X > 0.0]])
+
+    @staticmethod
+    def assert_within_5_ulps(scalar, array, points, reference):
+        mpmath = pytest.importorskip("mpmath")
+        values = zip(points.tolist(), map(scalar, points.tolist()), array(points).tolist())
+        with mpmath.workdps(40):
+            for p, value, array_value in values:
+                exact = reference(mpmath, mpmath.mpf(p))
+                bound = 5.0 * math.ulp(float(exact))
+                assert float(abs(value - exact)) <= bound, p
+                assert float(abs(array_value - exact)) <= bound, p
+
+    def test_polylog(self):
+        self.assert_within_5_ulps(partial(polylog, 2), partial(polylog_array, 2), self.X,
+                                  lambda mp, x: mp.polylog(2, x))
+
+    def test_polylog_one_minus(self):
+        li2_one_minus = partial(polylog_one_minus, 2)
+        self.assert_within_5_ulps(li2_one_minus, li2_one_minus, self.T,
+                                  lambda mp, t: mp.polylog(2, 1 - t))
+
+    def test_dilog_neg_ratio(self):
+        self.assert_within_5_ulps(dilog_neg_ratio, dilog_neg_ratio, self.T[self.T > 0.0],
+                                  lambda mp, u: mp.polylog(2, -(1 - u) / u))
 
 
 class TestPolylogInvariants:
@@ -464,5 +515,9 @@ class TestHornerArrayPath:
         assert type(dilog_neg_ratio(np.array(0.3))) is float
 
     def test_eval_prints_the_same_double(self, capsys):
+        # Li_2(1/2) = pi^2/12 - log(2)^2/2, correctly rounded.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            assert float(mpmath.polylog(2, 0.5)) == 0.5822405264650125
         assert main(["eval", "polylog", "2", "0.5"]) == 0
-        assert capsys.readouterr().out == "0.5822405264650126\n"
+        assert capsys.readouterr().out == "0.5822405264650125\n"
