@@ -4,9 +4,9 @@
     eulersum eval NAME PARAMS...
     eulersum list
 
-verify exits 0 only when every case passed; any failure or error gives 1,
-bad arguments (among them a --filter that matches no case or drops the
---inject-failure case) give 2.
+verify exits 0 only when every case passed; any failure or error, or a
+closed stdout, gives 1; bad arguments (among them a --filter that matches
+no case or drops the --inject-failure case) give 2.
 A case is judged only against its own tolerance; no option loosens it.
 Reports go to stdout (text or schema-stable JSON), diagnostics to stderr.
 Numbers print with shortest round-trip precision.
@@ -190,10 +190,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # downstream pager/`head` closed the pipe; suppress the shutdown noise
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
+        # The reader (a pager, `head`) closed stdout: exit 1, as Python does
+        # on EPIPE, and send the unflushed rest to devnull, not a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,12 +28,14 @@ a rule that stops or fails at level 2 counts the 75 nodes of the first
 pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
-Mori, 1974) are one level loop, _rule, kept in Python floats: the same
-IEEE operations on one value, without a numpy call each. Per pass, the
-1-D rule makes one integrand call; the 2-D rule integrates the inner
-integrals of all outer nodes of the pass as one block in the vectorised
-row kernel _integrate_rows, where each inner level evaluates the
-integrand once on (rows still running) x (new inner nodes). Every row
+Mori, 1974) differ only in how they evaluate a pass: each hands the
+values at the pass's nodes to one level loop, _rule, which alone takes
+each level's weighted sum and accumulates and tests it in Python floats
+(the same IEEE operations on one value, without a numpy call each). Per
+pass, the 1-D rule makes one integrand call; the 2-D rule integrates the
+inner integrals of all outer nodes of the pass as one block in the
+vectorised row kernel _integrate_rows, where each inner level evaluates
+the integrand once on (rows still running) x (new inner nodes). Every row
 keeps its place in the block's arrays; a row stops running, with its
 value and estimate in place, as soon as its inner integral passes its
 convergence test, relative to the inner value. The inner rule stays one
@@ -175,7 +177,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def _block(values, shape: tuple[int, int]) -> np.ndarray:
+def _block(values, shape: tuple[int, ...]) -> np.ndarray:
     """Integrand values as a float array of the given shape."""
     values = np.asarray(values, dtype=float)
     # An integrand that returns a constant gives a single value.
@@ -183,15 +185,16 @@ def _block(values, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _rule(
-    tol: float, max_level: int, level_sums: Callable, what: str
+    tol: float, max_level: int, evaluate: Callable, what: str
 ) -> QuadratureResult:
-    """The tanh-sinh level loop over (0, 1), in Python floats.
+    """The tanh-sinh level loop of both rules over (0, 1), in Python floats.
 
-    For each pass (x, table) of _passes, level_sums(x, table) evaluates the
-    integrand over the whole pass and returns the evaluations made and a
-    list with, per level of the table up to the first failing one, the
-    weighted sum of the integrand over the level's new nodes, the weighted
-    sum of their error bounds, and a failure message ("" if none). A
+    For each pass (x, table) of _passes, evaluate(x) returns the
+    evaluations made, the value at every node of x, each node's error
+    bound (None if none) and the first failed node as (index, message),
+    or None. Only _rule reads the table: a level's sum and error are the
+    weighted sums of the values and bounds over its new nodes, and the rule
+    fails at the level of the first failed node or at a non-finite sum. A
     level's estimate is its difference from the previous level plus the
     weighted error bounds, floored at one rounding of the value (a
     difference of exactly zero certifies nothing below that); the rule
@@ -207,13 +210,17 @@ def _rule(
     estimate = math.inf
     done = 0  # evaluations made
     for x, table in _passes(max_level):
-        evaluated, sums = level_sums(x, table)
+        evaluated, values, errors, failure = evaluate(x)
         done += evaluated
-        for (level, _, _), (total, error, message) in zip(table, sums):
-            if message:
-                return QuadratureResult(prev, math.inf, done, False, message)
+        failed, message = failure or (x.size, "")
+        for level, part, w in table:
+            total = np.einsum("ij,j->i", values[None, part], w).item()
+            if failed < part.stop or not math.isfinite(total):
+                reason = message if failed < part.stop else _NON_FINITE
+                return QuadratureResult(prev, math.inf, done, False, reason)
             acc += total
-            acc_err += error
+            if errors is not None:
+                acc_err += np.einsum("ij,j->i", errors[None, part], w).item()
             h = 2.0**-level
             value = h * acc
             if level > 1:
@@ -311,16 +318,10 @@ def integrate(
     # cost memory and time without bound before any convergence test.
     _check_integer("integrate", "max_level", max_level, 1, MAX_LEVEL)
 
-    def level_sums(x, table):
-        values = _block(np.reshape(f(x), (1, -1)), (1, x.size))
-        sums = []
-        for _, part, w in table:
-            total = np.einsum("ij,j->i", values[:, part], w).item()
-            message = "" if math.isfinite(total) else _NON_FINITE
-            sums.append((total, 0.0, message))
-        return x.size, sums
+    def evaluate(x):
+        return x.size, _block(f(x), x.shape), None, None
 
-    return _rule(tol, max_level, level_sums, "refinement")
+    return _rule(tol, max_level, evaluate, "refinement")
 
 
 def integrate2d(
@@ -357,24 +358,13 @@ def integrate2d(
     _check_integer("integrate2d", "max_level", max_level, 1, MAX_LEVEL)
     inner_tol = tol / 10.0
 
-    def level_sums(us, table):
-        values, estimates, evaluated, failures = _integrate_rows(
-            f, us, inner_tol, max_level
-        )
+    def evaluate(us):
+        values, errors, evals, failures = _integrate_rows(f, us, inner_tol, max_level)
+        if not failures:
+            return evals, values, errors, None
         # Rows are in level order: the first failed row is the first failure.
-        first = min(failures, default=us.size)
-        sums = []
-        for _, part, ws in table:
-            if first < part.stop:
-                u = float(us[first])
-                message = f"inner integral failed at u={u!r}: {failures[first]}"
-                sums.append((0.0, 0.0, message))
-                break
-            sums.append((
-                float((ws * values[part]).sum()),
-                float((ws * estimates[part]).sum()),
-                "",
-            ))
-        return evaluated, sums
+        row = min(failures)
+        message = f"inner integral failed at u={float(us[row])!r}: {failures[row]}"
+        return evals, values, errors, (row, message)
 
-    return _rule(tol, max_level, level_sums, "outer refinement")
+    return _rule(tol, max_level, evaluate, "outer refinement")

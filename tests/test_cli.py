@@ -122,13 +122,17 @@ class TestVerify:
             "'euler-q2-series'\n"
         )
 
-    def test_non_finite_sides_give_valid_json(self, monkeypatch):
+    @staticmethod
+    def _non_finite_registry(monkeypatch):
         cases = [
             IdentityCase(id=f"non-finite-{i}", description="not a number",
                          lhs=lambda v=value: v, rhs=lambda v=value: v, tol=1e-6)
             for i, value in enumerate((math.nan, math.inf))
         ]
         monkeypatch.setattr(cli, "builtin_registry", lambda: cases)
+
+    def test_non_finite_sides_give_valid_json(self, monkeypatch):
+        self._non_finite_registry(monkeypatch)
         code, out, _ = run_cli("verify", "--output", "json")
         assert code == 1
         payload = json.loads(out)
@@ -136,6 +140,17 @@ class TestVerify:
         for case in payload["cases"]:
             assert case["status"] == "error"
             assert case["abs_residual"] is None and case["rel_residual"] is None
+
+    def test_non_finite_sides_print_their_reason(self, monkeypatch):
+        self._non_finite_registry(monkeypatch)
+        code, out, _ = run_cli("verify")
+        assert code == 1
+        *lines, summary = out.splitlines()
+        assert lines == [
+            f"{'non-finite-0':32s} error  ValueError: non-finite lhs: nan",
+            f"{'non-finite-1':32s} error  ValueError: non-finite lhs: inf",
+        ]
+        assert summary.startswith("summary: 2 cases, 0 passed, 0 failed, 2 errored")
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_filter_matching_nothing_exits_2(self, output):
@@ -153,6 +168,33 @@ class TestVerify:
         assert counts["dedoelder-2d"] == 5_625
         assert counts["open-q3-2d"] == 5_625
         assert sum(1 for n in counts.values() if n) == 15
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output arrives (`eulersum
+    verify | true`): the output was not delivered, so the command exits 1,
+    as Python does on EPIPE, with nothing on stderr. A failing verify
+    never exits 0."""
+
+    @staticmethod
+    def _run_closed(*args):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eulersum", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        return proc.returncode, err
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_failing_verify_exits_1(self, output):
+        code, err = self._run_closed(
+            "verify", "--inject-failure", "euler-q2-series", "--output", output
+        )
+        assert (code, err) == (1, b"")
+
+    def test_list_exits_1(self):
+        assert self._run_closed("list") == (1, b"")
 
 
 class TestTolValidation:
