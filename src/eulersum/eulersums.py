@@ -24,21 +24,23 @@ where the sum rounds to it; the quadrature routes the registry checks
 return their QuadratureResult, so the caller sees the evaluation count and
 decides on convergence.
 
-The series tail sums an expansion of the form sum c * log(x)^i * x^(-e)
-term by term: each term's tail is (-d/ds)^i of the Hurwitz-zeta tail
-sum_{n>N} n^-s at s = q + e, whose Euler-Maclaurin form is one polynomial
-in s (Johansson, Numer. Algorithms 69, 2015). The tables that do not
-depend on the sum being evaluated (H_1..H_200, the expansion of H_x^m and
-that polynomial with its two derivatives) are built once.
+sum_series sums n = 1..200 as one array expression over tables of H_n^m
+and n, then math.fsum. _tail_sum sums the rest from an expansion of the
+form sum c * log(x)^i * x^(-e), term by term: each term's tail is
+(-d/ds)^i of the Hurwitz-zeta tail sum_{n>N} n^-s at s = q + e, whose
+Euler-Maclaurin form is one polynomial in s (Johansson, Numer. Algorithms
+69, 2015). Every table that does not depend on the sum being evaluated
+(H_1..H_200, the expansions of H_x and H_x^2, and that polynomial with its
+two derivatives) is built at import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Dict, Tuple
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
@@ -92,29 +94,6 @@ class EulerSumSpec:
         _check_integer("EulerSumSpec", "q", self.q, 2, MAX_Q)
 
 
-# --------------------------------------------------------------------------
-# Euler-Maclaurin tail on log-polynomial expansions.
-#
-# An expansion is a dict {(i, e): c} standing for sum c * log(x)^i * x^(-e).
-# --------------------------------------------------------------------------
-
-_Expansion = Dict[Tuple[int, int], float]
-_E_MAX = 4  # truncation order: H_x's expansion stops at x^-4, so must its square
-
-
-def _expansion_product(p: _Expansion, q: _Expansion) -> _Expansion:
-    """Product of two expansions, truncated at x^(-_E_MAX)."""
-    out: _Expansion = {}
-    for (i1, e1), c1 in p.items():
-        for (i2, e2), c2 in q.items():
-            e = e1 + e2
-            if e > _E_MAX:
-                continue
-            key = (i1 + i2, e)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
 def _hurwitz_tail_polynomials(n: int) -> tuple:
     """Horner tables of P, P' and P'' for the Hurwitz-zeta tail at n.
 
@@ -165,21 +144,21 @@ def _tail_sum(p, q: int) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
-def _harmonic_power_expansion(m: int) -> tuple:
-    """Items of H_x^m for m in {1, 2}, from
-    H_x ~ log x + gamma + 1/(2x) - 1/(12 x^2) + 1/(120 x^4)."""
-    expansion = {
-        (1, 0): 1.0,
-        (0, 0): euler_gamma(),
-        (0, 1): 0.5,
-        (0, 2): -1.0 / 12.0,
-        (0, 4): 1.0 / 120.0,
-    }
-    if m == 2:
-        expansion = _expansion_product(expansion, expansion)
-    return tuple(expansion.items())
+def _harmonic_power_expansions() -> MappingProxyType:
+    """The items of H_x^m keyed by m in {1, 2}, from H_x ~ log x + gamma
+    + 1/(2x) - 1/(12 x^2) + 1/(120 x^4); the square stops at x^-4 too."""
+    h = (((1, 0), 1.0), ((0, 0), euler_gamma()), ((0, 1), 0.5),
+         ((0, 2), -1.0 / 12.0), ((0, 4), 1.0 / 120.0))
+    square: dict = {}
+    for (i1, e1), c1 in h:
+        for (i2, e2), c2 in h:
+            key = (i1 + i2, e1 + e2)
+            if key[1] <= 4:
+                square[key] = square.get(key, 0.0) + c1 * c2
+    return MappingProxyType({1: h, 2: tuple(square.items())})
 
+
+_HARMONIC_EXPANSIONS = _harmonic_power_expansions()
 
 # n = 1..200, and H_n as the correctly rounded sum of the doubles 1.0/k,
 # math.fsum's value: for k <= 256 each is a multiple of 2^-60, so the
@@ -211,7 +190,7 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10) -> float:
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
     partial = math.fsum((_HARMONIC_POWERS[m] / _N_ARRAY**q).tolist())
-    return partial + _tail_sum(_harmonic_power_expansion(m), q)
+    return partial + _tail_sum(_HARMONIC_EXPANSIONS[m], q)
 
 
 def sum_gp_closed_form(p: int) -> float:

@@ -28,16 +28,16 @@ a rule that stops or fails at level 2 counts the 75 nodes of the first
 pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
-Mori, 1974) differ only in how they evaluate a pass: each hands the
-values at the pass's nodes to one level loop, _rule, which alone takes
-each level's weighted sum and accumulates and tests it in Python floats
-(the same IEEE operations on one value, without a numpy call each). Per
-pass, the 1-D rule makes one integrand call; the 2-D rule integrates the
-inner integrals of all outer nodes of the pass as one block in the
-vectorised row kernel _integrate_rows, where each inner level evaluates
-the integrand once on (rows still running) x (new inner nodes). Every row
-keeps its place in the block's arrays; a row stops running, with its
-value and estimate in place, as soon as its inner integral passes its
+Mori, 1974) differ only in how they evaluate a pass. Each hands one level
+loop, _rule, an evaluator of the values at a pass's nodes; _rule takes
+each 1-D or outer level's weighted sum and accumulates and tests it in
+Python floats (the same IEEE operations on one value, without a numpy
+call each). The 1-D evaluator is one integrand call. The 2-D evaluator,
+the vectorised row kernel _integrate_rows, integrates the inner integrals
+of all outer nodes of the pass as one block and takes each inner level's
+weighted sums itself, over (rows still running) x (new inner nodes).
+Every row keeps its place in the block's arrays and stops running, with
+its value and estimate in place, once its inner integral passes its
 convergence test, relative to the inner value. The inner rule stays one
 level per call: many rows stop at inner level 2, and a first inner pass
 of levels 1 to 3 would evaluate level-3 nodes that those rows never need.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -235,10 +235,10 @@ def _rule(
 
 def _integrate_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    us: np.ndarray,
     tol: float,
     max_level: int,
-) -> tuple[np.ndarray, np.ndarray, int, dict[int, str]]:
+    us: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray, tuple[int, str] | None]:
     """Tanh-sinh over t in (0, 1) of f(t, u) for every u in us at once: the
     inner rule of integrate2d, one row per u.
 
@@ -251,14 +251,15 @@ def _integrate_rows(
     alone, up to summation order (from level 11, over 8192 nodes, numpy's
     einsum can sum a block of several rows in another order than one row).
     The test is relative to the row's value: reported < tol *
-    max(1, |value|). Returns per-row (value, abs_error_estimate), the
-    evaluations made and a map from each failed row to its message.
+    max(1, |value|). Returns _rule's evaluator tuple: the evaluations,
+    per-row values and estimates, and the lowest failed row, in node order,
+    as (row, "inner integral failed at u=...: reason"), or None.
     """
     acc = np.zeros(us.size)
     value = np.zeros(us.size)
     estimate = np.full(us.size, math.inf)
-    failures: dict[int, str] = {}
-    live = np.arange(us.size)  # the rows still running
+    first = (us.size, "")  # the lowest failed row and its reason
+    live = np.arange(us.size)  # the rows still running, in ascending order
     evaluations = 0
     for level in range(1, max_level + 1):
         if live.size == 0:
@@ -274,8 +275,8 @@ def _integrate_rows(
         if not finite.all():
             # A failed row keeps the previous level's value.
             failed = live[~finite]
-            failures.update(dict.fromkeys(failed.tolist(), _NON_FINITE))
             estimate[failed] = math.inf
+            first = min(first, (int(failed[0]), _NON_FINITE))
             live, sums = live[finite], sums[finite]
         acc[live] += sums
         previous = value[live]
@@ -290,9 +291,14 @@ def _integrate_rows(
             estimate[live] = np.where(passed, reported, diff)
             live = live[~passed]
 
-    message = f"no convergence within {max_level} refinement levels"
-    failures.update(dict.fromkeys(live.tolist(), message))
-    return value, estimate, evaluations, failures
+    if live.size:
+        message = f"no convergence within {max_level} refinement levels"
+        first = min(first, (int(live[0]), message))
+    row, reason = first
+    if row == us.size:
+        return evaluations, value, estimate, None
+    return evaluations, value, estimate, (
+        row, f"inner integral failed at u={float(us[row])!r}: {reason}")
 
 
 def integrate(
@@ -356,15 +362,5 @@ def integrate2d(
     """
     _check_tol(tol)
     _check_integer("integrate2d", "max_level", max_level, 1, MAX_LEVEL)
-    inner_tol = tol / 10.0
-
-    def evaluate(us):
-        values, errors, evals, failures = _integrate_rows(f, us, inner_tol, max_level)
-        if not failures:
-            return evals, values, errors, None
-        # Rows are in level order: the first failed row is the first failure.
-        row = min(failures)
-        message = f"inner integral failed at u={float(us[row])!r}: {failures[row]}"
-        return evals, values, errors, (row, message)
-
-    return _rule(tol, max_level, evaluate, "outer refinement")
+    rows = partial(_integrate_rows, f, tol / 10.0, max_level)
+    return _rule(tol, max_level, rows, "outer refinement")

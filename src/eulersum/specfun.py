@@ -156,21 +156,20 @@ def _dilog_coeffs() -> tuple[float, ...]:
         k += 1
 
 
-def _dilog(x):
-    """Li_2(x) for |x| <= 1/2 by the Bernoulli series in u = -log(1-x).
+def _dilog(u):
+    """Li_2(x), |x| <= 1/2, by the Bernoulli series in u = -log(1-x), given u.
 
     sum_n B_n u^(n+1)/(n+1)! = u + w (-1/4 + u P(w)) with w = u^2, where
-    P holds B_2k/(2k+1)! and |u| <= log 2.
+    P holds B_2k/(2k+1)! and |u| <= log 2; the reflection reuses its u.
     """
-    u = -_lib(x).log1p(-x)
     w = u * u
     return u + w * (-0.25 + u * _horner(_dilog_coeffs(), w))
 
 
 def _dilog_one_minus(t):
-    """Li_2(1 - t) for 0 < t < 1/2: zeta(2) - log(1-t) log t - Li_2(t)."""
-    lib = _lib(t)
-    return zeta(2) - lib.log1p(-t) * lib.log(t) - _dilog(t)
+    """Li_2(1 - t) for 0 < t < 1/2: zeta(2) + u log t - Li_2(t), u = -log(1-t)."""
+    u = -_lib(t).log1p(-t)
+    return zeta(2) + u * _lib(t).log(t) - _dilog(u)
 
 
 @lru_cache(maxsize=1024)
@@ -252,7 +251,8 @@ def _polylog(s: int, x):
         return _taylor(s, x)
     if s == 2:
         # 1 - x is exact for x in (1/2, 1).
-        near_zero, near_one = _dilog, lambda x: _dilog_one_minus(1.0 - x)
+        near_zero, near_one = (lambda x: _dilog(_polylog(1, x)),
+                               lambda x: _dilog_one_minus(1.0 - x))
     else:
         near_zero, near_one = (partial(_taylor, s),
                                lambda x: _log_expansion(s, _lib(x).log(x)))
@@ -341,7 +341,7 @@ def polylog_one_minus(s: int, t):
     if s == 1:
         at_x, near_one = partial(_polylog, 1), lambda t: -lib.log(t)
     elif s == 2:
-        at_x, near_one = _dilog, _dilog_one_minus
+        at_x, near_one = lambda x: _dilog(_polylog(1, x)), _dilog_one_minus
     else:
         at_x, near_one = partial(_taylor, s), lambda t: _log_expansion(s, lib.log1p(-t))
     return _piecewise(t, (

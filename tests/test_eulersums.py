@@ -1,8 +1,11 @@
 """Euler sums: the three evaluation routes must agree with each other and
 with the zeta closed forms."""
 
+import json
 import math
 import time
+from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from eulersum.specfun import polylog
 
 TWO_ZETA3 = 2.0 * zeta(3)
 HALF_ZETA2_SQ = 0.5 * zeta(2) ** 2
+SERIES_GOLDEN = Path(__file__).with_name("series_golden.json")
 DEDOELDER = 17.0 / 4.0 * zeta(4)
 
 
@@ -162,8 +166,20 @@ class TestSeriesTables:
         partial = math.fsum(
             [h**m / n**q for h, n in zip(eulersums._HARMONICS, eulersums._NS)]
         )
-        tail = eulersums._tail_sum(eulersums._harmonic_power_expansion(m), q)
+        tail = eulersums._tail_sum(eulersums._HARMONIC_EXPANSIONS[m], q)
         assert sum_series(EulerSumSpec(m, q)) == partial + tail
+
+    def test_every_double_pinned(self):
+        # S(m; q) for every q below 64, from which it rounds to 1.0, as
+        # hex strings. They are math-module arithmetic throughout (see the
+        # per-term test), so they are the same on every CPU, and a change
+        # to the tail or its expansions that moves any of them fails here.
+        pinned = json.loads(SERIES_GOLDEN.read_text())
+        values = {
+            str(m): {str(q): sum_series(EulerSumSpec(m, q)).hex() for q in range(2, 64)}
+            for m in (1, 2)
+        }
+        assert values == pinned
 
     def test_tables_are_immutable_and_bounded(self):
         harmonics, ns = eulersums._HARMONICS, eulersums._NS
@@ -177,7 +193,9 @@ class TestSeriesTables:
         assert type(polynomials) is tuple
         assert all(type(p) is tuple for p in polynomials)
         assert all(type(c) is float for p in polynomials for c in p)
-        assert type(eulersums._harmonic_power_expansion(2)) is tuple
+        expansions = eulersums._HARMONIC_EXPANSIONS
+        assert type(expansions) is MappingProxyType and sorted(expansions) == [1, 2]
+        assert all(type(items) is tuple for items in expansions.values())
 
 
 class TestTailAgainstHurwitzZeta:
@@ -191,7 +209,7 @@ class TestTailAgainstHurwitzZeta:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("q", range(2, 12))
     def test_tail_within_four_units(self, m, q):
-        tail = eulersums._tail_sum(eulersums._harmonic_power_expansion(m), q)
+        tail = eulersums._tail_sum(eulersums._HARMONIC_EXPANSIONS[m], q)
         expected = reference_tail(m, q, eulersums.SERIES_CUTOFF)
         assert abs(tail - expected) <= 4 * 2.0**-52 * abs(expected)
 

@@ -518,10 +518,15 @@ class TestLevelPasses:
 def one_row_integrate(f, tol, *, max_level=MAX_LEVEL):
     """The one-row case of the multi-row kernel on (0, 1), under its
     relative test, as a QuadratureResult."""
-    value, estimate, evals, failures = _integrate_rows(
-        lambda t, u: f(t), np.zeros(1), tol, max_level
+    evals, value, estimate, failure = _integrate_rows(
+        lambda t, u: f(t), tol, max_level, np.zeros(1)
     )
-    message = failures.get(0, "")
+    message = ""
+    if failure is not None:
+        row, message = failure
+        prefix = "inner integral failed at u=0.0: "
+        assert row == 0 and message.startswith(prefix)
+        message = message[len(prefix):]
     return QuadratureResult(
         float(value[0]), float(estimate[0]), evals, not message, message
     )
@@ -707,13 +712,12 @@ class TestIntegrateRows:
                 for i in u[:, 0]
             ])
 
-        values, estimates, evaluations, failures = _integrate_rows(
-            f, np.arange(len(self.ROWS), dtype=float), 1e-6, 8
+        evaluations, values, estimates, failure = _integrate_rows(
+            f, 1e-6, 8, np.arange(len(self.ROWS), dtype=float)
         )
-        assert failures == {
-            2: "non-finite integrand value at an interior node",
-            3: "no convergence within 8 refinement levels",
-        }
+        # Row 2 is the lowest failed row; row 3 is named only when run alone.
+        assert failure == (2, "inner integral failed at u=2.0: "
+                           "non-finite integrand value at an interior node")
         last_node = np.cumsum(node_counts()).tolist()
         alone = []
         for i, (last, g) in enumerate(self.ROWS):
@@ -722,8 +726,43 @@ class TestIntegrateRows:
             assert last_node.index(ref.evaluations) + 1 == last, i
             assert values[i].hex() == ref.value.hex(), i
             assert estimates[i].hex() == ref.abs_error_estimate.hex(), i
-            assert failures.get(i, "") == ref.message, i
+            assert ref.converged == (i not in (2, 3)), i
+        assert one_row_integrate(self.ROWS[3][1], 1e-6, max_level=8).message == (
+            "no convergence within 8 refinement levels"
+        )
         assert evaluations == sum(alone)
+
+    def test_first_failure_in_node_order_not_failure_time(self):
+        # The lower row fails last, without convergence at max_level; the
+        # higher row fails first, non-finite at inner level 1. The lower
+        # row is the one named.
+        def f(t, u):
+            return np.where(u == 0.0, np.abs(t - 1.0 / 3.0),
+                            np.where(u == 1.0, np.nan, t))
+
+        evaluations, _, estimates, failure = _integrate_rows(
+            f, 1e-6, 8, np.array([0.0, 1.0])
+        )
+        assert failure == (0, "inner integral failed at u=0.0: "
+                              "no convergence within 8 refinement levels")
+        assert estimates[1] == math.inf
+        assert evaluations == sum(node_counts()[:8]) + node_counts()[0]
+
+    def test_2d_first_failure_in_node_order_not_failure_time(self):
+        # u = 1/2, the first outer node, fails last, without convergence at
+        # inner level 4; the level-1 nodes above 0.8 come later in node
+        # order and fail first, non-finite at inner level 1.
+        def f(t, u):
+            return np.where(u == 0.5, np.abs(t - 1.0 / 3.0),
+                            np.where(u > 0.8, np.nan, t * u))
+
+        assert (_interval_nodes(1)[0] > 0.8).any()
+        r = integrate2d(f, 1e-9, max_level=4)
+        assert not r.converged
+        assert r.message == (
+            "inner integral failed at u=0.5: no convergence within 4 refinement levels"
+        )
+        assert r.message == per_node_integrate2d(f, 1e-9, max_level=4).message
 
 
 class TestMaxLevel:

@@ -137,8 +137,9 @@ def branch_grid() -> np.ndarray:
 
 def watch_kernels(monkeypatch, evaluate):
     """Run evaluate() and return, per kernel name, every point handed to it
-    as one flat array: x for _taylor and _dilog, z for _log_expansion and t
-    for _dilog_one_minus. The kernels are restored after."""
+    as one flat array: x for _taylor, u = -log(1-x) for _dilog, z for
+    _log_expansion and t for _dilog_one_minus. The kernels are restored
+    after."""
     seen = {name: [np.empty(0)] for name in
             ("_taylor", "_log_expansion", "_dilog", "_dilog_one_minus")}
     for name in seen:
@@ -184,16 +185,21 @@ class TestPolylogArray:
         x = branch_grid()
         assert np.isin([-1.0, -0.5, 0.5, 1.0], x).all()
         near_one = x[(0.5 < np.abs(x)) & (np.abs(x) < 1.0)]
-        for evaluate in (lambda: polylog_array(s, x),
-                         lambda: [polylog(s, p) for p in x.tolist()]):
+        # u = -log(1-x) as the path computes it: numpy's log1p for the
+        # array, math's for a float; the two may round an ulp apart.
+        for evaluate, log1p in ((lambda: polylog_array(s, x), np.log1p),
+                                (lambda: [polylog(s, p) for p in x.tolist()],
+                                 np.vectorize(math.log1p))):
             seen = watch_kernels(monkeypatch, evaluate)
             if s == 2:
                 series, reflected = seen["_dilog"], seen["_dilog_one_minus"]
                 assert seen["_taylor"].size == seen["_log_expansion"].size == 0
-                assert (np.abs(series) <= 0.5).all()
+                # u of [-1/2, 1/2]: -log(3/2) <= u <= log 2, by the path's log1p.
+                low, high = -log1p(np.array(0.5)), -log1p(np.array(-0.5))
+                assert ((low <= series) & (series <= high)).all()
                 assert ((0.0 < reflected) & (reflected < 0.5)).all()
                 # Every point reaches its own branch.
-                assert np.isin(x[np.abs(x) <= 0.5], series).all()
+                assert np.isin(-log1p(-x[np.abs(x) <= 0.5]), series).all()
                 assert np.isin(1.0 - np.abs(near_one), reflected).all()
                 continue
             taylor_points, log_points = seen["_taylor"], seen["_log_expansion"]
@@ -207,18 +213,21 @@ class TestPolylogArray:
     @pytest.mark.parametrize("s", [2, 3, 10])
     def test_one_minus_each_branch_sees_only_its_own_points(self, s, monkeypatch):
         # Li_2: the Bernoulli series at 1 - t for t >= 1/2 and the
-        # reflection at 0 < t < 1/2, whose own series call takes t. Higher
-        # orders: Taylor at 1 - t for t >= 1/2 and the expansion about x = 1
-        # at z = log1p(-t) for 0 < t < 1/2. t = 0 reaches no kernel.
+        # reflection at 0 < t < 1/2, whose own series call takes the
+        # u = -log(1-t) it computed. Higher orders: Taylor at 1 - t for
+        # t >= 1/2 and the expansion about x = 1 at z = log1p(-t) for
+        # 0 < t < 1/2. t = 0 reaches no kernel.
         t = np.array([0.0, 1e-300, 0.25, np.nextafter(0.5, 0.0), 0.5,
                       np.nextafter(0.5, 1.0), 0.75, 1.0])
         at_x, near_one = 1.0 - t[t >= 0.5], t[(0.0 < t) & (t < 0.5)]
-        for evaluate in (lambda: polylog_one_minus(s, t),
-                         lambda: [polylog_one_minus(s, p) for p in t.tolist()]):
+        for evaluate, log1p in ((lambda: polylog_one_minus(s, t), np.log1p),
+                                (lambda: [polylog_one_minus(s, p) for p in t.tolist()],
+                                 np.vectorize(math.log1p))):
             seen = watch_kernels(monkeypatch, evaluate)
             if s == 2:
                 assert seen["_taylor"].size == seen["_log_expansion"].size == 0
-                assert sorted(seen["_dilog"].tolist()) == sorted([*at_x, *near_one])
+                series = -log1p(-np.concatenate([at_x, near_one]))
+                assert sorted(seen["_dilog"].tolist()) == sorted(series.tolist())
                 assert sorted(seen["_dilog_one_minus"].tolist()) == sorted(near_one)
                 continue
             taylor_points, log_points = seen["_taylor"], seen["_log_expansion"]
