@@ -16,16 +16,16 @@ cannot be evaluated there, and the skipped weight is negligible) while
 its twin delta keeps contributing.
 
 Each level's whole node set is evaluated in one pass, as in Bailey,
-Jeyabalan and Li (2005): one table per pass, _pass_nodes, holds the
-abscissas of both halves of (0, 1) and each level's slice and weights,
-and a level's weighted sum is one matrix-vector product. The first pass
-covers levels 1 to 3 (75 nodes): every call runs levels 1 and 2 (the test
-needs a level difference), and the integrals of the verification suite
-all run level 3 as well. Convergence is still tested level by level, so
-the values, estimates and stopping levels are those of one pass per
-level. Every result, converged or failed, counts the points evaluated, so
-a rule that stops or fails at level 2 counts the 75 nodes of the first
-pass.
+Jeyabalan and Li (2005): one read-only table per level, _level_nodes,
+built on first use, holds its abscissas on both halves of (0, 1) and
+their weights; both rules read it, and a level's weighted sum is one
+matrix-vector product. The first pass, _opening_nodes, covers levels 1
+to 3 (75 nodes): every call runs levels 1 and 2 (the test needs a level
+difference), and the integrals of the verification suite all run level
+3 as well. Convergence is still tested level by level, so the values,
+estimates and stopping levels are those of one pass per level. Every
+result, converged or failed, counts the points evaluated, so a rule that
+stops or fails at level 2 counts the 75 nodes of the first pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
 Mori, 1974) differ only in how they evaluate a pass. Each hands one level
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 MAX_LEVEL = 12
+_OPENING_LEVELS = 3  # levels of the first evaluation pass
 
 # Nodes closer to an endpoint than this are never generated; their weights
 # sit below the underflow threshold anyway.
@@ -101,14 +102,18 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
-def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(delta, weight) arrays for the nodes new at this level.
+@lru_cache(maxsize=MAX_LEVEL)
+def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and weights, read-only, of the nodes new at this level.
 
     Level 1 carries every node of the h = 1/2 mesh; higher levels carry the
     odd multiples of their step. delta is the unit-interval distance from
     either endpoint (the rule is symmetric); the weight is
     pi cosh(t) delta (1 - delta), with the center node t = 0 halved because
-    the symmetric pair sum would count it twice.
+    the symmetric pair sum would count it twice. The abscissas are the low
+    side delta, every node of the level (_MIN_DELTA <= delta <= 1/2), then
+    the high side 1 - delta over a prefix of the low side: it drops a
+    node that rounds onto 1, whose twin delta keeps the mass near 0.
 
     The elementary functions come from the math module, mapped over the
     whole level: delta = 1 / (1 + exp(pi sinh t)) turns a one-ulp change
@@ -127,49 +132,28 @@ def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
     weight = math.pi * _map(math.cosh, t) * delta * (1.0 - delta)
     if level == 1:
         weight[0] *= 0.5
-    return delta, weight
-
-
-def _interval_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissas and weights of one level on (0, 1), in table order: the
-    low side delta, the whole table (_MIN_DELTA <= delta <= 1/2), then the
-    mirrored high side 1 - delta, a prefix of the table: it drops a node
-    that rounds onto 1, whose twin delta keeps the mass near 0."""
-    deltas, weights = _level_table(level)
-    keep_hi = 1.0 - deltas < 1.0
-    x = np.concatenate((deltas, 1.0 - deltas[keep_hi]))
-    w = np.concatenate((weights, weights[keep_hi]))
+    high = 1.0 - delta < 1.0
+    x = np.concatenate((delta, 1.0 - delta[high]))
+    w = np.concatenate((weight, weight[high]))
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-# Levels of the first evaluation pass: every call runs levels 1 and 2, and
-# every integral of the verification suite runs level 3 as well.
-_OPENING_LEVELS = 3
-
-
-@lru_cache(maxsize=2 * MAX_LEVEL)
-def _pass_nodes(levels: tuple[int, ...]):
-    """The node table of one evaluation pass over (0, 1): the abscissas of
-    its levels as one array, in level order, and per level (level, slice of
-    that array, weights). Built once per pass and read-only."""
-    parts = [_interval_nodes(level) for level in levels]
-    x = np.concatenate([xl for xl, _ in parts])
+@lru_cache(maxsize=_OPENING_LEVELS)
+def _opening_nodes(last: int) -> np.ndarray:
+    """The abscissas of levels 1..last as one read-only array, in level order."""
+    x = np.concatenate([_level_nodes(level)[0] for level in range(1, last + 1)])
     x.flags.writeable = False
-    table, start = [], 0
-    for level, (_, w) in zip(levels, parts):
-        w.flags.writeable = False
-        table.append((level, slice(start, start + w.size), w))
-        start += w.size
-    return x, tuple(table)
+    return x
 
 
 def _passes(max_level: int):
-    """The _pass_nodes table of each evaluation pass, in order: levels
-    1..min(_OPENING_LEVELS, max_level) first, then one level each."""
+    """(abscissas, levels) of each evaluation pass: levels 1..min(3,
+    max_level) first, then one level each, on _level_nodes' own array."""
     last = min(_OPENING_LEVELS, max_level)
-    yield _pass_nodes(tuple(range(1, last + 1)))
+    yield _opening_nodes(last), range(1, last + 1)
     for level in range(last + 1, max_level + 1):
-        yield _pass_nodes((level,))
+        yield _level_nodes(level)[0], (level,)
 
 
 def _check_tol(tol: float) -> None:
@@ -177,8 +161,10 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def _block(values, shape: tuple[int, ...]) -> np.ndarray:
-    """Integrand values as a float array of the given shape."""
+def _block(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Integrand values as a float array of the given shape, never complex."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} requires a real integrand, got complex values")
     values = np.asarray(values, dtype=float)
     # An integrand that returns a constant gives a single value.
     return values if values.shape == shape else np.broadcast_to(values, shape)
@@ -189,11 +175,12 @@ def _rule(
 ) -> QuadratureResult:
     """The tanh-sinh level loop of both rules over (0, 1), in Python floats.
 
-    For each pass (x, table) of _passes, evaluate(x) returns the
+    For each pass (x, levels) of _passes, evaluate(x) returns the
     evaluations made, the value at every node of x, each node's error
     bound (None if none) and the first failed node as (index, message),
-    or None. Only _rule reads the table: a level's sum and error are the
-    weighted sums of the values and bounds over its new nodes, and the rule
+    or None. x holds the levels' nodes in order, each level's as many as
+    its _level_nodes weights: a level's sum and error are the weighted
+    sums of the values and bounds over its new nodes, and the rule
     fails at the level of the first failed node or at a non-finite sum. A
     level's estimate is its difference from the previous level plus the
     weighted error bounds, floored at one rounding of the value (a
@@ -209,18 +196,21 @@ def _rule(
     acc = acc_err = prev = 0.0
     estimate = math.inf
     done = 0  # evaluations made
-    for x, table in _passes(max_level):
+    for x, levels in _passes(max_level):
         evaluated, values, errors, failure = evaluate(x)
         done += evaluated
         failed, message = failure or (x.size, "")
-        for level, part, w in table:
-            total = np.einsum("ij,j->i", values[None, part], w).item()
-            if failed < part.stop or not math.isfinite(total):
-                reason = message if failed < part.stop else _NON_FINITE
+        stop = 0
+        for level in levels:
+            w = _level_nodes(level)[1]
+            start, stop = stop, stop + w.size
+            total = np.einsum("ij,j->i", values[None, start:stop], w).item()
+            if failed < stop or not math.isfinite(total):
+                reason = message if failed < stop else _NON_FINITE
                 return QuadratureResult(prev, math.inf, done, False, reason)
             acc += total
             if errors is not None:
-                acc_err += np.einsum("ij,j->i", errors[None, part], w).item()
+                acc_err += np.einsum("ij,j->i", errors[None, start:stop], w).item()
             h = 2.0**-level
             value = h * acc
             if level > 1:
@@ -264,9 +254,10 @@ def _integrate_rows(
     for level in range(1, max_level + 1):
         if live.size == 0:
             break
-        x, ((_, _, w),) = _pass_nodes((level,))
+        x, w = _level_nodes(level)
         evaluations += live.size * x.size
-        block = _block(f(x[None, :], us[live, None]), (live.size, x.size))
+        block = _block(f(x[None, :], us[live, None]), (live.size, x.size),
+                       "integrate2d")
         # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
         # resident buffers on its first call, for no gain at these sizes.
         sums = np.einsum("ij,j->i", block, w)
@@ -317,7 +308,8 @@ def integrate(
     result that converges or fails at level 2 reports the whole first call.
 
     A non-finite integrand value at an interior node yields a failure
-    result (converged False, infinite error estimate), never an exception.
+    result (converged False, infinite error estimate), never an exception;
+    a complex value raises ValueError.
     """
     _check_tol(tol)
     # Level L adds about 4.6 * 2^L nodes: a level past MAX_LEVEL would
@@ -325,7 +317,7 @@ def integrate(
     _check_integer("integrate", "max_level", max_level, 1, MAX_LEVEL)
 
     def evaluate(x):
-        return x.size, _block(f(x), x.shape), None, None
+        return x.size, _block(f(x), x.shape, "integrate"), None, None
 
     return _rule(tol, max_level, evaluate, "refinement")
 
@@ -358,7 +350,7 @@ def integrate2d(
     includes the rows of outer level 3.
 
     f(t, u) must broadcast over numpy arrays: it is called with a row of t
-    values against a column of u values.
+    values against a column of u values. A complex value raises ValueError.
     """
     _check_tol(tol)
     _check_integer("integrate2d", "max_level", max_level, 1, MAX_LEVEL)

@@ -70,6 +70,7 @@ POLYLOG_ABS_ERROR = 1e-14
 _NEGLIGIBLE = 2.0**-62
 _LOG2 = math.log(2.0)
 _TAYLOR_ONLY_ORDER = 64
+_COMPLEX = (complex, np.complexfloating)  # a float cast drops the imaginary part
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def polylog(s: int, x: float) -> float:
     arrays through the same kernels.
     """
     _check_integer("polylog", "order s", s, 0)
-    if not -1.0 <= x <= 1.0:
+    if isinstance(x, _COMPLEX) or not -1.0 <= x <= 1.0:
         raise ValueError(f"polylog argument must lie in [-1, 1], got {x}")
     if s < 2 and x == 1.0:
         raise ValueError(f"polylog(s={s}, x=1) diverges")
@@ -291,6 +292,8 @@ def polylog_array(s: int, x) -> np.ndarray:
     point. Values agree with polylog() to a few units in the last place.
     """
     _check_integer("polylog", "order s", s, 0)
+    if np.iscomplexobj(x):
+        raise ValueError("polylog_array arguments must be real, got complex")
     x = np.asarray(x, dtype=float)
     if not np.all((x >= -1.0) & (x <= 1.0)):  # NaN fails too
         raise ValueError("polylog arguments must lie in [-1, 1]")
@@ -320,10 +323,12 @@ def polylog_one_minus(s: int, t):
     """
     _check_integer("polylog", "order s", s, 0)
     if np.ndim(t):
+        if np.iscomplexobj(t):
+            raise ValueError("polylog_one_minus requires real t, got complex")
         t = np.asarray(t, dtype=float)
         if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError("polylog_one_minus requires t in [0, 1]")
-    elif 0.0 <= t <= 1.0:
+    elif not isinstance(t, _COMPLEX) and 0.0 <= t <= 1.0:
         t = float(t)  # a 0-d array or a numpy scalar takes the float path too
     else:
         raise ValueError(f"polylog_one_minus requires t in [0, 1], got {t}")
@@ -362,10 +367,12 @@ def dilog_neg_ratio(u):
     scalar or an array of u, through the same body; u = 1 gives -0.0.
     """
     if np.ndim(u):
+        if np.iscomplexobj(u):
+            raise ValueError("dilog_neg_ratio requires real u, got complex")
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("dilog_neg_ratio requires u in (0, 1]")
-    elif 0.0 < u <= 1.0:
+    elif not isinstance(u, _COMPLEX) and 0.0 < u <= 1.0:
         u = float(u)
     else:
         raise ValueError(f"dilog_neg_ratio requires u in (0, 1], got {u}")

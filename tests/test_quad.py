@@ -9,14 +9,14 @@ from paper_kernels import raw_double_integral_kernel
 
 from eulersum.constants import zeta
 from eulersum.eulersums import double_integral_kernel
+from eulersum.registry import run_suite
 from eulersum.quad import (
     MAX_LEVEL,
     QuadratureError,
     QuadratureResult,
     _integrate_rows,
-    _interval_nodes,
-    _level_table,
-    _pass_nodes,
+    _level_nodes,
+    _opening_nodes,
     _passes,
     integrate,
     integrate2d,
@@ -118,6 +118,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t: 1.0, math.nan)
 
+    @pytest.mark.parametrize("f", [lambda x: x + 1j * x, lambda x: 1j], ids=["array", "constant"])
+    def test_complex_integrand_is_an_error(self, f):
+        # A float cast would drop the imaginary part and report the real
+        # part's integral as converged.
+        with pytest.raises(ValueError, match="^integrate requires a real integrand"):
+            integrate(f, 1e-10)
+
     def test_unreachable_tolerance_reports_non_convergence(self):
         r = integrate(np.log, 1e-18)
         assert not r.converged
@@ -166,6 +173,10 @@ class TestIntegrate2d:
         with pytest.raises(ValueError):
             integrate2d(lambda t, u: 1.0, math.nan)
 
+    def test_complex_integrand_is_an_error(self):
+        with pytest.raises(ValueError, match="^integrate2d requires a real integrand"):
+            integrate2d(lambda t, u: t * u + 1j, 1e-8)
+
 
 def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
     """Reference 2-D rule: one relative float_loop call per outer node, in
@@ -180,7 +191,7 @@ def per_node_integrate2d(f, tol, *, max_level=MAX_LEVEL):
     value = 0.0
     for level in range(1, max_level + 1):
         h = 2.0**-level
-        deltas, weights = _level_table(level)
+        deltas, weights = math_level_table(level)
         for delta, w in zip(deltas.tolist(), weights.tolist()):
             for u in (delta, 1.0 - delta):
                 if not 0.0 < u < 1.0:
@@ -269,7 +280,7 @@ class TestIntegrate2dBlocks:
         block = integrate2d(counted, 1e-9)
         loop = per_node_integrate2d(bad, 1e-9)
         assert not block.converged and not loop.converged
-        deltas = _level_table(1)[0]
+        deltas = math_level_table(1)[0]
         nodes = np.concatenate((deltas, 1.0 - deltas))
         u = float(nodes[failing(nodes)][0])
         assert u < 0.05
@@ -321,14 +332,22 @@ def math_level_table(level):
     return np.array(deltas), np.array(weights)
 
 
+def mirrored(deltas, weights):
+    """A level table on both halves of (0, 1): every delta, then the
+    mirrors 1 - delta that stay below 1, with their weights."""
+    high = 1.0 - deltas < 1.0
+    return (np.concatenate((deltas, 1.0 - deltas[high])),
+            np.concatenate((weights, weights[high])))
+
+
 def node_counts():
     """Number of nodes each level adds, levels 1..MAX_LEVEL."""
-    return [_interval_nodes(level)[0].size for level in range(1, MAX_LEVEL + 1)]
+    return [_level_nodes(level)[0].size for level in range(1, MAX_LEVEL + 1)]
 
 
 def opening_nodes(last):
     """Abscissas of levels 1..last, in level order."""
-    return np.concatenate([_interval_nodes(level)[0] for level in range(1, last + 1)])
+    return np.concatenate([_level_nodes(level)[0] for level in range(1, last + 1)])
 
 
 class TestLevelPasses:
@@ -337,50 +356,67 @@ class TestLevelPasses:
 
     @pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
     def test_level_table_matches_math_construction(self, level):
-        # Same elementary functions, same operation order: the same bits.
-        deltas, weights = _level_table(level)
-        ref_deltas, ref_weights = math_level_table(level)
-        assert np.array_equal(deltas, ref_deltas)
-        assert np.array_equal(weights, ref_weights)
+        # Same elementary functions, same operation order: the same bits,
+        # after the same mirroring onto both halves of (0, 1).
+        x, w = _level_nodes(level)
+        ref_x, ref_w = mirrored(*math_level_table(level))
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(w, ref_w)
 
     def test_cached_nodes_are_read_only(self):
-        for levels in ((1, 2, 3), (4,)):
-            x, table = _pass_nodes(levels)
-            for array in (x, *(w for _, _, w in table)):
+        # One table per level and one opening array per last level, built
+        # once: every call returns the same read-only objects.
+        for level in (1, 4):
+            x, w = _level_nodes(level)
+            assert _level_nodes(level)[0] is x and _level_nodes(level)[1] is w
+            for array in (x, w):
                 with pytest.raises(ValueError):
                     array[0] = 0.5
+        for last in (1, 2, 3):
+            x = _opening_nodes(last)
+            assert _opening_nodes(last) is x
+            with pytest.raises(ValueError):
+                x[0] = 0.5
+
+    def test_suite_pass_builds_each_level_once(self):
+        # A first suite pass runs levels 1 to 4 and builds each of them
+        # once, for both rules: four table builds.
+        _level_nodes.cache_clear()
+        _opening_nodes.cache_clear()
+        run_suite()
+        info = _level_nodes.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
 
     @pytest.mark.parametrize("max_level", [1, 2, 3, 4, MAX_LEVEL])
     def test_pass_tables_are_the_levels_nodes(self, max_level):
         # Levels 1..min(3, max_level) form the first pass, then one level
-        # per pass; each table holds exactly its levels' _interval_nodes.
+        # per pass; a pass's abscissas are its levels' _level_nodes in
+        # order, and a one-level pass is that level's own array.
         passes = list(_passes(max_level))
-        opening = list(range(1, min(3, max_level) + 1))
-        later = [[level] for level in range(len(opening) + 1, max_level + 1)]
-        assert [[level for level, _, _ in table] for _, table in passes] == (
-            [opening] + later
+        last = min(3, max_level)
+        assert [list(levels) for _, levels in passes] == (
+            [list(range(1, last + 1))]
+            + [[level] for level in range(last + 1, max_level + 1)]
         )
-        for x, table in passes:
-            start = 0
-            for level, part, w in table:
-                level_x, level_w = _interval_nodes(level)
-                assert part == slice(start, start + level_x.size)
-                assert np.array_equal(x[part], level_x)
-                assert np.array_equal(w, level_w)
-                start = part.stop
-            assert start == x.size
+        x, _ = passes[0]
+        assert x is _opening_nodes(last)
+        assert np.array_equal(x, opening_nodes(last))
+        for x, (level,) in passes[1:]:
+            assert x is _level_nodes(level)[0]
 
     def test_interval_nodes_are_both_halves(self):
-        # The low side is each level's delta, all of it; the high side is
-        # 1 - delta for the deltas whose mirror stays below 1.
+        # The low side is each level's delta, all of it, at most 1/2; the
+        # high side mirrors a prefix of it, the deltas whose mirror stays
+        # below 1, with the same weights.
         dropped = 0
         for level in range(1, MAX_LEVEL + 1):
-            deltas, weights = _level_table(level)
-            x, w = _interval_nodes(level)
-            high = 1.0 - deltas < 1.0
-            dropped += (~high).sum()
-            assert np.array_equal(x, np.concatenate((deltas, 1.0 - deltas[high])))
-            assert np.array_equal(w, np.concatenate((weights, weights[high])))
+            low = math_level_table(level)[0].size
+            x, w = _level_nodes(level)
+            high = x.size - low
+            dropped += low - high
+            assert (x[:low] <= 0.5).all() and (x[low:] >= 0.5).all(), level
+            assert np.array_equal(x[low:], 1.0 - x[:high])
+            assert np.array_equal(w[low:], w[:high])
             assert ((0.0 < x) & (x < 1.0)).all(), level
         # Some mirror rounds onto 1, so the high-side guard is exercised.
         assert dropped > 0
@@ -541,7 +577,7 @@ def float_loop(f, tol, *, relative, max_level=MAX_LEVEL):
     diff = math.inf
     count = 0
     for level in range(1, max_level + 1):
-        x, w = _interval_nodes(level)
+        x, w = _level_nodes(level)
         values = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
         total = np.einsum("ij,j->i", values.reshape(1, -1), w).item()
         count += x.size
@@ -640,12 +676,12 @@ class TestFloatLoop:
 
         r = integrate(f, 1e-10, max_level=1)
         assert not r.converged
-        level_1 = _interval_nodes(1)[0]
+        level_1 = _level_nodes(1)[0]
         assert len(seen) == 1 and np.array_equal(seen[0], level_1)
         assert r.evaluations == level_1.size
 
     def test_2d_max_level_1_evaluates_only_level_1(self):
-        level_1 = _interval_nodes(1)[0]
+        level_1 = _level_nodes(1)[0]
         seen_t, seen_u = [], []
 
         def f(t, u):
@@ -666,8 +702,8 @@ class TestFloatLoop:
         def inside(u):
             return (0.3 < u) & (u < 0.32)
 
-        assert not inside(_interval_nodes(1)[0]).any()
-        assert inside(_interval_nodes(2)[0]).any()
+        assert not inside(_level_nodes(1)[0]).any()
+        assert inside(_level_nodes(2)[0]).any()
 
         def bad(t, u):
             return np.where(inside(u), np.nan, t * u)
@@ -756,7 +792,7 @@ class TestIntegrateRows:
             return np.where(u == 0.5, np.abs(t - 1.0 / 3.0),
                             np.where(u > 0.8, np.nan, t * u))
 
-        assert (_interval_nodes(1)[0] > 0.8).any()
+        assert (_level_nodes(1)[0] > 0.8).any()
         r = integrate2d(f, 1e-9, max_level=4)
         assert not r.converged
         assert r.message == (

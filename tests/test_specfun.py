@@ -275,6 +275,18 @@ class TestPolylogArray:
         with pytest.raises(ValueError):
             dilog_neg_ratio(np.array([0.0, 0.5]))
 
+    def test_complex_arguments_are_an_error(self):
+        # A float cast would evaluate at the real part, Li_s(0.5).
+        z = np.array([0.5 + 1j])
+        with pytest.raises(ValueError, match="^polylog_array arguments must be real"):
+            polylog_array(2, z)
+        with pytest.raises(ValueError, match="^polylog_array arguments must be real"):
+            polylog_array(2, [0.5, 0.5 + 1j])
+        with pytest.raises(ValueError, match="^polylog_one_minus requires real t"):
+            polylog_one_minus(2, z)
+        with pytest.raises(ValueError, match="^dilog_neg_ratio requires real u"):
+            dilog_neg_ratio(z)
+
 
 class TestDilogAgainstMpmath:
     """Li_2 from its Bernoulli series and its reflection: every entry point,
@@ -352,6 +364,13 @@ class TestPolylogDomain:
             polylog(2, 1.0000001)
         with pytest.raises(ValueError):
             polylog(2, -1.5)
+
+    @pytest.mark.parametrize("x", [np.complex128(0.5 + 1j), 0.5 + 1j, np.complex64(0.5)],
+                             ids=["numpy", "python", "zero-imaginary"])
+    def test_rejects_complex(self, x):
+        # A complex number is not in [-1, 1], even with a zero imaginary part.
+        with pytest.raises(ValueError, match="^polylog argument must lie in"):
+            polylog(2, x)
 
     def test_divergent_at_one_for_low_order(self):
         with pytest.raises(ValueError):
@@ -437,6 +456,13 @@ class TestDilogNegRatio:
             dilog_neg_ratio(-0.2)
         with pytest.raises(ValueError):
             dilog_neg_ratio(1.2)
+
+    @pytest.mark.parametrize("u", [np.complex128(0.5 + 1j), 0.5 + 1j], ids=["numpy", "python"])
+    def test_rejects_complex_scalars(self, u):
+        with pytest.raises(ValueError, match="^dilog_neg_ratio requires u in"):
+            dilog_neg_ratio(u)
+        with pytest.raises(ValueError, match="^polylog_one_minus requires t in"):
+            polylog_one_minus(2, u)
 
 
 class TestHarmonicFloat:
