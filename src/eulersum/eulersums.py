@@ -47,7 +47,7 @@ import numpy as np
 from .constants import euler_gamma, zeta
 from .exactmath import _check_integer, bernoulli
 from .quad import QuadratureError, QuadratureResult, integrate, integrate2d
-from .specfun import _horner, dilog_neg_ratio, polylog_array, polylog_one_minus
+from .specfun import _horner, _real, dilog_neg_ratio, polylog_array, polylog_one_minus
 
 __all__ = [
     "EulerSumSpec",
@@ -251,15 +251,14 @@ def inner_integral(u: float) -> float:
     Equals Li_2(-(1-u)/u) / (1-u); the quadrature route lives in
     inner_integral_quadrature so the two stay comparable.
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"inner_integral requires u in (0, 1), got {u}")
+    u = _real("inner_integral", "u", u, lambda u: (0.0 < u) & (u < 1.0), "(0, 1)")
     return dilog_neg_ratio(u) / (1.0 - u)
 
 
 def inner_integral_quadrature(u: float) -> QuadratureResult:
     """Quadrature of the inner integral to tol 1e-11, to check the closed form."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"inner_integral_quadrature requires u in (0, 1), got {u}")
+    u = _real("inner_integral_quadrature", "u", u,
+              lambda u: (0.0 < u) & (u < 1.0), "(0, 1)")
 
     def f(t):
         # 1 - (1-t)(1-u) expanded as t + u - t u: no cancellation for small t, u.

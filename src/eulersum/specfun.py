@@ -70,7 +70,6 @@ POLYLOG_ABS_ERROR = 1e-14
 _NEGLIGIBLE = 2.0**-62
 _LOG2 = math.log(2.0)
 _TAYLOR_ONLY_ORDER = 64
-_COMPLEX = (complex, np.complexfloating)  # a float cast drops the imaginary part
 
 
 @dataclass(frozen=True)
@@ -268,38 +267,56 @@ def _polylog(s: int, x):
     ))
 
 
-def polylog(s: int, x: float) -> float:
+def _real(name: str, var: str, x, inside, domain: str):
+    """The one reading of a real argument for every Li_s entry point: a
+    float as it is (no numpy call), a numpy scalar or 0-d array as a float,
+    anything with dimensions as a float array. Any dtype but bool, int and
+    float, and a point where inside(x) fails (NaN too), raise ValueError."""
+    if type(x) is not float:
+        a = np.asarray(x)
+        if a.dtype.kind not in "biuf":
+            raise ValueError(f"{name} requires real {var}, got {a.dtype}")
+        x = a.astype(float, copy=False) if a.ndim else float(a)
+    ok = inside(x)
+    if ok if type(x) is float else ok.all():
+        return x
+    bad = x if type(x) is float else x[~ok][0]
+    raise ValueError(f"{name} requires {var} in {domain}, got {bad}")
+
+
+def _any(hits):
+    """Whether a float's comparison holds, or an array's does anywhere."""
+    return hits if isinstance(hits, bool) else hits.any()
+
+
+def _checked_polylog(name: str, s: int, x):
+    """polylog and polylog_array: their checks, under the caller's name."""
+    _check_integer(name, "order s", s, 0)
+    x = _real(name, "x", x, lambda x: (-1.0 <= x) & (x <= 1.0), "[-1, 1]")
+    if s < 2 and _any(x == 1.0):
+        raise ValueError(f"{name}(s={s}, x=1) diverges")
+    return _polylog(s, x)
+
+
+def polylog(s: int, x):
     """Polylogarithm Li_s(x) = sum_{n>=1} x^n / n^s for s >= 0, x in [-1, 1].
 
     x = 1 requires s >= 2 (the series is zeta(s) there and diverges below).
     Closed forms are used for the two lowest orders: Li_0(x) = x/(1-x) and
-    Li_1(x) = -log(1-x). Takes a scalar x; polylog_array evaluates whole
-    arrays through the same kernels.
+    Li_1(x) = -log(1-x). A scalar x gives a float and an array of x an
+    array, through the same split.
     """
-    _check_integer("polylog", "order s", s, 0)
-    if isinstance(x, _COMPLEX) or not -1.0 <= x <= 1.0:
-        raise ValueError(f"polylog argument must lie in [-1, 1], got {x}")
-    if s < 2 and x == 1.0:
-        raise ValueError(f"polylog(s={s}, x=1) diverges")
-    return _polylog(s, float(x))
+    return _checked_polylog("polylog", s, x)
 
 
 def polylog_array(s: int, x) -> np.ndarray:
-    """polylog(s, x) elementwise over an array of arguments in [-1, 1].
+    """polylog(s, x) as an array, 0-d for a scalar x.
 
     Each branch evaluates all of its arguments in one kernel call, so a
-    grid of points costs a few numpy passes instead of a Python call per
-    point. Values agree with polylog() to a few units in the last place.
+    grid costs a few numpy passes instead of a Python call per point, and
+    agrees with a float polylog() to a few units in the last place.
     """
-    _check_integer("polylog", "order s", s, 0)
-    if np.iscomplexobj(x):
-        raise ValueError("polylog_array arguments must be real, got complex")
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= -1.0) & (x <= 1.0)):  # NaN fails too
-        raise ValueError("polylog arguments must lie in [-1, 1]")
-    if s < 2 and np.any(x == 1.0):
-        raise ValueError(f"polylog(s={s}, x=1) diverges")
-    return np.asarray(_polylog(s, x))  # a 0-d x gives a numpy scalar at some orders
+    return np.asarray(_checked_polylog("polylog_array", s, x))
 
 
 def polylog_eval(s: int, x: float) -> PolylogEval:
@@ -321,18 +338,9 @@ def polylog_one_minus(s: int, t):
     (ValueError). A scalar t gives a float and an array of t an array,
     through the same split.
     """
-    _check_integer("polylog", "order s", s, 0)
-    if np.ndim(t):
-        if np.iscomplexobj(t):
-            raise ValueError("polylog_one_minus requires real t, got complex")
-        t = np.asarray(t, dtype=float)
-        if not np.all((t >= 0.0) & (t <= 1.0)):
-            raise ValueError("polylog_one_minus requires t in [0, 1]")
-    elif not isinstance(t, _COMPLEX) and 0.0 <= t <= 1.0:
-        t = float(t)  # a 0-d array or a numpy scalar takes the float path too
-    else:
-        raise ValueError(f"polylog_one_minus requires t in [0, 1], got {t}")
-    if s < 2 and np.any(t == 0.0):
+    _check_integer("polylog_one_minus", "order s", s, 0)
+    t = _real("polylog_one_minus", "t", t, lambda t: (0.0 <= t) & (t <= 1.0), "[0, 1]")
+    if s < 2 and _any(t == 0.0):
         raise ValueError(f"polylog_one_minus({s}, 0) diverges")
     if s == 0:
         with np.errstate(over="ignore"):
@@ -366,16 +374,7 @@ def dilog_neg_ratio(u):
     the subdomain u >= 1/2 where -(1-u)/u lands back in [-1, 0]. Accepts a
     scalar or an array of u, through the same body; u = 1 gives -0.0.
     """
-    if np.ndim(u):
-        if np.iscomplexobj(u):
-            raise ValueError("dilog_neg_ratio requires real u, got complex")
-        u = np.asarray(u, dtype=float)
-        if not np.all((u > 0.0) & (u <= 1.0)):
-            raise ValueError("dilog_neg_ratio requires u in (0, 1]")
-    elif not isinstance(u, _COMPLEX) and 0.0 < u <= 1.0:
-        u = float(u)
-    else:
-        raise ValueError(f"dilog_neg_ratio requires u in (0, 1], got {u}")
+    u = _real("dilog_neg_ratio", "u", u, lambda u: (0.0 < u) & (u <= 1.0), "(0, 1]")
     log_u = _lib(u).log(u)
     return -0.5 * log_u * log_u - polylog_one_minus(2, u)
 

@@ -418,6 +418,14 @@ class TestInnerIntegral:
             with pytest.raises(ValueError):
                 inner_integral_quadrature(bad)
 
+    @pytest.mark.parametrize("u", [0.5 + 1j, np.complex128(0.5 + 1j), np.array(0.5 + 1j)],
+                             ids=["python", "numpy", "0-d"])
+    def test_complex_is_an_error_naming_the_function(self, u):
+        with pytest.raises(ValueError, match="^inner_integral requires real u"):
+            inner_integral(u)
+        with pytest.raises(ValueError, match="^inner_integral_quadrature requires real u"):
+            inner_integral_quadrature(u)
+
 
 class TestQuadraticSumOuter:
     def test_dedoelder_value(self):

@@ -278,9 +278,9 @@ class TestPolylogArray:
     def test_complex_arguments_are_an_error(self):
         # A float cast would evaluate at the real part, Li_s(0.5).
         z = np.array([0.5 + 1j])
-        with pytest.raises(ValueError, match="^polylog_array arguments must be real"):
+        with pytest.raises(ValueError, match="^polylog_array requires real x"):
             polylog_array(2, z)
-        with pytest.raises(ValueError, match="^polylog_array arguments must be real"):
+        with pytest.raises(ValueError, match="^polylog_array requires real x"):
             polylog_array(2, [0.5, 0.5 + 1j])
         with pytest.raises(ValueError, match="^polylog_one_minus requires real t"):
             polylog_one_minus(2, z)
@@ -369,7 +369,7 @@ class TestPolylogDomain:
                              ids=["numpy", "python", "zero-imaginary"])
     def test_rejects_complex(self, x):
         # A complex number is not in [-1, 1], even with a zero imaginary part.
-        with pytest.raises(ValueError, match="^polylog argument must lie in"):
+        with pytest.raises(ValueError, match="^polylog requires real x"):
             polylog(2, x)
 
     def test_divergent_at_one_for_low_order(self):
@@ -459,10 +459,89 @@ class TestDilogNegRatio:
 
     @pytest.mark.parametrize("u", [np.complex128(0.5 + 1j), 0.5 + 1j], ids=["numpy", "python"])
     def test_rejects_complex_scalars(self, u):
-        with pytest.raises(ValueError, match="^dilog_neg_ratio requires u in"):
+        with pytest.raises(ValueError, match="^dilog_neg_ratio requires real u"):
             dilog_neg_ratio(u)
-        with pytest.raises(ValueError, match="^polylog_one_minus requires t in"):
+        with pytest.raises(ValueError, match="^polylog_one_minus requires real t"):
             polylog_one_minus(2, u)
+
+
+# The four Li_s entry points, each with an order where it takes one.
+ENTRY_POINTS = {
+    "polylog": partial(polylog, 2),
+    "polylog_array": partial(polylog_array, 2),
+    "polylog_one_minus": partial(polylog_one_minus, 2),
+    "dilog_neg_ratio": dilog_neg_ratio,
+}
+
+
+class TestRealArgumentRule:
+    """One rule reads the argument of every Li_s entry point: a scalar
+    becomes a Python float, an array a float array, and every error names
+    the function called."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "z", [0.5 + 1j, np.complex64(0.5), np.array(0.5 + 1j), np.array(0.5 + 0j),
+              [[0.5], [0.5j]]],
+        ids=["python", "numpy", "0-d", "0-d-zero-imaginary", "2-d-list"])
+    def test_complex_is_an_error(self, name, z):
+        with pytest.raises(ValueError, match=f"^{name} requires real [xtu], got complex"):
+            ENTRY_POINTS[name](z)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("text", ["0.5", np.array("0.5"), ["0.5"]],
+                             ids=["str", "0-d", "list"])
+    def test_str_is_rejected(self, name, text):
+        # float("0.5") and np.asarray("0.5", dtype=float) would read it.
+        with pytest.raises(ValueError, match=f"^{name} requires real [xtu], got <U3$"):
+            ENTRY_POINTS[name](text)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "bad", [math.nan, 1.5, -1.5, np.float64(1.5), np.array(math.nan),
+                np.array([0.5, 1.5, math.nan])],
+        ids=["nan", "above", "below", "numpy", "0-d-nan", "array"])
+    def test_outside_the_domain_is_an_error(self, name, bad):
+        # An array's message quotes its first point outside the domain.
+        with pytest.raises(ValueError, match=f"^{name} requires [xtu] in .*, got (nan|1.5|-1.5)$"):
+            ENTRY_POINTS[name](bad)
+
+    @pytest.mark.parametrize("name", ["polylog_array", "polylog_one_minus"])
+    def test_order_errors_name_the_function(self, name):
+        f = getattr(specfun, name)
+        with pytest.raises(ValueError, match=f"^{name} requires an integer order s, got 2.0$"):
+            f(2.0, np.array([0.5]))  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match=f"^{name} requires order s >= 0, got -1$"):
+            f(-1, 0.5)
+
+    def test_polylog_array_names_itself_at_divergence(self):
+        for x in (1.0, np.array([0.5, 1.0])):
+            with pytest.raises(ValueError, match=r"^polylog_array\(s=1, x=1\) diverges$"):
+                polylog_array(1, x)
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 7, 20, 64])
+    def test_polylog_of_an_array_is_polylog_array(self, s):
+        x = branch_grid()
+        x = x[x < 1.0] if s < 2 else x
+        for points in (x, x[:200].reshape(10, 20)):
+            value = polylog(s, points)
+            assert isinstance(value, np.ndarray) and value.shape == points.shape
+            assert value.tobytes() == polylog_array(s, points).tobytes()
+
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.float32(0.25), np.array(0.3), 1],
+                             ids=["float", "float64", "float32", "0-d", "int"])
+    def test_a_scalar_gives_a_python_float(self, x):
+        for f in (partial(polylog, 2), partial(polylog_one_minus, 2), dilog_neg_ratio):
+            value = f(x)
+            assert type(value) is float
+            assert value == f(float(x))
+        assert polylog_array(2, x).shape == ()
+        assert polylog_array(2, x) == polylog(2, float(x))
+
+    def test_a_float_is_read_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(specfun, "np", None)
+        x = 0.3
+        assert specfun._real("f", "x", x, lambda x: (0.0 <= x) & (x <= 1.0), "[0, 1]") is x
 
 
 class TestHarmonicFloat:
