@@ -259,6 +259,8 @@ def inner_integral_quadrature(u: float) -> QuadratureResult:
     """Quadrature of the inner integral to tol 1e-11, to check the closed form."""
     u = _real("inner_integral_quadrature", "u", u,
               lambda u: (0.0 < u) & (u < 1.0), "(0, 1)")
+    if type(u) is not float:  # one quadrature per u
+        raise ValueError(f"inner_integral_quadrature requires one u, got shape {u.shape}")
 
     def f(t):
         # 1 - (1-t)(1-u) expanded as t + u - t u: no cancellation for small t, u.

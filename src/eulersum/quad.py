@@ -19,13 +19,14 @@ Each level's whole node set is evaluated in one pass, as in Bailey,
 Jeyabalan and Li (2005): one read-only table per level, _level_nodes,
 built on first use, holds its abscissas on both halves of (0, 1) and
 their weights; both rules read it, and a level's weighted sum is one
-matrix-vector product. The first pass, _opening_nodes, covers levels 1
-to 3 (75 nodes): every call runs levels 1 and 2 (the test needs a level
-difference), and the integrals of the verification suite all run level
-3 as well. Convergence is still tested level by level, so the values,
-estimates and stopping levels are those of one pass per level. Every
-result, converged or failed, counts the points evaluated, so a rule that
-stops or fails at level 2 counts the 75 nodes of the first pass.
+matrix-vector product. Every rule runs the same passes: the first,
+_opening_nodes, covers levels 1 to 3 (75 nodes), and each later pass one
+level, up to MAX_LEVEL. Every call runs levels 1 and 2 (the test needs a
+level difference), and the integrals of the verification suite all run
+level 3 as well. Convergence is still tested level by level, so the
+values, estimates and stopping levels are those of one pass per level.
+Every result, converged or failed, counts the points evaluated, so a
+rule that stops or fails at level 2 counts the 75 nodes of the first pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
 Mori, 1974) differ only in how they evaluate a pass. Each hands one level
@@ -52,8 +53,6 @@ from typing import Callable
 
 import numpy as np
 
-from .exactmath import _check_integer
-
 __all__ = [
     "QuadratureResult",
     "QuadratureError",
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 MAX_LEVEL = 12
-_OPENING_LEVELS = 3  # levels of the first evaluation pass
+_OPENING = range(1, 4)  # levels of the first evaluation pass
 
 # Nodes closer to an endpoint than this are never generated; their weights
 # sit below the underflow threshold anyway.
@@ -139,20 +138,19 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=_OPENING_LEVELS)
-def _opening_nodes(last: int) -> np.ndarray:
-    """The abscissas of levels 1..last as one read-only array, in level order."""
-    x = np.concatenate([_level_nodes(level)[0] for level in range(1, last + 1)])
+@lru_cache(maxsize=1)
+def _opening_nodes() -> np.ndarray:
+    """The abscissas of levels 1..3 as one read-only array, in level order."""
+    x = np.concatenate([_level_nodes(level)[0] for level in _OPENING])
     x.flags.writeable = False
     return x
 
 
-def _passes(max_level: int):
-    """(abscissas, levels) of each evaluation pass: levels 1..min(3,
-    max_level) first, then one level each, on _level_nodes' own array."""
-    last = min(_OPENING_LEVELS, max_level)
-    yield _opening_nodes(last), range(1, last + 1)
-    for level in range(last + 1, max_level + 1):
+def _passes():
+    """(abscissas, levels) of each evaluation pass: levels 1..3 first, then
+    one level each up to MAX_LEVEL, on _level_nodes' own array."""
+    yield _opening_nodes(), _OPENING
+    for level in range(_OPENING.stop, MAX_LEVEL + 1):
         yield _level_nodes(level)[0], (level,)
 
 
@@ -170,9 +168,7 @@ def _block(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
-def _rule(
-    tol: float, max_level: int, evaluate: Callable, what: str
-) -> QuadratureResult:
+def _rule(tol: float, evaluate: Callable, what: str) -> QuadratureResult:
     """The tanh-sinh level loop of both rules over (0, 1), in Python floats.
 
     For each pass (x, levels) of _passes, evaluate(x) returns the
@@ -196,7 +192,7 @@ def _rule(
     acc = acc_err = prev = 0.0
     estimate = math.inf
     done = 0  # evaluations made
-    for x, levels in _passes(max_level):
+    for x, levels in _passes():
         evaluated, values, errors, failure = evaluate(x)
         done += evaluated
         failed, message = failure or (x.size, "")
@@ -219,14 +215,13 @@ def _rule(
                 if reported < tol:
                     return QuadratureResult(value, reported, done, True)
             prev = value
-    message = f"no convergence within {max_level} {what} levels"
+    message = f"no convergence within {MAX_LEVEL} {what} levels"
     return QuadratureResult(prev, estimate, done, False, message)
 
 
 def _integrate_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
-    max_level: int,
     us: np.ndarray,
 ) -> tuple[int, np.ndarray, np.ndarray, tuple[int, str] | None]:
     """Tanh-sinh over t in (0, 1) of f(t, u) for every u in us at once: the
@@ -251,7 +246,7 @@ def _integrate_rows(
     first = (us.size, "")  # the lowest failed row and its reason
     live = np.arange(us.size)  # the rows still running, in ascending order
     evaluations = 0
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_LEVEL + 1):
         if live.size == 0:
             break
         x, w = _level_nodes(level)
@@ -283,7 +278,7 @@ def _integrate_rows(
             live = live[~passed]
 
     if live.size:
-        message = f"no convergence within {max_level} refinement levels"
+        message = f"no convergence within {MAX_LEVEL} refinement levels"
         first = min(first, (int(live[0]), message))
     row, reason = first
     if row == us.size:
@@ -292,19 +287,16 @@ def _integrate_rows(
         row, f"inner integral failed at u={float(us[row])!r}: {reason}")
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray], tol: float, *, max_level: int = MAX_LEVEL
-) -> QuadratureResult:
+def integrate(f: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureResult:
     """Integrate f over (0, 1) to absolute tolerance tol.
 
     f takes a numpy array of abscissas and returns the array of values (or
     one constant); a scalar function can be passed as
     np.vectorize(f, otypes=[float]). f is never evaluated at 0 or 1;
-    singularities of log-power type at the endpoints are fine. max_level is
-    the last level tried, 1 <= max_level <= MAX_LEVEL.
+    singularities of log-power type at the endpoints are fine.
 
-    f is called once on the nodes of levels 1..min(3, max_level) and then
-    once per further level. evaluations counts every node evaluated, so a
+    f is called once on the nodes of levels 1..3 and then once per further
+    level, up to MAX_LEVEL. evaluations counts every node evaluated, so a
     result that converges or fails at level 2 reports the whole first call.
 
     A non-finite integrand value at an interior node yields a failure
@@ -312,33 +304,28 @@ def integrate(
     a complex value raises ValueError.
     """
     _check_tol(tol)
-    # Level L adds about 4.6 * 2^L nodes: a level past MAX_LEVEL would
-    # cost memory and time without bound before any convergence test.
-    _check_integer("integrate", "max_level", max_level, 1, MAX_LEVEL)
 
     def evaluate(x):
         return x.size, _block(f(x), x.shape, "integrate"), None, None
 
-    return _rule(tol, max_level, evaluate, "refinement")
+    return _rule(tol, evaluate, "refinement")
 
 
 def integrate2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    tol: float,
-    *,
-    max_level: int = MAX_LEVEL,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: float
 ) -> QuadratureResult:
     """Iterated tanh-sinh integral of f(t, u) over the open unit square.
 
     The outer rule runs over u with the inner integral over t resolved to
-    tol/10 at every outer node (inner convergence is tested relative to the
-    inner value, since the inner magnitude can grow like log^3 of the
-    distance to the boundary). The reported error estimate adds the
-    weighted sum of inner estimates to the outer level difference, and
-    convergence is declared on that combined figure. Any inner failure
-    makes the whole result non-converged; the message names the first
-    failing outer node in node order: by level, and within a level the
-    nodes u = delta from 1/2 toward 0, then their mirrors 1 - delta.
+    tol/10 at every outer node, each rule to at most MAX_LEVEL levels
+    (inner convergence is tested relative to the inner value, since the
+    inner magnitude can grow like log^3 of the distance to the boundary).
+    The reported error estimate adds the weighted sum of inner estimates
+    to the outer level difference, and convergence is declared on that
+    combined figure. Any inner failure makes the whole result
+    non-converged; the message names the first failing outer node in node
+    order: by level, and within a level the nodes u = delta from 1/2
+    toward 0, then their mirrors 1 - delta.
 
     All outer nodes of a pass are integrated together, those of outer
     levels 1 to 3 as one block: each inner level evaluates f once on the
@@ -353,6 +340,4 @@ def integrate2d(
     values against a column of u values. A complex value raises ValueError.
     """
     _check_tol(tol)
-    _check_integer("integrate2d", "max_level", max_level, 1, MAX_LEVEL)
-    rows = partial(_integrate_rows, f, tol / 10.0, max_level)
-    return _rule(tol, max_level, rows, "outer refinement")
+    return _rule(tol, partial(_integrate_rows, f, tol / 10.0), "outer refinement")

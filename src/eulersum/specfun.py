@@ -71,6 +71,9 @@ _NEGLIGIBLE = 2.0**-62
 _LOG2 = math.log(2.0)
 _TAYLOR_ONLY_ORDER = 64
 
+# The least t whose Li_0(1 - t) = (1 - t)/t is finite: 1/t overflows at 2^-1024.
+_LI0_MIN_T = math.nextafter(2.0**-1024, 1.0)
+
 
 @dataclass(frozen=True)
 class PolylogEval:
@@ -271,7 +274,10 @@ def _real(name: str, var: str, x, inside, domain: str):
     """The one reading of a real argument for every Li_s entry point: a
     float as it is (no numpy call), a numpy scalar or 0-d array as a float,
     anything with dimensions as a float array. Any dtype but bool, int and
-    float, and a point where inside(x) fails (NaN too), raise ValueError."""
+    float, and a point where inside(x) fails (NaN too; a Python int is
+    tested as it is, at any size), raise ValueError."""
+    if type(x) is int and not inside(x):  # numpy's ints stop at 64 bits
+        raise ValueError(f"{name} requires {var} in {domain}, got {x}")
     if type(x) is not float:
         a = np.asarray(x)
         if a.dtype.kind not in "biuf":
@@ -343,11 +349,9 @@ def polylog_one_minus(s: int, t):
     if s < 2 and _any(t == 0.0):
         raise ValueError(f"polylog_one_minus({s}, 0) diverges")
     if s == 0:
-        with np.errstate(over="ignore"):
-            value = (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
-        if np.any(np.isinf(value)):
+        if _any(t < _LI0_MIN_T):
             raise ValueError("polylog_one_minus(0, t) overflows for t < 5.6e-309")
-        return value
+        return (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
     if s >= _TAYLOR_ONLY_ORDER:
         return _taylor(s, 1.0 - t)
     lib = _lib(t)

@@ -320,22 +320,22 @@ class TestSumViaIntegral:
     def test_failure_names_its_reason(self, monkeypatch):
         points = []
 
-        def limited(f, tol):
+        def below_floor(f, tol):
             def counted(t):
                 points.append(t.size)
                 return f(t)
 
-            return quad.integrate(counted, tol, max_level=2)
+            return quad.integrate(counted, 1e-18)
 
-        monkeypatch.setattr(eulersums, "integrate", limited)
+        monkeypatch.setattr(eulersums, "integrate", below_floor)
         with pytest.raises(QuadratureError) as raised:
             sum_via_integral(2)
         assert str(raised.value) == (
             "integral representation of S(1; 2) did not converge: "
-            "no convergence within 2 refinement levels"
+            "no convergence within 12 refinement levels"
         )
         assert not raised.value.result.converged
-        assert raised.value.result.evaluations == sum(points) > 0
+        assert raised.value.result.evaluations == sum(points) == 37_926
 
     @pytest.mark.parametrize("q", [3, 63, 64, 10**6])
     def test_tol_floor(self, q):
@@ -417,6 +417,19 @@ class TestInnerIntegral:
                 inner_integral(bad)
             with pytest.raises(ValueError):
                 inner_integral_quadrature(bad)
+
+    def test_quadrature_takes_one_u(self, monkeypatch):
+        # A 0-d array and a numpy scalar are one u; an array of several is
+        # an error naming the function, before any quadrature.
+        expected = inner_integral_quadrature(0.3)
+        for u in (np.array(0.3), np.float64(0.3)):
+            assert inner_integral_quadrature(u) == expected
+        calls = []
+        monkeypatch.setattr(eulersums, "integrate", lambda *args: calls.append(args))
+        message = r"^inner_integral_quadrature requires one u, got shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            inner_integral_quadrature(np.array([0.3, 0.5]))
+        assert calls == []
 
     @pytest.mark.parametrize("u", [0.5 + 1j, np.complex128(0.5 + 1j), np.array(0.5 + 1j)],
                              ids=["python", "numpy", "0-d"])

@@ -31,7 +31,7 @@ from eulersum.eulersums import (
     sum_series,
     sum_via_integral,
 )
-from eulersum.quad import MAX_LEVEL, integrate
+from eulersum.quad import integrate
 from eulersum.specfun import POLYLOG_ABS_ERROR, polylog, polylog_one_minus
 
 mpmath = pytest.importorskip("mpmath")
@@ -255,13 +255,9 @@ def integrals(draw):
         st.floats(min_value=-14.0, max_value=-2.0).map(lambda e: 10.0**e),
         st.sampled_from([0.0, -1e-8, math.nan]),
     ),
-    st.one_of(
-        st.integers(min_value=1, max_value=MAX_LEVEL),
-        st.sampled_from([0, -1, MAX_LEVEL + 1, 40, 2.5, True]),
-    ),
     st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
 )
-def test_integrate(integral, tol, max_level, nan_from):
+def test_integrate(integral, tol, nan_from):
     f, exact = integral
     sizes = []
 
@@ -273,11 +269,8 @@ def test_integrate(integral, tol, max_level, nan_from):
         # evaluated lies there.
         return np.where(t >= nan_from, np.nan, f(t))
 
-    result, rejected = timed(
-        lambda: integrate(counted, tol, max_level=max_level)
-    )
-    in_domain = tol > 0.0 and is_int(max_level) and 1 <= max_level <= MAX_LEVEL
-    assert rejected != in_domain
+    result, rejected = timed(lambda: integrate(counted, tol))
+    assert rejected != (tol > 0.0)
     if rejected:
         return
     assert math.isfinite(result.value)

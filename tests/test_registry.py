@@ -1,7 +1,6 @@
 """Case registry: determinism, negative controls, error containment."""
 
 import dataclasses
-import functools
 import json
 import math
 from fractions import Fraction
@@ -41,6 +40,12 @@ EXPECTED_KEYS = {
 def log_squared_over_one_minus(t):
     """log(t)^2/(1-t), whose integral over [0, 1] is 2 zeta(3)."""
     return np.log(t) ** 2 / (1.0 - t)
+
+
+def below_floor(rule):
+    """rule with its tol replaced by 1e-18, below the rounding floor: it runs
+    to MAX_LEVEL and never converges."""
+    return lambda f, tol: rule(f, 1e-18)
 
 
 @pytest.fixture(scope="module")
@@ -261,8 +266,9 @@ class TestRunCase:
             (lambda: math.nan, 1e-6, "ValueError: non-finite lhs: nan", 0),
             (lambda: 1.0, 0.0,
              "TypeError: exact case sides must evaluate to Fractions", 0),
-            (lambda: quad.integrate(log_squared_over_one_minus, 1e-12, max_level=2),
-             1e-6, "QuadratureError: no convergence within 2 refinement levels", 38),
+            (lambda: quad.integrate(log_squared_over_one_minus, 1e-18),
+             1e-6, "QuadratureError: no convergence within 12 refinement levels",
+             37_926),
         ],
         ids=["nan", "float-in-exact-case", "non-converged"],
     )
@@ -494,23 +500,23 @@ class TestQuadratureTrustGate:
     """A route that returns a non-converged result errors, with its message
     and the evaluations its sides made."""
 
-    # Evaluations of a rule that stops at max_level=2 without converging.
-    FAILED_EVALUATIONS = {"integrate": 38, "integrate2d": 1_444}
+    # Evaluations of a rule below the rounding floor: the 1-D rule runs
+    # every level; the 2-D rule fails in its opening block of 75 rows, each
+    # running every inner level.
+    FAILED_EVALUATIONS = {"integrate": 37_926, "integrate2d": 75 * 37_926}
 
     @pytest.mark.parametrize(
         "case_id,name,message",
         [
             ("dedoelder-2d", "integrate2d",
-             "inner integral failed at u=0.5: no convergence within 2 refinement levels"),
+             "inner integral failed at u=0.5: no convergence within 12 refinement levels"),
             ("open-q3-2d", "integrate2d",
-             "inner integral failed at u=0.5: no convergence within 2 refinement levels"),
-            ("dedoelder-outer", "integrate", "no convergence within 2 refinement levels"),
+             "inner integral failed at u=0.5: no convergence within 12 refinement levels"),
+            ("dedoelder-outer", "integrate", "no convergence within 12 refinement levels"),
         ],
     )
     def test_non_converged_route_is_an_error(self, monkeypatch, case_id, name, message):
-        monkeypatch.setattr(
-            eulersums, name, functools.partial(getattr(eulersums, name), max_level=2)
-        )
+        monkeypatch.setattr(eulersums, name, below_floor(getattr(eulersums, name)))
         (result,) = run_suite(id_prefix=case_id).cases
         assert result.status == "error"
         assert result.message == f"QuadratureError: {message}"
@@ -522,14 +528,12 @@ class TestQuadratureTrustGate:
     )
     def test_non_converged_registry_quadrature_is_an_error(self, monkeypatch, case_id):
         monkeypatch.setattr(
-            registry_module,
-            "integrate",
-            functools.partial(registry_module.integrate, max_level=2),
+            registry_module, "integrate", below_floor(registry_module.integrate)
         )
         (result,) = run_suite(id_prefix=case_id).cases
         assert result.status == "error"
         assert result.message == (
-            "QuadratureError: no convergence within 2 refinement levels"
+            "QuadratureError: no convergence within 12 refinement levels"
         )
         assert result.evaluations == self.FAILED_EVALUATIONS["integrate"]
 
@@ -540,7 +544,7 @@ class TestQuadratureTrustGate:
         lhs = quad.integrate(f, 1e-12)
         case = IdentityCase(
             "mixed", "lhs converges, rhs does not",
-            lambda: lhs, lambda: quad.integrate(f, 1e-12, max_level=2), 1e-9,
+            lambda: lhs, lambda: quad.integrate(f, 1e-18), 1e-9,
         )
         result = run_case(case)
         assert lhs.converged and result.status == "error"
@@ -678,13 +682,11 @@ class TestInjectFailure:
         assert (clean.status, corrupted.status) == ("pass", "fail")
         assert corrupted.evaluations == clean.evaluations == 149
         assert corrupted.rhs_value == clean.rhs_value + 100.0 * target.tol
-        monkeypatch.setattr(
-            eulersums, "integrate", functools.partial(quad.integrate, max_level=2)
-        )
+        monkeypatch.setattr(eulersums, "integrate", below_floor(quad.integrate))
         result = run_case(target)
         assert result.status == "error"
         assert result.message == (
-            "QuadratureError: no convergence within 2 refinement levels"
+            "QuadratureError: no convergence within 12 refinement levels"
         )
 
     @pytest.mark.parametrize("case_id", ["euler-q2-series", "altsum-harmonic/n=5"])

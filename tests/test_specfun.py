@@ -439,6 +439,25 @@ class TestPolylogNearOne:
             with pytest.raises(ValueError, match="overflows"):
                 polylog_one_minus(0, np.array([0.5, bad]))
 
+    def test_order_zero_accepts_exactly_the_finite_quotients(self):
+        # 1/t overflows at t = 2^-1024: the next double up is the least t
+        # accepted, as a float and in an array, and its predecessor the
+        # greatest refused.
+        least = float.fromhex("0x0.4000000000001p-1022")
+        below = math.nextafter(least, 0.0)
+        assert below == 2.0**-1024 and (1.0 - below) / below == math.inf
+        assert polylog_one_minus(0, least) == 1.7976931348623143e308
+        array = polylog_one_minus(0, np.array([0.5, least]))
+        assert array.tolist() == [1.0, 1.7976931348623143e308]
+        message = r"^polylog_one_minus\(0, t\) overflows for t < 5\.6e-309$"
+        for t in (below, np.array([0.5, below])):
+            with pytest.raises(ValueError, match=message):
+                polylog_one_minus(0, t)
+
+    def test_order_zero_float_is_read_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(specfun, "np", None)
+        assert polylog_one_minus(0, 0.25) == 3.0
+
 
 class TestDilogNegRatio:
     def test_endpoint_u_one(self):
@@ -505,6 +524,15 @@ class TestRealArgumentRule:
         # An array's message quotes its first point outside the domain.
         with pytest.raises(ValueError, match=f"^{name} requires [xtu] in .*, got (nan|1.5|-1.5)$"):
             ENTRY_POINTS[name](bad)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("big", [2**70, -(2**70), 10**400],
+                             ids=["2**70", "-2**70", "10**400"])
+    def test_python_int_beyond_int64_is_a_domain_error(self, name, big):
+        # numpy reads such an int as an object, not as a number outside
+        # the domain.
+        with pytest.raises(ValueError, match=f"^{name} requires [xtu] in .*, got {big}$"):
+            ENTRY_POINTS[name](big)
 
     @pytest.mark.parametrize("name", ["polylog_array", "polylog_one_minus"])
     def test_order_errors_name_the_function(self, name):
