@@ -542,6 +542,45 @@ class TestLevelPasses:
         assert np.array_equal(np.concatenate(seen_t), every)
         assert r.evaluations == opening_nodes().size * every.size
 
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_no_node_above_max_level(self, passes):
+        # A rule that stops in its n-th pass reaches level n + 2 and
+        # evaluates no node above it: exp(-100 u^2) converges at level 3,
+        # 4 or 5 at these tolerances, in 1-D and as the outer rule of
+        # 2 t exp(-100 u^2).
+        tol = {1: 1e-3, 2: 1e-6, 3: 1e-9}[passes]
+        allowed = np.concatenate([_level_nodes(level)[0]
+                                  for level in range(1, passes + 3)])
+        seen = []
+
+        def f(t):
+            seen.append(t.copy())
+            return np.exp(-100.0 * t * t)
+
+        r = integrate(f, tol)
+        assert r.converged
+        assert len(seen) == passes
+        assert np.array_equal(np.concatenate(seen), allowed)
+        assert r.evaluations == allowed.size
+
+        level_1 = _level_nodes(1)[0]
+        blocks, seen_u = [], []
+
+        def g(t, u):
+            rows = np.ravel(u).copy()
+            if np.array_equal(np.ravel(t), level_1):
+                blocks.append(rows)  # inner level 1 runs every row of a block
+            seen_u.append(rows)
+            return 2.0 * t * np.exp(-100.0 * u * u)
+
+        r = integrate2d(g, tol)
+        assert r.converged
+        # One outer block per pass, on that pass's nodes in level order;
+        # later inner levels run a subset of the block's rows.
+        assert len(blocks) == passes
+        assert np.array_equal(np.concatenate(blocks), allowed)
+        assert np.isin(np.concatenate(seen_u), allowed).all()
+
     def test_level_2_convergence_counts_the_opening_pass(self):
         # At tol 1e-5 the rule stops at level 2 (at 1e-6 it needs level 3),
         # after one call on the nodes of levels 1-3.
