@@ -1,14 +1,14 @@
 """The identity catalogue: every verified equality as a named case.
 
 Each case carries two evaluation closures (left and right side) and a
-tolerance: 0 makes an exact case, comparing arbitrary-precision rationals
-structurally; a positive one makes a numeric case, comparing floats under
-an absolute or relative criterion. Running a case never raises: evaluator
-exceptions become status "error" so one broken case cannot take down the
-suite. One loop checks each side as it returns: a quadrature side adds
-its evaluation count and errors if it did not converge. The builtin cases
-are one tuple, built at import: a case per identity, and a run of cases
-per parameter family.
+tolerance: 0 makes an exact case, with Fraction sides, a positive one a
+numeric case, with float sides. One rule judges both: |l - r| at most tol
+("abs") or tol * max(|l|, |r|) ("rel"), so at tol 0 only equal sides pass.
+Running a case never raises: evaluator exceptions become status "error".
+One loop checks each side as it returns: a quadrature side adds its
+evaluation count and errors if it did not converge. The builtin cases are
+one tuple, built at import: a case per identity, and a run of cases per
+parameter family.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One verifiable equality.
+    """One verifiable equality, judged by run_case against its own tol.
 
-    A tol of 0 makes an exact case: both closures return Fractions and the
-    comparison is structural equality. A positive tol compares floats under
-    the declared criterion ("abs": |l - r| <= tol; "rel": |l - r| <= tol *
-    max(|l|, |r|)). Closures may return a QuadratureResult, in which case
-    its convergence flag and evaluation count are honoured.
+    A tol of 0 makes an exact case, whose closures return Fractions, a
+    positive tol a numeric case. A closure may return a QuadratureResult,
+    whose convergence flag and evaluation count are honoured.
     """
 
     id: str
@@ -111,6 +109,9 @@ def run_case(case: IdentityCase) -> CaseResult:
     the case: a quadrature that did not converge, a non-Fraction side of an
     exact case, or a NaN or infinite numeric side. An errored case reports
     the evaluations of the sides it ran, a failed quadrature's included.
+    The module's one rule judges the sides: equal ones pass with residuals
+    0.0; otherwise |l - r| is tested exactly (in Fractions at tol 0), and it
+    and its ratio to max(|l|, |r|) are each rounded once to the residuals.
     """
     tol, evaluations, values = case.tol, 0, []
     start = time.perf_counter()
@@ -130,24 +131,16 @@ def run_case(case: IdentityCase) -> CaseResult:
                 raise ValueError(f"non-finite {side}: {value}")
             values.append(value)
         lhs, rhs = values
-        if not tol:  # an exact case
-            passed = lhs == rhs
-            if passed:  # equal reduced Fractions print the same
-                abs_res = rel_res = 0.0
-                lhs = rhs = str(lhs)
-            else:
-                diff = abs(lhs - rhs)
-                abs_res = float(diff)
-                rel_res = float(diff / max(abs(lhs), abs(rhs)))
-                lhs, rhs = str(lhs), str(rhs)
-        else:
-            abs_res = abs(lhs - rhs)
-            denom = max(abs(lhs), abs(rhs))
-            rel_res = abs_res / denom if denom else 0.0
-            bound = tol if case.criterion == "abs" else tol * max(1e-300, denom)
-            passed = abs_res <= bound
-        status = "pass" if passed else "fail"
-        message = ""
+        if lhs == rhs:  # equal sides, exact ones above all, need no arithmetic
+            passed, abs_res, rel_res = True, 0.0, 0.0
+        else:  # the exact diff, not its float, so at tol 0 only equality passes
+            diff, size = abs(lhs - rhs), max(abs(lhs), abs(rhs))
+            passed = diff <= (tol if case.criterion == "abs" else tol * max(1e-300, size))
+            abs_res, rel_res = float(diff), float(diff / size)
+        if not tol:  # equal reduced Fractions print the same
+            lhs = str(lhs)
+            rhs = lhs if passed else str(rhs)
+        status, message = ("pass" if passed else "fail"), ""
     except Exception as exc:  # evaluator failures are data, not control flow
         status, message = "error", f"{type(exc).__name__}: {exc}"
         lhs = rhs = abs_res = rel_res = None

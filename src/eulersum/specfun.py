@@ -29,8 +29,8 @@ computed once and evaluated by Horner's rule. Each entry point writes its
 branch split once, for a float and an array alike (_piecewise): a float
 goes to one kernel, an array calls each kernel once on its own points.
 The arithmetic stays apart: a float runs on Python floats and the math
-module, an array on numpy, since one point costs 6-10 us as a float but
-100-180 us as a one-element array (dilog_neg_ratio, timeit minimum on a
+module, an array on numpy, since one point costs 3-6 us as a float but
+36-42 us as a one-element array (dilog_neg_ratio, timeit minimum on a
 2-core Xeon), and a suite pass makes 5 such float calls.
 
 polylog_one_minus(s, t) computes Li_s(1-t) directly from t, so callers
@@ -275,11 +275,15 @@ def _real(name: str, var: str, x, inside, domain: str):
     float as it is (no numpy call), a numpy scalar or 0-d array as a float,
     anything with dimensions as a float array. Any dtype but bool, int and
     float, and a point where inside(x) fails (NaN too; a Python int is
-    tested as it is, at any size), raise ValueError."""
+    tested as it is, at any size, alone or in a list), raise ValueError."""
     if type(x) is int and not inside(x):  # numpy's ints stop at 64 bits
         raise ValueError(f"{name} requires {var} in {domain}, got {x}")
     if type(x) is not float:
         a = np.asarray(x)
+        if a.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in a.flat):
+            for v in a.flat:  # Python numbers, ints beyond 64 bits among them
+                _real(name, var, v, inside, domain)
+            a = a.astype(float)
         if a.dtype.kind not in "biuf":
             raise ValueError(f"{name} requires real {var}, got {a.dtype}")
         x = a.astype(float, copy=False) if a.ndim else float(a)

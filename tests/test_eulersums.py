@@ -431,6 +431,15 @@ class TestInnerIntegral:
             inner_integral_quadrature(np.array([0.3, 0.5]))
         assert calls == []
 
+    @pytest.mark.parametrize("u, big", [([2**70], 2**70), ([0.5, 10**400], 10**400),
+                                        ([[0.5], [-(2**70)]], -(2**70))],
+                             ids=["list", "after-a-float", "nested"])
+    def test_python_int_beyond_int64_in_a_list_is_a_domain_error(self, u, big):
+        with pytest.raises(ValueError, match=f"^inner_integral requires u in .*, got {big}$"):
+            inner_integral(u)
+        with pytest.raises(ValueError, match="^inner_integral requires real u, got object$"):
+            inner_integral(["0.5", big])
+
     @pytest.mark.parametrize("u", [0.5 + 1j, np.complex128(0.5 + 1j), np.array(0.5 + 1j)],
                              ids=["python", "numpy", "0-d"])
     def test_complex_is_an_error_naming_the_function(self, u):

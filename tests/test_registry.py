@@ -209,6 +209,14 @@ class TestRunCase:
         assert result.abs_residual == 1.0
         rhs = Fraction(result.rhs_value)
         assert result.rel_residual == float(1 / max(abs(rhs), abs(rhs - 1)))
+        # Sides 10^-400 apart: both residuals round to 0.0, yet the exact
+        # difference fails the case.
+        close = IdentityCase("close", "exact sides 10^-400 apart",
+                             lambda: Fraction(1), lambda: 1 + Fraction(1, 10**400))
+        result = run_case(close)
+        assert (result.status, result.abs_residual, result.rel_residual) == (
+            "fail", 0.0, 0.0)
+        assert result.lhs_value != result.rhs_value
 
     def test_corrupted_numeric_case_fails(self):
         case = IdentityCase(
@@ -295,6 +303,18 @@ class TestRunCase:
             criterion="rel",
         )
         assert run_case(case).status == "pass"  # 5e-10 relative
+        # Sides 0.0 and -0.0 are equal: no 0/0, both residuals 0.0.
+        zeros = IdentityCase("zeros", "signed zeros", lambda: 0.0, lambda: -0.0,
+                             1e-9, "rel")
+        result = run_case(zeros)
+        assert (result.status, result.abs_residual, result.rel_residual) == (
+            "pass", 0.0, 0.0)
+        # At tol 0 the rel criterion, too, passes only equal sides.
+        third = Fraction(1, 3)
+        for rhs, status in ((third, "pass"), (third + Fraction(1, 10**30), "fail")):
+            exact = IdentityCase("exact-rel", "exact case under rel",
+                                 lambda: third, lambda: rhs, criterion="rel")
+            assert run_case(exact).status == status
 
 
 class TestTolOverrideValidation:

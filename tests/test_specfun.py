@@ -526,13 +526,23 @@ class TestRealArgumentRule:
             ENTRY_POINTS[name](bad)
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
-    @pytest.mark.parametrize("big", [2**70, -(2**70), 10**400],
-                             ids=["2**70", "-2**70", "10**400"])
-    def test_python_int_beyond_int64_is_a_domain_error(self, name, big):
+    @pytest.mark.parametrize(
+        "x, big", [(2**70, 2**70), (-(2**70), -(2**70)), (10**400, 10**400),
+                   ([2**70], 2**70), ([0.5, 10**400], 10**400), ([[2**70]], 2**70),
+                   ([True, 2**70], 2**70)],
+        ids=["2**70", "-2**70", "10**400", "list", "list-after-a-float", "nested-list",
+             "list-after-a-bool"])
+    def test_python_int_beyond_int64_is_a_domain_error(self, name, x, big):
         # numpy reads such an int as an object, not as a number outside
-        # the domain.
+        # the domain, and a list holding one as an object array; its
+        # points are tested as written and the first one outside is quoted.
         with pytest.raises(ValueError, match=f"^{name} requires [xtu] in .*, got {big}$"):
-            ENTRY_POINTS[name](big)
+            ENTRY_POINTS[name](x)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_an_object_array_of_anything_else_is_not_real(self, name):
+        with pytest.raises(ValueError, match=f"^{name} requires real [xtu], got object$"):
+            ENTRY_POINTS[name](["0.5", 2**70])
 
     @pytest.mark.parametrize("name", ["polylog_array", "polylog_one_minus"])
     def test_order_errors_name_the_function(self, name):
