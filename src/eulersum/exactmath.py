@@ -4,8 +4,12 @@ Everything here is arithmetic over arbitrary-precision integers and
 fractions; nothing rounds. The exact paths exist so that the finite
 identities (the alternating binomial sum against its moment-expansion
 form, Bernoulli recurrences, harmonic differences) can be tested by
-structural equality instead of tolerances: a Fraction is fully reduced,
-with a positive denominator, after every operation.
+structural equality instead of tolerances. The three finite sums return
+an integer pair (numerator, denominator): their dot product over the
+common denominator lcm(1..n)^p, positive and unreduced, so two sums
+compare by cross-multiplication and nothing reduces unless a value is
+printed. Bernoulli numbers and the zeta table's weighted sums are reduced
+Fractions.
 """
 
 from __future__ import annotations
@@ -109,34 +113,38 @@ def _signed_binomials(n: int) -> tuple[int, ...]:
     return _build_signed_binomials(n)
 
 
-def harmonic_exact(n: int, r: int = 1) -> Fraction:
-    """Generalised harmonic number sum_{k=1..n} 1/k^r as an exact fraction."""
+def harmonic_exact(n: int, r: int = 1) -> tuple[int, int]:
+    """Generalised harmonic number sum_{k=1..n} 1/k^r, exactly, as the
+    unreduced pair (numerator, lcm(1..n)^r)."""
     _check_integer("harmonic_exact", "n", n, 1)
     _check_integer("harmonic_exact", "exponent", r, 1)
     shares, denominator = _share_table(n, r)
-    return Fraction(sum(shares), denominator)
+    return sum(shares), denominator
 
 
-def alt_binomial_sum(n: int, p: int) -> Fraction:
-    """Alternating binomial sum  sum_{k=1..n} C(n, k) (-1)^k / k^p, exactly.
+def alt_binomial_sum(n: int, p: int) -> tuple[int, int]:
+    """Alternating binomial sum  sum_{k=1..n} C(n, k) (-1)^k / k^p, exactly,
+    as the unreduced pair (numerator, lcm(1..n)^p).
 
     For p = 1 the sum telescopes to -H_n, the negated harmonic number.
     """
     _check_integer("alt_binomial_sum", "n", n, 1)
     _check_integer("alt_binomial_sum", "exponent", p, 1)
     shares, denominator = _share_table(n, p)
-    return Fraction(sum(map(mul, _signed_binomials(n)[1:], shares)), denominator)
+    return sum(map(mul, _signed_binomials(n)[1:], shares)), denominator
 
 
-def moment_integral_exact(n: int, p: int) -> Fraction:
-    """Exact value of (-1)^(p+1) * n * integral_0^1 (1-t)^(n-1) log(t)^p dt.
+def moment_integral_exact(n: int, p: int) -> tuple[int, int]:
+    """Exact value of (-1)^(p+1) * n * integral_0^1 (1-t)^(n-1) log(t)^p dt,
+    as the unreduced pair (numerator, lcm(1..n)^(p+1)).
 
     Computed by expanding (1-t)^(n-1) binomially and using the monomial
     moments integral_0^1 t^j log(t)^p dt = (-1)^p p! / (j+1)^(p+1).
     This route never touches the alternating-sum form, so the two can be
-    compared as independent evaluations of the same quantity:
+    compared as independent evaluations of the same quantity, equal as
+    values though not as pairs:
 
-        moment_integral_exact(n, p) == p! * alt_binomial_sum(n, p)
+        moment_integral_exact(n, p) = p! * alt_binomial_sum(n, p)
     """
     _check_integer("moment_integral_exact", "n", n, 1)
     _check_integer("moment_integral_exact", "exponent", p, 1)
@@ -144,7 +152,7 @@ def moment_integral_exact(n: int, p: int) -> Fraction:
     # collapses to -n * p! * sum_j C(n-1, j) (-1)^j / (j+1)^(p+1).
     shares, denominator = _share_table(n, p + 1)
     numerator = sum(map(mul, _signed_binomials(n - 1), shares))
-    return Fraction(-n * factorial(p) * numerator, denominator)
+    return -n * factorial(p) * numerator, denominator
 
 
 # Bernoulli numbers by the defining recurrence

@@ -18,15 +18,16 @@ its twin delta keeps contributing.
 Each level's whole node set is evaluated in one pass, as in Bailey,
 Jeyabalan and Li (2005): one read-only table per level, _level_nodes,
 built on first use, holds its abscissas on both halves of (0, 1) and
-their weights; both rules read it, and a level's weighted sum is one
-matrix-vector product. Every rule runs the same passes: the first,
-_opening_nodes, covers levels 1 to 3 (75 nodes), and each later pass one
-level, up to MAX_LEVEL. Every call runs levels 1 and 2 (the test needs a
-level difference), and the integrals of the verification suite all run
-level 3 as well. Convergence is still tested level by level, so the
-values, estimates and stopping levels are those of one pass per level.
-Every result, converged or failed, counts the points evaluated, so a
-rule that stops or fails at level 2 counts the 75 nodes of the first pass.
+their weights; every rule reads it, and a level's weighted sum is one
+matrix-vector product. Every rule, the 1-D rule and both rules of the
+2-D rule, runs the same passes: the first, _opening_nodes, covers levels
+1 to 3 (75 nodes), and each later pass one level, up to MAX_LEVEL. Every
+call runs levels 1 and 2 (the test needs a level difference), and the
+integrals of the verification suite all run level 3 as well, inner ones
+included. Convergence is still tested level by level, so the values,
+estimates and stopping levels are those of one pass per level. Every
+result, converged or failed, counts the points evaluated, so a rule that
+stops or fails at level 2 counts the 75 nodes of the first pass.
 
 The 1-D rule and the outer rule of the iterated 2-D rule (Takahasi and
 Mori, 1974) differ only in how they evaluate a pass. Each hands one level
@@ -35,13 +36,16 @@ each 1-D or outer level's weighted sum and accumulates and tests it in
 Python floats (the same IEEE operations on one value, without a numpy
 call each). The 1-D evaluator is one integrand call. The 2-D evaluator,
 the vectorised row kernel _integrate_rows, integrates the inner integrals
-of all outer nodes of the pass as one block and takes each inner level's
-weighted sums itself, over (rows still running) x (new inner nodes).
-Every row keeps its place in the block's arrays and stops running, with
-its value and estimate in place, once its inner integral passes its
-convergence test, relative to the inner value. The inner rule stays one
-level per call: many rows stop at inner level 2, and a first inner pass
-of levels 1 to 3 would evaluate level-3 nodes that those rows never need.
+of all outer nodes of the pass as one block, over (rows still running) x
+(nodes of the inner pass), and takes each inner level's weighted sums
+itself. A row stops running, with its value and estimate in place, once
+its inner integral passes its convergence test, relative to the inner
+value. Every kernel of the package takes all 75 outer rows of the
+opening block to inner level 3, so its inner rule is one kernel call on
+75 x 75 points. A row that would stop at inner level 2 still counts the
+75 nodes of its opening pass: the paper's raw kernels, before u = t v,
+evaluate 117,858 points instead of 117,451 (q = 2) and 6,735 instead of
+6,328 (q = 3), with the same values.
 """
 
 from __future__ import annotations
@@ -227,57 +231,77 @@ def _integrate_rows(
     """Tanh-sinh over t in (0, 1) of f(t, u) for every u in us at once: the
     inner rule of integrate2d, one row per u.
 
-    Each level calls f once with a row of its new nodes t, both halves of
-    the interval, against the column of the u still running, and weights
-    the block by one matrix-vector product. The rows keep their places in
-    the value and estimate arrays: a row stops, and drops out of the
-    running rows, at the level where it passes the convergence test or
-    fails, so its value and estimate are those of the rule run on that row
-    alone, up to summation order (from level 11, over 8192 nodes, numpy's
-    einsum can sum a block of several rows in another order than one row).
-    The test is relative to the row's value: reported < tol *
-    max(1, |value|). Returns _rule's evaluator tuple: the evaluations,
-    per-row values and estimates, and the lowest failed row, in node order,
-    as (row, "inner integral failed at u=...: reason"), or None.
+    The inner rule runs _passes() as the 1-D rule does: f is called once
+    on the nodes of levels 1 to 3, both halves of the interval, against the
+    column of every u, then once per later level against the column of the
+    u still running. Each level's row sums are one matrix-vector product
+    over that level's columns of the block. Rows are tested level by level:
+    a row stops, and drops out of the running rows, at the level where it
+    passes the convergence test or fails, so its value and estimate are
+    those of the rule run on that row alone, up to summation order (from
+    level 11, over 8192 nodes, numpy's einsum can sum a block of several
+    rows in another order than one row). The running rows' sums and last
+    values are kept compact, in row order; a row's value and estimate are
+    written to its place in the output arrays when it stops. The test is
+    relative to the row's value: reported < tol * max(1, |value|). Returns
+    _rule's evaluator tuple: the evaluations, per-row values and estimates,
+    and the lowest failed row, in node order, as
+    (row, "inner integral failed at u=...: reason"), or None.
     """
-    acc = np.zeros(us.size)
     value = np.zeros(us.size)
     estimate = np.full(us.size, math.inf)
     first = (us.size, "")  # the lowest failed row and its reason
     live = np.arange(us.size)  # the rows still running, in ascending order
+    # Per running row: the weighted sum so far, the last level's value and
+    # the last level difference.
+    acc, last, diff = np.zeros(us.size), np.zeros(us.size), None
     evaluations = 0
-    for level in range(1, MAX_LEVEL + 1):
+    for x, levels in _passes():
         if live.size == 0:
             break
-        x, w = _level_nodes(level)
         evaluations += live.size * x.size
         block = _block(f(x[None, :], us[live, None]), (live.size, x.size),
                        "integrate2d")
-        # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
-        # resident buffers on its first call, for no gain at these sizes.
-        sums = np.einsum("ij,j->i", block, w)
+        rows = np.arange(live.size)  # the block rows of the rows still running
+        stop = 0
+        for level in levels:
+            if live.size == 0:
+                break
+            w = _level_nodes(level)[1]
+            start, stop = stop, stop + w.size
+            # einsum runs its own loop: numpy's BLAS would add about 0.3 MB
+            # of resident buffers on its first call, for no gain at these
+            # sizes.
+            sums = np.einsum("ij,j->i", block[:, start:stop], w)[rows]
 
-        finite = np.isfinite(sums)
-        if not finite.all():
-            # A failed row keeps the previous level's value.
-            failed = live[~finite]
-            estimate[failed] = math.inf
-            first = min(first, (int(failed[0]), _NON_FINITE))
-            live, sums = live[finite], sums[finite]
-        acc[live] += sums
-        previous = value[live]
-        value[live] = level_value = 2.0**-level * acc[live]
-        if level > 1:
-            diff = np.abs(level_value - previous)
-            size = np.abs(level_value)
-            # Roundoff floor: a level difference of exactly zero does not
-            # certify anything below one rounding of the result.
-            reported = np.maximum(diff, _EPS * (1.0 + size))
-            passed = reported < tol * np.maximum(1.0, size)
-            estimate[live] = np.where(passed, reported, diff)
-            live = live[~passed]
+            finite = np.isfinite(sums)
+            if not finite.all():
+                # A failed row keeps the previous level's value.
+                failed = ~finite
+                value[live[failed]] = last[failed]
+                first = min(first, (int(live[failed][0]), _NON_FINITE))
+                live, rows, sums = live[finite], rows[finite], sums[finite]
+                acc, last = acc[finite], last[finite]
+            acc += sums
+            level_value = 2.0**-level * acc
+            if level > 1:
+                diff = np.abs(level_value - last)
+                size = np.abs(level_value)
+                # Roundoff floor: a level difference of exactly zero does not
+                # certify anything below one rounding of the result.
+                reported = np.maximum(diff, _EPS * (1.0 + size))
+                passed = reported < tol * np.maximum(1.0, size)
+                if passed.any():
+                    done = live[passed]
+                    value[done] = level_value[passed]
+                    estimate[done] = reported[passed]
+                    running = ~passed
+                    live, rows, acc = live[running], rows[running], acc[running]
+                    level_value, diff = level_value[running], diff[running]
+            last = level_value
 
     if live.size:
+        value[live], estimate[live] = last, diff
         message = f"no convergence within {MAX_LEVEL} refinement levels"
         first = min(first, (int(live[0]), message))
     row, reason = first
@@ -328,13 +352,15 @@ def integrate2d(
     toward 0, then their mirrors 1 - delta.
 
     All outer nodes of a pass are integrated together, those of outer
-    levels 1 to 3 as one block: each inner level evaluates f once on the
-    (outer rows x inner nodes) block of rows still running, and a row
-    stops running when it meets its inner test or fails, so each row's
-    inner result is that of the inner rule run on its outer node alone (up
-    to summation order, see _integrate_rows). evaluations counts every point
-    evaluated, so a result that converges or fails at outer level 2
-    includes the rows of outer level 3.
+    levels 1 to 3 as one block, and the inner rule runs the passes of the
+    1-D rule: f is evaluated once on every row of the block against the
+    inner nodes of levels 1 to 3, then once per later inner level on the
+    rows still running. A row stops running when it meets its inner test
+    or fails, so each row's inner result is that of the inner rule run on
+    its outer node alone (up to summation order, see _integrate_rows).
+    evaluations counts every point evaluated, so a result that converges
+    or fails at outer level 2 includes the rows of outer level 3, and each
+    row counts at least the 75 inner nodes of its opening pass.
 
     f(t, u) must broadcast over numpy arrays: it is called with a row of t
     values against a column of u values. A complex value raises ValueError.

@@ -1,8 +1,10 @@
 """The identity catalogue: every verified equality as a named case.
 
 Each case carries two evaluation closures (left and right side) and a
-tolerance: 0 makes an exact case, with Fraction sides, a positive one a
-numeric case, with float sides. One rule judges both: |l - r| at most tol
+tolerance: 0 makes an exact case, whose sides are integer pairs
+(numerator, denominator), a positive one a numeric case, with float sides.
+Exact sides pass iff they cross-multiply equal. Every other pair of sides,
+unequal exact ones as Fractions, meets one rule: |l - r| at most tol
 ("abs") or tol * max(|l|, |r|) ("rel"), so at tol 0 only equal sides pass.
 Running a case never raises: evaluator exceptions become status "error".
 One loop checks each side as it returns: a quadrature side adds its
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
-from math import factorial, inf, isfinite
+from math import factorial, gcd, inf, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,9 +45,11 @@ __all__ = [
 class IdentityCase:
     """One verifiable equality, judged by run_case against its own tol.
 
-    A tol of 0 makes an exact case, whose closures return Fractions, a
-    positive tol a numeric case. A closure may return a QuadratureResult,
-    whose convergence flag and evaluation count are honoured.
+    A tol of 0 makes an exact case, whose closures return integer pairs
+    (numerator, denominator), the denominator positive and the pair not
+    necessarily reduced; a positive tol makes a numeric case. A closure may
+    return a QuadratureResult, whose convergence flag and evaluation count
+    are honoured.
     """
 
     id: str
@@ -106,12 +110,17 @@ def run_case(case: IdentityCase) -> CaseResult:
     """Evaluate both sides of a case and judge them against its own tol.
 
     Each side is checked as it returns, and the first side that fails ends
-    the case: a quadrature that did not converge, a non-Fraction side of an
-    exact case, or a NaN or infinite numeric side. An errored case reports
-    the evaluations of the sides it ran, a failed quadrature's included.
-    The module's one rule judges the sides: equal ones pass with residuals
-    0.0; otherwise |l - r| is tested exactly (in Fractions at tol 0), and it
-    and its ratio to max(|l|, |r|) are each rounded once to the residuals.
+    the case: a quadrature that did not converge, an exact side that is not
+    two ints (a bool is not one) with a positive denominator, or a NaN or
+    infinite numeric side. An errored case reports the evaluations of the
+    sides it ran, a failed quadrature's included.
+
+    Exact sides (a, b) and (c, d) are equal iff a d == c b; equal ones
+    print as their value reduced once, by gcd, in Fraction's form ("-11/6",
+    "-6", "0"). Equal sides pass with residuals 0.0. Any other sides,
+    unequal exact ones as Fractions, meet the module's one rule: |l - r|
+    is tested exactly, and it and its ratio to max(|l|, |r|) are each
+    rounded once to the residuals.
     """
     tol, evaluations, values = case.tol, 0, []
     start = time.perf_counter()
@@ -125,21 +134,25 @@ def run_case(case: IdentityCase) -> CaseResult:
                     raise QuadratureError(why, value)
                 value = value.value
             if not tol:
-                if not isinstance(value, Fraction):
-                    raise TypeError("exact case sides must evaluate to Fractions")
+                if not _is_pair(value):
+                    raise TypeError(_PAIR_ERROR)
             elif not isfinite(value := float(value)):  # NaN judges nothing
                 raise ValueError(f"non-finite {side}: {value}")
             values.append(value)
         lhs, rhs = values
-        if lhs == rhs:  # equal sides, exact ones above all, need no arithmetic
+        if not tol:  # integer pairs: only unequal ones become Fractions
+            if lhs[0] * rhs[1] == rhs[0] * lhs[1]:
+                lhs = rhs = _exact_str(*lhs)
+            else:
+                lhs, rhs = Fraction(*lhs), Fraction(*rhs)
+        if lhs == rhs:  # equal sides need no arithmetic
             passed, abs_res, rel_res = True, 0.0, 0.0
         else:  # the exact diff, not its float, so at tol 0 only equality passes
             diff, size = abs(lhs - rhs), max(abs(lhs), abs(rhs))
             passed = diff <= (tol if case.criterion == "abs" else tol * max(1e-300, size))
             abs_res, rel_res = float(diff), float(diff / size)
-        if not tol:  # equal reduced Fractions print the same
-            lhs = str(lhs)
-            rhs = lhs if passed else str(rhs)
+            if not tol:
+                lhs, rhs = str(lhs), str(rhs)
         status, message = ("pass" if passed else "fail"), ""
     except Exception as exc:  # evaluator failures are data, not control flow
         status, message = "error", f"{type(exc).__name__}: {exc}"
@@ -147,6 +160,23 @@ def run_case(case: IdentityCase) -> CaseResult:
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return CaseResult(case.id, status, lhs, rhs, abs_res, rel_res, tol,
                       evaluations, elapsed_ms, message)
+
+
+_PAIR_ERROR = "exact case sides must evaluate to int pairs (numerator, denominator > 0)"
+
+
+def _is_pair(value: object) -> bool:
+    """Whether value is an exact side: a tuple of two ints, neither a bool,
+    the second positive."""
+    return (type(value) is tuple and len(value) == 2
+            and type(value[0]) is int and type(value[1]) is int and value[1] > 0)
+
+
+def _exact_str(numerator: int, denominator: int) -> str:
+    """numerator/denominator reduced, printed as str(Fraction) prints it."""
+    g = gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 def run_suite(
@@ -181,19 +211,23 @@ def run_suite(
 def inject_failure(cases: list[IdentityCase], case_id: str) -> list[IdentityCase]:
     """Corrupt one case's right side (negative control for the harness).
 
-    Numeric cases get 100x their tolerance added, exact cases get +1; both
-    must flip the case to "fail" on a correct build. A quadrature side keeps
-    its QuadratureResult, value shifted: its evaluations and trust gate stay.
+    Numeric cases get 100x their tolerance added; an exact side (a, b)
+    becomes (a + b, b), its value plus 1. Both must flip the case to "fail"
+    on a correct build. A quadrature side keeps its QuadratureResult, value
+    shifted: its evaluations and trust gate stay.
     """
     target = next((case for case in cases if case.id == case_id), None)
     if target is None:
         raise KeyError(f"no case with id {case_id!r}")
-    shift = 1 if target.kind == "exact" else 100.0 * target.tol
+    shift = 100.0 * target.tol
 
     def bad_rhs():
         value = target.rhs()
         if isinstance(value, QuadratureResult):
             return replace(value, value=value.value + shift)
+        if target.kind == "exact":
+            numerator, denominator = value
+            return numerator + denominator, denominator
         return value + shift
 
     corrupted = replace(
@@ -207,10 +241,16 @@ def inject_failure(cases: list[IdentityCase], case_id: str) -> list[IdentityCase
 # --------------------------------------------------------------------------
 
 
-def _factorial_times_alt_sum(n: int, p: int) -> Fraction:
-    """p! alt_binomial_sum(n, p) from its integer pair, not int * Fraction."""
-    alt_sum = alt_binomial_sum(n, p)
-    return Fraction(factorial(p) * alt_sum.numerator, alt_sum.denominator)
+def _factorial_times_alt_sum(n: int, p: int) -> tuple[int, int]:
+    """p! alt_binomial_sum(n, p), as an integer pair."""
+    numerator, denominator = alt_binomial_sum(n, p)
+    return factorial(p) * numerator, denominator
+
+
+def _minus_harmonic(n: int) -> tuple[int, int]:
+    """-H_n, as an integer pair."""
+    numerator, denominator = harmonic_exact(n, 1)
+    return -numerator, denominator
 
 
 def _log_power_integral(p: int) -> QuadratureResult:
@@ -275,7 +315,7 @@ _CATALOGUE = (
         "altsum-harmonic/n={n}",
         "sum C({n},k)(-1)^k/k equals -H_{n} exactly",
         lambda n: alt_binomial_sum(n, 1),
-        lambda n: -harmonic_exact(n, 1),
+        _minus_harmonic,
         source="binomial moment identity, p = 1",
         grid=tuple({"n": n} for n in range(1, 61)),
     ),

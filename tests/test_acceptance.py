@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -40,7 +41,8 @@ def test_criterion_01_exact_binomial_identity():
         (n, p)
         for n in range(1, 13)
         for p in range(1, 5)
-        if factorial(p) * alt_binomial_sum(n, p) != moment_integral_exact(n, p)
+        if factorial(p) * Fraction(*alt_binomial_sum(n, p))
+        != Fraction(*moment_integral_exact(n, p))
     ]
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 1.0
@@ -55,7 +57,9 @@ def test_criterion_01_exact_binomial_identity():
 def test_criterion_02_p1_specialization():
     start = time.perf_counter()
     mismatches = [
-        n for n in range(1, 61) if alt_binomial_sum(n, 1) != -harmonic_exact(n, 1)
+        n
+        for n in range(1, 61)
+        if Fraction(*alt_binomial_sum(n, 1)) != -Fraction(*harmonic_exact(n, 1))
     ]
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 1.0

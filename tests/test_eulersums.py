@@ -561,11 +561,24 @@ class TestDoubleIntegral:
         assert result.converged
         assert abs(result.value - series) <= 1e-6
 
+    # Every order takes all 75 outer rows to inner level 3: 75 x 75 points,
+    # the whole opening pass of each inner rule, so the value does not
+    # depend on how the inner levels are grouped into kernel calls. Pinned
+    # as hex from the rule with one inner level per call.
+    DOUBLES = {
+        2: "0x1.266454d7455cep+2", 3: "0x1.a6e5b90d875adp+0",
+        4: "0x1.38cd1fc4c982fp+0", 5: "0x1.17859e0962cf6p+0",
+        6: "0x1.0a9a117cd08dfp+0", 7: "0x1.04fcded88cd16p+0",
+        8: "0x1.026726ddcab46p+0", 9: "0x1.012c81cf7d054p+0",
+        10: "0x1.00940b9ddba2ep+0", 11: "0x1.004951d4f6e5ap+0",
+    }
+
     @pytest.mark.parametrize("q", range(2, 12))
     def test_every_order_against_series(self, q):
         result = quadratic_sum_double_integral(q)
         assert result.converged
         assert result.evaluations == 5_625
+        assert result.value.hex() == self.DOUBLES[q]
         assert abs(result.value - sum_series(EulerSumSpec(2, q))) <= 1e-8
 
     @pytest.mark.parametrize("q", [2, 3, 4])

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,11 +73,11 @@ class TestBinomial:
 
 class TestHarmonicExact:
     def test_single_term(self):
-        assert harmonic_exact(1, 1) == 1
+        assert Fraction(*harmonic_exact(1, 1)) == 1
 
     def test_finite_sums(self):
-        assert harmonic_exact(3, 1) == Fraction(11, 6)
-        assert harmonic_exact(3, 2) == Fraction(49, 36)
+        assert Fraction(*harmonic_exact(3, 1)) == Fraction(11, 6)
+        assert Fraction(*harmonic_exact(3, 2)) == Fraction(49, 36)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -92,7 +92,8 @@ class TestHarmonicExact:
 
     @given(st.integers(min_value=2, max_value=200), st.integers(min_value=1, max_value=4))
     def test_difference_property(self, n, r):
-        assert harmonic_exact(n, r) - harmonic_exact(n - 1, r) == Fraction(1, n**r)
+        difference = Fraction(*harmonic_exact(n, r)) - Fraction(*harmonic_exact(n - 1, r))
+        assert difference == Fraction(1, n**r)
 
 
 class TestWeightedPowerSum:
@@ -107,16 +108,17 @@ class TestWeightedPowerSum:
 
 class TestAltBinomialSum:
     def test_single_term(self):
-        assert alt_binomial_sum(1, 1) == -1
+        assert Fraction(*alt_binomial_sum(1, 1)) == -1
 
     def test_p1_equals_minus_harmonic(self):
-        assert alt_binomial_sum(3, 1) == Fraction(-11, 6)
+        assert Fraction(*alt_binomial_sum(3, 1)) == Fraction(-11, 6)
         for n in range(1, 61):
-            assert alt_binomial_sum(n, 1) == -harmonic_exact(n, 1)
+            assert Fraction(*alt_binomial_sum(n, 1)) == -Fraction(*harmonic_exact(n, 1))
 
     def test_direct_rational_sum(self):
         # n = 2, p = 2: -C(2,1)/1 + C(2,2)/4 = -2 + 1/4
-        assert alt_binomial_sum(2, 2) == Fraction(-2) + Fraction(1, 4) == Fraction(-7, 4)
+        value = Fraction(*alt_binomial_sum(2, 2))
+        assert value == Fraction(-2) + Fraction(1, 4) == Fraction(-7, 4)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -128,20 +130,23 @@ class TestAltBinomialSum:
 class TestMomentIntegralExact:
     def test_n1_single_moment(self):
         # (-1)^2 * 1 * int_0^1 log t dt = -1, and equals 1! * alt_binomial_sum(1, 1)
-        assert moment_integral_exact(1, 1) == Fraction(-1)
-        assert moment_integral_exact(1, 1) == factorial(1) * alt_binomial_sum(1, 1)
+        moment = Fraction(*moment_integral_exact(1, 1))
+        assert moment == Fraction(-1)
+        assert moment == factorial(1) * Fraction(*alt_binomial_sum(1, 1))
 
     def test_n2_p2_value(self):
         # 2 * int_0^1 (1-t) log^2 t dt = 2 (2 - 1/4) = 7/2, with the (-1)^3 sign
-        assert moment_integral_exact(2, 2) == Fraction(-7, 2)
+        assert Fraction(*moment_integral_exact(2, 2)) == Fraction(-7, 2)
 
     def test_n3_p1_cross_check(self):
-        assert moment_integral_exact(3, 1) == factorial(1) * alt_binomial_sum(3, 1)
+        moment = Fraction(*moment_integral_exact(3, 1))
+        assert moment == factorial(1) * Fraction(*alt_binomial_sum(3, 1))
 
     def test_identity_against_expansion_oracle(self):
         for n in range(1, 13):
             for p in range(1, 5):
-                assert factorial(p) * alt_binomial_sum(n, p) == moment_integral_exact(n, p)
+                alt_sum = factorial(p) * Fraction(*alt_binomial_sum(n, p))
+                assert alt_sum == Fraction(*moment_integral_exact(n, p))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -214,21 +219,36 @@ class TestBernoulli:
 class TestCommonDenominatorSums:
     """The lcm-denominator sums against their plain Fraction definitions."""
 
+    def test_pairs_are_unreduced_over_the_lcm_power(self):
+        # Each sum is its integer dot product over lcm(1..n)^p, positive and
+        # unreduced: -7/2 comes back over lcm(1, 2)^3 = 8.
+        assert harmonic_exact(3, 1) == (11, 6)
+        assert alt_binomial_sum(2, 2) == (-7, 4)
+        assert moment_integral_exact(2, 2) == (-28, 8)
+        for n, p in [(1, 1), (12, 4), (60, 1)]:
+            for pair, power in ((harmonic_exact(n, p), p),
+                                (alt_binomial_sum(n, p), p),
+                                (moment_integral_exact(n, p), p + 1)):
+                numerator, denominator = pair
+                assert type(numerator) is int and type(denominator) is int
+                assert denominator == lcm(*range(1, n + 1)) ** power
+
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=4))
     def test_harmonic(self, n, p):
-        assert harmonic_exact(n, p) == sum(Fraction(1, k**p) for k in range(1, n + 1))
+        plain = sum(Fraction(1, k**p) for k in range(1, n + 1))
+        assert Fraction(*harmonic_exact(n, p)) == plain
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=4))
     def test_alt_binomial_sum(self, n, p):
         plain = sum(Fraction((-1) ** k * comb(n, k), k**p) for k in range(1, n + 1))
-        assert alt_binomial_sum(n, p) == plain
+        assert Fraction(*alt_binomial_sum(n, p)) == plain
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=4))
     def test_moment_integral(self, n, p):
         plain = sum(
             Fraction((-1) ** j * comb(n - 1, j), (j + 1) ** (p + 1)) for j in range(n)
         )
-        assert moment_integral_exact(n, p) == -n * factorial(p) * plain
+        assert Fraction(*moment_integral_exact(n, p)) == -n * factorial(p) * plain
 
 
 class TestMemoisedTables:
@@ -244,9 +264,9 @@ class TestMemoisedTables:
             Fraction((-1) ** j * comb(n - 1, j), (j + 1) ** (p + 1)) for j in range(n)
         )
         for _ in range(2):
-            assert harmonic_exact(n, p) == harmonic
-            assert alt_binomial_sum(n, p) == alt
-            assert moment_integral_exact(n, p) == moment
+            assert Fraction(*harmonic_exact(n, p)) == harmonic
+            assert Fraction(*alt_binomial_sum(n, p)) == alt
+            assert Fraction(*moment_integral_exact(n, p)) == moment
 
     def test_repeated_calls_are_equal(self):
         for n, p in [(1, 1), (12, 4), (60, 1)]:
@@ -254,7 +274,7 @@ class TestMemoisedTables:
             first = [f(n, p) for f in sums]
             again = [f(n, p) for f in sums]
             assert first == again
-            assert again[0] == sum(Fraction(1, k**p) for k in range(1, n + 1))
+            assert Fraction(*again[0]) == sum(Fraction(1, k**p) for k in range(1, n + 1))
 
     @pytest.mark.parametrize("n, p", [(12, 4), (200, 3)])
     def test_tables_are_immutable(self, n, p):
@@ -302,7 +322,7 @@ class TestRationalArithmetic:
         assert gcd(abs(c.numerator), c.denominator) == 1
 
     def test_operations_stay_canonical(self):
-        x = harmonic_exact(10, 1) * alt_binomial_sum(4, 2)
+        x = Fraction(*harmonic_exact(10, 1)) * Fraction(*alt_binomial_sum(4, 2))
         assert x.denominator > 0
         from math import gcd
 

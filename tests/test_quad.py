@@ -199,10 +199,12 @@ class TestIntegrate2d:
 def per_node_integrate2d(f, tol):
     """Reference 2-D rule: one relative float_loop call per outer node, in
     the order delta, 1 - delta over each level's table, stopping at the
-    first inner failure. integrate2d must reproduce its values, the
-    counts of its converged results, and its messages where the failing
-    level fails on one side of the square only (integrate2d names the
-    first failure in node order, and counts every point it evaluated)."""
+    first inner failure. Each inner rule counts at least the 75 nodes of
+    its opening pass of levels 1-3, as integrate2d's inner rule evaluates
+    them in one call. integrate2d must reproduce its values, the counts of
+    its converged results, and its messages where the failing level fails
+    on one side of the square only (integrate2d names the first failure in
+    node order, and counts every point it evaluated)."""
     acc_val = acc_err = 0.0
     evals = 0
     prev = None
@@ -215,7 +217,7 @@ def per_node_integrate2d(f, tol):
                 if not 0.0 < u < 1.0:
                     continue
                 r = float_loop(lambda t: f(t, u), tol / 10.0, relative=True)
-                evals += r.evaluations
+                evals += max(r.evaluations, opening_nodes().size)
                 if not r.converged:
                     return QuadratureResult(
                         value, math.inf, evals, False,
@@ -254,7 +256,7 @@ class TestIntegrate2dBlocks:
     @pytest.mark.parametrize("q", [2, 3])
     def test_raw_kernels_match_per_node_loop(self, q):
         # The paper's kernels before u = t v; q = 2 is corner-singular and
-        # runs 117,451 evaluations through the blocks.
+        # runs 117,858 evaluations through the blocks.
         kernel = raw_double_integral_kernel(q)
         block = integrate2d(kernel, 1e-8)
         loop = per_node_integrate2d(kernel, 1e-8)
@@ -304,10 +306,11 @@ class TestIntegrate2dBlocks:
         inner = float_loop(lambda t: bad(t, u), 1e-10, relative=True)
         assert block.message == f"inner integral failed at u={u!r}: {inner.message}"
         assert block.message != loop.message
-        # Every row of the opening block is integrated: 2,105 evaluations
-        # made, where the per-node loop stops after 245.
-        assert block.evaluations == sum(calls) == 2105
-        assert loop.evaluations == 245
+        # Every row of the opening block runs its inner opening pass: 75 x
+        # 75 evaluations made, where the per-node loop stops after four
+        # inner rules of 75.
+        assert block.evaluations == sum(calls) == 5625
+        assert loop.evaluations == 300
         assert block.value == loop.value == 0.0  # nothing before level 1
         assert block.abs_error_estimate == math.inf
 
@@ -371,7 +374,8 @@ def opening_nodes():
 
 class TestLevelPasses:
     """Levels 1-3 are one integrand call, every later level one call, each
-    over both halves of (0, 1)."""
+    over both halves of (0, 1), in the 1-D rule and in both rules of the
+    2-D rule."""
 
     @pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
     def test_level_table_matches_math_construction(self, level):
@@ -472,6 +476,7 @@ class TestLevelPasses:
 
     def test_2d_kernel_called_once_per_inner_level(self):
         counts = node_counts()
+        opening = sum(counts[:3])
         kernels = [
             double_integral_kernel(3),
             # Failures: NaN on both sides of the square from outer level 1
@@ -489,20 +494,21 @@ class TestLevelPasses:
             r = integrate2d(f, 1e-8)
             assert r.converged == per_node_integrate2d(kernel, 1e-8).converged
             # Outer levels 1-3 are one block of the three levels' nodes,
-            # every later outer level one block of its own; inner levels
-            # 1, 2, ... each make one call on the rows still running, so
-            # the call sizes restart at inner level 1 exactly once per
-            # block.
+            # every later outer level one block of its own. Each block's
+            # inner rule makes one call on inner levels 1-3 for every row,
+            # then one call per later inner level on the rows still
+            # running, so the call sizes restart at the inner opening pass
+            # exactly once per block.
             runs = []
             for t_size, rows in calls:
-                if t_size == counts[0]:
+                if t_size == opening:
                     runs.append([])
                 runs[-1].append((t_size, rows))
-            block_rows = [sum(counts[:3])] + counts[3:]
+            block_rows = [opening] + counts[3:]
             assert block_rows[0] == 75
             assert len(runs) <= len(block_rows)
             for first_rows, run in zip(block_rows, runs):
-                assert [t for t, _ in run] == counts[: len(run)]
+                assert [t for t, _ in run] == [opening] + counts[3 : len(run) + 2]
                 rows = [n for _, n in run]
                 assert rows[0] == first_rows
                 assert rows == sorted(rows, reverse=True)  # rows only leave
@@ -563,13 +569,13 @@ class TestLevelPasses:
         assert np.array_equal(np.concatenate(seen), allowed)
         assert r.evaluations == allowed.size
 
-        level_1 = _level_nodes(1)[0]
+        opening = opening_nodes()
         blocks, seen_u = [], []
 
         def g(t, u):
             rows = np.ravel(u).copy()
-            if np.array_equal(np.ravel(t), level_1):
-                blocks.append(rows)  # inner level 1 runs every row of a block
+            if np.array_equal(np.ravel(t), opening):
+                blocks.append(rows)  # the inner opening pass runs every row
             seen_u.append(rows)
             return 2.0 * t * np.exp(-100.0 * u * u)
 
@@ -597,9 +603,10 @@ class TestLevelPasses:
 
     def test_2d_outer_level_2_convergence_counts_the_opening_block(self):
         # t u at tol 1e-3: the outer rule stops at level 2, every inner
-        # integral at inner level 2, so all 75 rows of the opening block
-        # count 38 evaluations each, where one block per outer level counts
-        # the 38 rows of levels 1 and 2 only.
+        # integral at inner level 2, and every inner rule opens on levels
+        # 1-3: all 75 rows of the opening block count 75 evaluations each,
+        # in one kernel call, where one block per outer level counts the 38
+        # rows of levels 1 and 2 only.
         calls = []
 
         def f(t, u):
@@ -609,8 +616,9 @@ class TestLevelPasses:
         block = integrate2d(f, 1e-3)
         loop = per_node_integrate2d(lambda t, u: t * u, 1e-3)
         assert block.converged and loop.converged
-        assert loop.evaluations == 38 * 38
-        assert block.evaluations == sum(t * n for t, n in calls) == 75 * 38
+        assert loop.evaluations == 38 * 75
+        assert calls == [(75, 75)]
+        assert block.evaluations == sum(t * n for t, n in calls) == 75 * 75
         assert block.value == loop.value
         assert_same_estimate(block, loop)
 
@@ -723,10 +731,9 @@ class TestFloatLoop:
             r = one_row_integrate(f, tol)
         else:
             r = integrate(f, tol)
-            # integrate() evaluates levels 1..3 in one pass and counts
-            # every node it evaluated, whether it converges or fails.
-            opening = opening_nodes().size
-            ref = replace(ref, evaluations=max(ref.evaluations, opening))
+        # Both rules evaluate levels 1..3 in one pass and count every node
+        # they evaluated, whether they converge or fail.
+        ref = replace(ref, evaluations=max(ref.evaluations, opening_nodes().size))
         assert bits(r) == bits(ref), name
         assert type(r.value) is float and type(r.abs_error_estimate) is float
 
@@ -752,10 +759,10 @@ class TestFloatLoop:
         loop = per_node_integrate2d(bad, 1e-9)
         assert not block.converged
         assert block.message == loop.message
-        # Every row of the opening block is integrated; the per-node loop
-        # stops at the failing node after 1,187 evaluations.
-        assert block.evaluations == sum(calls) == 4312
-        assert loop.evaluations == 1187
+        # Every row of the opening block runs its inner opening pass; the
+        # per-node loop stops at the failing node after 1,575 evaluations.
+        assert block.evaluations == sum(calls) == 5625
+        assert loop.evaluations == 1575
         assert block.value == loop.value != 0.0  # level 1's value stands
 
 
@@ -801,7 +808,10 @@ class TestIntegrateRows:
         for i, (last, g) in enumerate(self.ROWS):
             ref = one_row_integrate(g, 1e-6)
             alone.append(ref.evaluations)
-            assert last_node.index(ref.evaluations) + 1 == last, i
+            # A row counts at least the 75 nodes of its opening pass.
+            loop = float_loop(g, 1e-6, relative=True)
+            assert last_node.index(loop.evaluations) + 1 == last, i
+            assert ref.evaluations == max(loop.evaluations, 75), i
             assert values[i].hex() == ref.value.hex(), i
             assert estimates[i].hex() == ref.abs_error_estimate.hex(), i
             assert ref.converged == (i not in (2, 3)), i
@@ -812,8 +822,8 @@ class TestIntegrateRows:
 
     def test_first_failure_in_node_order_not_failure_time(self):
         # The lower row fails last, without convergence at MAX_LEVEL; the
-        # higher row fails first, non-finite at inner level 1. The lower
-        # row is the one named.
+        # higher row fails first, non-finite at inner level 1, after its
+        # opening pass of levels 1-3. The lower row is the one named.
         def f(t, u):
             return np.where(u == 0.0, step(t), np.where(u == 1.0, np.nan, t))
 
@@ -823,7 +833,7 @@ class TestIntegrateRows:
         assert failure == (0, "inner integral failed at u=0.0: "
                               "no convergence within 12 refinement levels")
         assert estimates[1] == math.inf
-        assert evaluations == sum(node_counts()) + node_counts()[0]
+        assert evaluations == sum(node_counts()) + opening_nodes().size
 
     def test_2d_first_failure_in_node_order_not_failure_time(self):
         # u = 1/2, the first outer node, fails last, without convergence at
