@@ -38,14 +38,13 @@ call each). The 1-D evaluator is one integrand call. The 2-D evaluator,
 the vectorised row kernel _integrate_rows, integrates the inner integrals
 of all outer nodes of the pass as one block, over (rows still running) x
 (nodes of the inner pass), and takes each inner level's weighted sums
-itself. A row stops running, with its value and estimate in place, once
-its inner integral passes its convergence test, relative to the inner
-value. Every kernel of the package takes all 75 outer rows of the
-opening block to inner level 3, so its inner rule is one kernel call on
-75 x 75 points. A row that would stop at inner level 2 still counts the
-75 nodes of its opening pass: the paper's raw kernels, before u = t v,
-evaluate 117,858 points instead of 117,451 (q = 2) and 6,735 instead of
-6,328 (q = 3), with the same values.
+itself. Each row's results stay at its index in full-size arrays; a row
+stops running once its inner integral passes its convergence test,
+relative to the inner value, or fails. Every kernel of the package takes
+all 75 outer rows of the opening block to inner level 3: one kernel call
+on 75 x 75 points. A row that stops at inner level 2 counts the 75 nodes
+of its opening pass, so the paper's raw kernels, before u = t v,
+evaluate 117,858 points (q = 2) and 6,735 (q = 3).
 """
 
 from __future__ import annotations
@@ -168,8 +167,11 @@ def _block(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     if np.iscomplexobj(values):
         raise ValueError(f"{name} requires a real integrand, got complex values")
     values = np.asarray(values, dtype=float)
-    # An integrand that returns a constant gives a single value.
-    return values if values.shape == shape else np.broadcast_to(values, shape)
+    try:  # an integrand that returns a constant gives a single value
+        return values if values.shape == shape else np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"{name} requires integrand values that broadcast to the "
+                         f"nodes' shape {shape}, got shape {values.shape}") from None
 
 
 def _rule(tol: float, evaluate: Callable, what: str) -> QuadratureResult:
@@ -234,81 +236,67 @@ def _integrate_rows(
     The inner rule runs _passes() as the 1-D rule does: f is called once
     on the nodes of levels 1 to 3, both halves of the interval, against the
     column of every u, then once per later level against the column of the
-    u still running. Each level's row sums are one matrix-vector product
-    over that level's columns of the block. Rows are tested level by level:
-    a row stops, and drops out of the running rows, at the level where it
-    passes the convergence test or fails, so its value and estimate are
-    those of the rule run on that row alone, up to summation order (from
-    level 11, over 8192 nodes, numpy's einsum can sum a block of several
-    rows in another order than one row). The running rows' sums and last
-    values are kept compact, in row order; a row's value and estimate are
-    written to its place in the output arrays when it stops. The test is
-    relative to the row's value: reported < tol * max(1, |value|). Returns
-    _rule's evaluator tuple: the evaluations, per-row values and estimates,
-    and the lowest failed row, in node order, as
-    (row, "inner integral failed at u=...: reason"), or None.
+    u still running. Each row keeps its index in the value, weighted-sum
+    and estimate arrays. Each level's row sums are one matrix-vector
+    product over that level's columns of the pass's block. Rows are tested
+    level by level: a row stops, and drops out of the running rows, at the
+    level where it passes the convergence test or fails, so its value and
+    estimate are those of the rule run on that row alone, up to summation
+    order (from level 11, over 8192 nodes, numpy's einsum can sum a block
+    of several rows in another order than one row); a failed row keeps the
+    previous level's value. The test is relative to the row's value:
+    reported < tol * max(1, |value|). Returns _rule's evaluator tuple: the
+    evaluations, per-row values and estimates, and the lowest failed row,
+    in node order, as (row, "inner integral failed at u=...: reason"), or
+    None.
     """
-    value = np.zeros(us.size)
+    value, acc = np.zeros(us.size), np.zeros(us.size)  # per row: value, sum
     estimate = np.full(us.size, math.inf)
     first = (us.size, "")  # the lowest failed row and its reason
     live = np.arange(us.size)  # the rows still running, in ascending order
-    # Per running row: the weighted sum so far, the last level's value and
-    # the last level difference.
-    acc, last, diff = np.zeros(us.size), np.zeros(us.size), None
     evaluations = 0
     for x, levels in _passes():
         if live.size == 0:
             break
-        evaluations += live.size * x.size
-        block = _block(f(x[None, :], us[live, None]), (live.size, x.size),
+        rows = live  # the rows of this pass's block
+        evaluations += rows.size * x.size
+        block = _block(f(x[None, :], us[rows, None]), (rows.size, x.size),
                        "integrate2d")
-        rows = np.arange(live.size)  # the block rows of the rows still running
         stop = 0
         for level in levels:
-            if live.size == 0:
-                break
             w = _level_nodes(level)[1]
             start, stop = stop, stop + w.size
-            # einsum runs its own loop: numpy's BLAS would add about 0.3 MB
-            # of resident buffers on its first call, for no gain at these
-            # sizes.
-            sums = np.einsum("ij,j->i", block[:, start:stop], w)[rows]
-
+            # einsum runs its own loop: numpy's BLAS would add about 0.3 MB of
+            # resident buffers on its first call, for no gain at these sizes.
+            sums = np.einsum("ij,j->i", block[:, start:stop], w)
+            if live.size < rows.size:  # a row left during this pass
+                sums = sums[np.searchsorted(rows, live)]
             finite = np.isfinite(sums)
             if not finite.all():
                 # A failed row keeps the previous level's value.
-                failed = ~finite
-                value[live[failed]] = last[failed]
-                first = min(first, (int(live[failed][0]), _NON_FINITE))
-                live, rows, sums = live[finite], rows[finite], sums[finite]
-                acc, last = acc[finite], last[finite]
-            acc += sums
-            level_value = 2.0**-level * acc
+                estimate[live[~finite]] = math.inf
+                first = min(first, (int(live[~finite][0]), _NON_FINITE))
+                live, sums = live[finite], sums[finite]
+            acc[live] = level_sum = acc[live] + sums
+            previous = value[live]
+            value[live] = level_value = 2.0**-level * level_sum
             if level > 1:
-                diff = np.abs(level_value - last)
+                diff = np.abs(level_value - previous)
                 size = np.abs(level_value)
                 # Roundoff floor: a level difference of exactly zero does not
                 # certify anything below one rounding of the result.
                 reported = np.maximum(diff, _EPS * (1.0 + size))
                 passed = reported < tol * np.maximum(1.0, size)
-                if passed.any():
-                    done = live[passed]
-                    value[done] = level_value[passed]
-                    estimate[done] = reported[passed]
-                    running = ~passed
-                    live, rows, acc = live[running], rows[running], acc[running]
-                    level_value, diff = level_value[running], diff[running]
-            last = level_value
+                estimate[live] = np.where(passed, reported, diff)
+                live = live[~passed]
 
     if live.size:
-        value[live], estimate[live] = last, diff
         message = f"no convergence within {MAX_LEVEL} refinement levels"
         first = min(first, (int(live[0]), message))
     row, reason = first
-    if row == us.size:
-        return evaluations, value, estimate, None
-    return evaluations, value, estimate, (
+    failure = None if row == us.size else (
         row, f"inner integral failed at u={float(us[row])!r}: {reason}")
+    return evaluations, value, estimate, failure
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureResult:
@@ -355,9 +343,9 @@ def integrate2d(
     levels 1 to 3 as one block, and the inner rule runs the passes of the
     1-D rule: f is evaluated once on every row of the block against the
     inner nodes of levels 1 to 3, then once per later inner level on the
-    rows still running. A row stops running when it meets its inner test
-    or fails, so each row's inner result is that of the inner rule run on
-    its outer node alone (up to summation order, see _integrate_rows).
+    rows still running. A row stops running, in place, when it meets its
+    inner test or fails, so its inner result is that of the inner rule run
+    on its outer node alone (up to summation order, see _integrate_rows).
     evaluations counts every point evaluated, so a result that converges
     or fails at outer level 2 includes the rows of outer level 3, and each
     row counts at least the 75 inner nodes of its opening pass.

@@ -117,6 +117,12 @@ class TestIntegrate:
             integrate(lambda t: 1.0, -1e-10)
         with pytest.raises(ValueError):
             integrate(lambda t: 1.0, math.nan)
+        # A value that does not broadcast to the nodes names the entry point.
+        for f in (lambda t: np.ones(3), lambda t: np.ones((t.size, 2))):
+            with pytest.raises(ValueError, match="^integrate requires integrand "
+                               "values that broadcast to the nodes' shape"):
+                integrate(f, 1e-8)
+        assert integrate(lambda t: np.full(1, 2.0), 1e-8).value == 2.0
 
     @pytest.mark.parametrize("f", [lambda x: x + 1j * x, lambda x: 1j], ids=["array", "constant"])
     def test_complex_integrand_is_an_error(self, f):
@@ -190,6 +196,14 @@ class TestIntegrate2d:
             integrate2d(lambda t, u: 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate2d(lambda t, u: 1.0, math.nan)
+        # A value that does not broadcast to the (rows, nodes) block names
+        # the entry point; a row of t or a column of u broadcasts.
+        for f in (lambda t, u: np.ones(7), lambda t, u: np.ones((u.size, t.size, 2))):
+            with pytest.raises(ValueError, match="^integrate2d requires integrand "
+                               "values that broadcast to the nodes' shape"):
+                integrate2d(f, 1e-8)
+        assert integrate2d(lambda t, u: np.ones_like(t), 1e-8).converged
+        assert integrate2d(lambda t, u: np.ones_like(u), 1e-8).converged
 
     def test_complex_integrand_is_an_error(self):
         with pytest.raises(ValueError, match="^integrate2d requires a real integrand"):
@@ -773,8 +787,8 @@ def step(t):
 
 class TestIntegrateRows:
     # Row i integrates ROWS[i][1] in one block at relative tol 1e-6;
-    # ROWS[i][0] is the last level the row runs when run alone. Rows 2 and
-    # 3 fail; the others converge. Row 3 alone runs past level 9, so the
+    # ROWS[i][0] is the last level the row runs when run alone. Rows 2, 3
+    # and 9 fail; the others converge. Row 3 alone runs past level 9, so the
     # block sums its levels 11 and 12 in the order of a one-row run (see
     # _integrate_rows) and every row matches its run alone bit for bit.
     ROWS = [
@@ -788,6 +802,9 @@ class TestIntegrateRows:
         (9, lambda t: np.abs(t - 1.0 / 3.0)),
         (3, np.sqrt),
         (2, lambda t: t**-0.5),
+        # Finite at level 1, NaN from level 2 on: fails inside the opening
+        # pass, at the level where rows 1 and 8 stop.
+        (2, lambda t: np.where((0.3 < t) & (t < 0.32), np.nan, t)),
     ]
 
     def test_rows_stopping_apart_match_one_row_runs(self):
@@ -814,10 +831,14 @@ class TestIntegrateRows:
             assert ref.evaluations == max(loop.evaluations, 75), i
             assert values[i].hex() == ref.value.hex(), i
             assert estimates[i].hex() == ref.abs_error_estimate.hex(), i
-            assert ref.converged == (i not in (2, 3)), i
+            assert ref.converged == (i not in (2, 3, 9)), i
         assert one_row_integrate(self.ROWS[3][1], 1e-6).message == (
             "no convergence within 12 refinement levels"
         )
+        # Row 9 keeps its level-1 value and counts its opening pass.
+        x, w = _level_nodes(1)
+        level_1 = 0.5 * np.einsum("ij,j->i", self.ROWS[9][1](x)[None, :], w).item()
+        assert (values[9], estimates[9], alone[9]) == (level_1, math.inf, 75)
         assert evaluations == sum(alone)
 
     def test_first_failure_in_node_order_not_failure_time(self):
