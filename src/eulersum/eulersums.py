@@ -46,7 +46,7 @@ import numpy as np
 
 from .constants import euler_gamma, zeta
 from .exactmath import _check_integer, bernoulli
-from .quad import QuadratureError, QuadratureResult, integrate, integrate2d
+from .quad import QuadratureError, QuadratureResult, _check_tol, integrate, integrate2d
 from .specfun import _horner, _real, dilog_neg_ratio, polylog_array, polylog_one_minus
 
 __all__ = [
@@ -184,8 +184,9 @@ def sum_series(spec: EulerSumSpec, tol: float = 1e-10) -> float:
     against the closed forms; tolerances below 1e-12 are not accepted.
     From q = 64 on the sum rounds to 1.0, which is returned directly.
     """
-    if not tol >= _MIN_SERIES_TOL:  # also rejects NaN
-        raise ValueError(f"sum_series supports tol >= {_MIN_SERIES_TOL}, got {tol}")
+    if not isinstance(spec, EulerSumSpec):
+        raise ValueError(f"sum_series requires an EulerSumSpec, got {spec!r}")
+    _check_tol("sum_series", tol, _MIN_SERIES_TOL)
     m, q = spec.h_power, spec.q
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
@@ -234,8 +235,7 @@ def sum_via_integral(q: int, tol: float = 1e-10) -> float:
     at every q. Raises QuadratureError when the quadrature does not converge.
     """
     _check_integer("sum_via_integral", "q", q, 2, MAX_Q)
-    if not tol >= _MIN_SERIES_TOL:  # also rejects NaN
-        raise ValueError(f"sum_via_integral needs tol >= {_MIN_SERIES_TOL}, got {tol}")
+    _check_tol("sum_via_integral", tol, _MIN_SERIES_TOL)
     if q >= _Q_ROUNDS_TO_ONE:
         return 1.0
     result = integrate(integral_representation_integrand(q), tol)

@@ -157,9 +157,17 @@ def _passes():
         yield _level_nodes(level)[0], (level,)
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0.0:  # also rejects NaN
-        raise ValueError(f"tolerance must be positive, got {tol}")
+def _check_tol(owner: str, tol: float, floor: float = 0.0) -> None:
+    """The package's one rule for tolerances: raise ValueError, naming the
+    owner, unless tol is a real number above 0 and at least floor (NaN,
+    None and a string are not)."""
+    try:
+        ok = tol > 0.0 and tol >= floor
+    except TypeError:  # not a real number at all
+        ok = False
+    if not ok:
+        rule = f"tol >= {floor}" if floor else "tol > 0"
+        raise ValueError(f"{owner} requires {rule}, got {tol!r}")
 
 
 def _block(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -315,7 +323,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureRe
     result (converged False, infinite error estimate), never an exception;
     a complex value raises ValueError.
     """
-    _check_tol(tol)
+    _check_tol("integrate", tol)
 
     def evaluate(x):
         return x.size, _block(f(x), x.shape, "integrate"), None, None
@@ -353,5 +361,5 @@ def integrate2d(
     f(t, u) must broadcast over numpy arrays: it is called with a row of t
     values against a column of u values. A complex value raises ValueError.
     """
-    _check_tol(tol)
+    _check_tol("integrate2d", tol)
     return _rule(tol, partial(_integrate_rows, f, tol / 10.0), "outer refinement")

@@ -10,7 +10,8 @@ Running a case never raises: evaluator exceptions become status "error".
 One loop checks each side as it returns: a quadrature side adds its
 evaluation count and errors if it did not converge. The builtin cases are
 one tuple, built at import: a case per identity, and a run of cases per
-parameter family.
+parameter family. Each side is a lambda that calls its route by name when
+the case runs, a family's grid values bound as its defaults.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import partial
 from math import factorial, gcd, inf, isfinite
 from typing import Callable, Optional
 
@@ -284,41 +284,22 @@ def _landen_max_residual() -> float:
     return float(np.max(np.abs(direct - stable)))
 
 
-def _family(
-    id_template: str, description_template: str, lhs, rhs, *args, grid: tuple, **kwargs
-) -> tuple[IdentityCase, ...]:
-    """A case per point of the grid: the id and description are format
-    templates over the point, the sides take its parameters as keywords, and
-    the remaining arguments (tol, criterion, source) go to IdentityCase.
-    """
-    return tuple(
-        IdentityCase(id_template.format(**point), description_template.format(**point),
-                     partial(lhs, **point), partial(rhs, **point), *args, **kwargs)
-        for point in grid
-    )
-
-
 _CATALOGUE = (
     # p! * sum C(n,k)(-1)^k/k^p against the monomial-moment expansion of
     # the integral form.
-    *_family(
-        "binomial-exact/n={n},p={p}",
-        "p! * alternating binomial sum equals the moment expansion of the "
-        "beta-log integral (n={n}, p={p})",
-        _factorial_times_alt_sum,
-        lambda n, p: moment_integral_exact(n, p),
-        source="binomial moment identity",
-        grid=tuple({"n": n, "p": p} for n in range(1, 13) for p in range(1, 5)),
-    ),
+    *(IdentityCase(f"binomial-exact/n={n},p={p}",
+                   "p! * alternating binomial sum equals the moment expansion of the "
+                   f"beta-log integral (n={n}, p={p})",
+                   lambda n=n, p=p: _factorial_times_alt_sum(n, p),
+                   lambda n=n, p=p: moment_integral_exact(n, p),
+                   source="binomial moment identity")
+      for n in range(1, 13) for p in range(1, 5)),
     # p = 1 specialisation: the alternating sum is exactly -H_n.
-    *_family(
-        "altsum-harmonic/n={n}",
-        "sum C({n},k)(-1)^k/k equals -H_{n} exactly",
-        lambda n: alt_binomial_sum(n, 1),
-        _minus_harmonic,
-        source="binomial moment identity, p = 1",
-        grid=tuple({"n": n} for n in range(1, 61)),
-    ),
+    *(IdentityCase(f"altsum-harmonic/n={n}",
+                   f"sum C({n},k)(-1)^k/k equals -H_{n} exactly",
+                   lambda n=n: alt_binomial_sum(n, 1), lambda n=n: _minus_harmonic(n),
+                   source="binomial moment identity, p = 1")
+      for n in range(1, 61)),
     IdentityCase("euler-q2-series",
                  "sum H_n/n^2 = 2 zeta(3), accelerated series path",
                  lambda: _series(1, 2), lambda: 2.0 * zeta(3), 1e-10, "rel",
@@ -340,28 +321,30 @@ _CATALOGUE = (
                  lambda: _integral_representation(3), lambda: 0.5 * zeta(2) ** 2,
                  1e-10, "rel", "classical"),
     # Odd-exponent closed forms against the series and the integral.
-    *_family("gp-closed/p={p}",
-             "zeta combination for sum H_n/n^{q} matches the accelerated series",
-             lambda p, q: eulersums.sum_gp_closed_form(p), lambda p, q: _series(1, q),
-             1e-10, "rel", "Georghiou and Philippou, 1983",
-             grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2, 3))),
-    *_family("gp-integral/p={p}",
-             "polylog integral for sum H_n/n^{q} matches the zeta combination",
-             lambda p, q: _integral_representation(q),
-             lambda p, q: eulersums.sum_gp_closed_form(p),
-             1e-9, "rel", "Georghiou and Philippou, 1983",
-             grid=tuple({"p": p, "q": 2 * p + 1} for p in (1, 2))),
-    *_family("inner-integral/u={u}",
-             "closed form Li_2(-(1-u)/u)/(1-u) of the inner integral matches "
-             "quadrature at u={u}",
-             lambda u: eulersums.inner_integral(u),
-             lambda u: eulersums.inner_integral_quadrature(u),
-             1e-10, "abs", "elementary antiderivative",
-             grid=tuple({"u": u} for u in (0.1, 0.3, 0.5, 0.7, 0.9))),
+    *(IdentityCase(f"gp-closed/p={p}",
+                   f"zeta combination for sum H_n/n^{q} matches the accelerated series",
+                   lambda p=p: eulersums.sum_gp_closed_form(p),
+                   lambda q=q: _series(1, q),
+                   1e-10, "rel", "Georghiou and Philippou, 1983")
+      for p, q in ((1, 3), (2, 5), (3, 7))),
+    *(IdentityCase(f"gp-integral/p={p}",
+                   f"polylog integral for sum H_n/n^{q} matches the zeta combination",
+                   lambda q=q: _integral_representation(q),
+                   lambda p=p: eulersums.sum_gp_closed_form(p),
+                   1e-9, "rel", "Georghiou and Philippou, 1983")
+      for p, q in ((1, 3), (2, 5))),
+    *(IdentityCase(f"inner-integral/u={u}",
+                   "closed form Li_2(-(1-u)/u)/(1-u) of the inner integral matches "
+                   f"quadrature at u={u}",
+                   lambda u=u: eulersums.inner_integral(u),
+                   lambda u=u: eulersums.inner_integral_quadrature(u),
+                   1e-10, "abs", "elementary antiderivative")
+      for u in (0.1, 0.3, 0.5, 0.7, 0.9)),
     IdentityCase("landen-grid",
                  "dilogarithm transformation residual, two independent paths, "
                  "1000 points on [0.51, 0.999]",
-                 _landen_max_residual, lambda: 0.0, 1e-12, "abs", "Landen, 1780"),
+                 lambda: _landen_max_residual(), lambda: 0.0, 1e-12, "abs",
+                 "Landen, 1780"),
     IdentityCase("ref-log3-integral", "int_0^1 log(u)^3/(1-u) du = -6 zeta(4)",
                  lambda: _log_power_integral(3), lambda: -6.0 * zeta(4), 1e-11,
                  "abs", "classical"),

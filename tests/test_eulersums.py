@@ -92,8 +92,11 @@ class TestSumSeries:
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_tolerance_floor(self):
-        with pytest.raises(ValueError):
-            sum_series(EulerSumSpec(1, 2), tol=1e-13)
+        for tol in (1e-13, 0.0, -1.0, math.nan, None, "x"):
+            with pytest.raises(ValueError, match="^sum_series requires tol >= 1e-12"):
+                sum_series(EulerSumSpec(1, 2), tol=tol)
+        with pytest.raises(ValueError, match="^sum_series requires an EulerSumSpec"):
+            sum_series([1, 2])
 
 
 def reference_sum_series(m: int, q: int, cutoff: int) -> float:
@@ -340,8 +343,8 @@ class TestSumViaIntegral:
     @pytest.mark.parametrize("q", [3, 63, 64, 10**6])
     def test_tol_floor(self, q):
         # sum_series' floor, checked before the q >= 64 shortcut.
-        for tol in (1e-13, 0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
+        for tol in (1e-13, 0.0, -1.0, math.nan, None, "x"):
+            with pytest.raises(ValueError, match="^sum_via_integral requires tol >= 1e-12"):
                 sum_via_integral(q, tol=tol)
         value = sum_via_integral(q, tol=1e-12)
         assert abs(value - sum_series(EulerSumSpec(1, q))) <= 1e-12

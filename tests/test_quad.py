@@ -111,12 +111,10 @@ class TestIntegrate:
         assert math.isfinite(r.value)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            integrate(lambda t: 1.0, 0.0)
-        with pytest.raises(ValueError):
-            integrate(lambda t: 1.0, -1e-10)
-        with pytest.raises(ValueError):
-            integrate(lambda t: 1.0, math.nan)
+        # A tol that is not a positive real number names the entry point.
+        for tol in (0.0, -1e-10, math.nan, None, "x"):
+            with pytest.raises(ValueError, match="^integrate requires tol > 0, got "):
+                integrate(lambda t: 1.0, tol)
         # A value that does not broadcast to the nodes names the entry point.
         for f in (lambda t: np.ones(3), lambda t: np.ones((t.size, 2))):
             with pytest.raises(ValueError, match="^integrate requires integrand "
@@ -192,10 +190,9 @@ class TestIntegrate2d:
         assert "inner" in r.message
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            integrate2d(lambda t, u: 1.0, 0.0)
-        with pytest.raises(ValueError):
-            integrate2d(lambda t, u: 1.0, math.nan)
+        for tol in (0.0, math.nan, None, "x"):
+            with pytest.raises(ValueError, match="^integrate2d requires tol > 0, got "):
+                integrate2d(lambda t, u: 1.0, tol)
         # A value that does not broadcast to the (rows, nodes) block names
         # the entry point; a row of t or a column of u broadcasts.
         for f in (lambda t, u: np.ones(7), lambda t, u: np.ones((u.size, t.size, 2))):

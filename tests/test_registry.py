@@ -48,6 +48,51 @@ def below_floor(rule):
     return lambda f, tol: rule(f, 1e-18)
 
 
+def plus_one(route):
+    """route with its exact value (a, b) raised by 1, as (a + b, b)."""
+    def shifted(*args):
+        numerator, denominator = route(*args)
+        return numerator + denominator, denominator
+    return shifted
+
+
+def grid_point(case_id):
+    """The parameters in a family case's id: {"u": 0.3} for
+    "inner-integral/u=0.3", {"n": 7, "p": 3} for "binomial-exact/n=7,p=3"."""
+    pairs = (param.split("=") for param in case_id.split("/")[1].split(","))
+    return {name: (float if "." in value else int)(value) for name, value in pairs}
+
+
+def side_value(value):
+    """A side's value: an exact pair as a Fraction, a quadrature's value."""
+    return Fraction(*value) if isinstance(value, tuple) else getattr(value, "value", value)
+
+
+# Each family's two routes, called directly with a grid point's parameters.
+FAMILY_ROUTES = {
+    "binomial-exact": (
+        lambda n, p: factorial(p) * Fraction(*exactmath.alt_binomial_sum(n, p)),
+        lambda n, p: Fraction(*exactmath.moment_integral_exact(n, p)),
+    ),
+    "altsum-harmonic": (
+        lambda n: Fraction(*exactmath.alt_binomial_sum(n, 1)),
+        lambda n: -Fraction(*exactmath.harmonic_exact(n, 1)),
+    ),
+    "gp-closed": (
+        lambda p: eulersums.sum_gp_closed_form(p),
+        lambda p: eulersums.sum_series(eulersums.EulerSumSpec(1, 2 * p + 1)),
+    ),
+    "gp-integral": (
+        lambda p: eulersums.sum_via_integral(2 * p + 1),
+        lambda p: eulersums.sum_gp_closed_form(p),
+    ),
+    "inner-integral": (
+        lambda u: eulersums.inner_integral(u),
+        lambda u: eulersums.inner_integral_quadrature(u).value,
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def registry():
     return builtin_registry()
@@ -108,6 +153,18 @@ class TestRegistryContents:
             "dedoelder-series", "dedoelder-outer", "dedoelder-2d", "open-q3-2d",
             "zeta-product",
         ]
+
+    @pytest.mark.parametrize("family", FAMILY_ROUTES)
+    def test_family_sides_evaluate_their_own_grid_point(self, registry, family):
+        # A side that read its grid values late would run the family's last
+        # point; in an exact family both sides would still agree and pass.
+        lhs, rhs = FAMILY_ROUTES[family]
+        cases = [c for c in registry if c.id.startswith(family + "/")]
+        assert cases
+        for case in cases:
+            point = grid_point(case.id)
+            assert side_value(case.lhs()) == lhs(**point), case.id
+            assert side_value(case.rhs()) == rhs(**point), case.id
 
     def test_numeric_cases_have_positive_tol(self, registry):
         for c in registry:
@@ -688,6 +745,21 @@ class TestBlindSpotSweep:
         real = getattr(specfun, kernel)
         scaled = (specfun, kernel, lambda x: real(x) * (1.0 + eps))
         assert "landen-grid" in self.failing(monkeypatch, [scaled])
+
+    @pytest.mark.parametrize("name, patch, family, size", [
+        ("_factorial_times_alt_sum", plus_one, "binomial-exact/", 48),
+        ("_minus_harmonic", plus_one, "altsum-harmonic/", 60),
+        ("_landen_max_residual", lambda route: lambda: 1.0, "landen-grid", 1),
+    ], ids=["factorial-times-alt-sum", "minus-harmonic", "landen-max-residual"])
+    def test_patched_registry_route_fails_its_family(
+        self, monkeypatch, name, patch, family, size
+    ):
+        # Each side calls its route by name when the case runs, so a patch
+        # on the registry's namespace reaches every case of the family.
+        patched = (registry_module, name, patch(getattr(registry_module, name)))
+        failing = self.failing(monkeypatch, [patched])
+        assert failing == {c.id for c in builtin_registry() if c.id.startswith(family)}
+        assert len(failing) == size
 
 
 class TestInjectFailure:
