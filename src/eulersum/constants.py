@@ -120,7 +120,8 @@ def zeta(s: int) -> float:
     _check_integer("zeta", "s", s, 2)
     if s <= S_MAX:
         return _TABLE.values[s]
-    return _zeta_float_direct(s)
+    # From s = 61 on the direct sum is its first term, 1.0: no float(s) needed.
+    return _zeta_float_direct(s) if s <= 60 else 1.0
 
 
 def _euler_gamma_fraction() -> Fraction:

@@ -50,6 +50,15 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+# Ceilings checked before any big-integer work, so no argument can hang a
+# call: the share table of n terms at exponent p holds about 1.5 n^2 p
+# bits (below), some 15 MB and 1 s at n = 2000 and p = 21, the largest a
+# sum reaches. The package itself asks for n <= 60 and p <= 20 (the zeta
+# table), and for Bernoulli numbers up to B_20; B_200 costs 0.07 s.
+_MAX_N = 2000
+_MAX_EXPONENT = 20
+_MAX_BERNOULLI = 200
+
 # The memos below hold tables that do not depend on the identity being
 # checked. Each is bounded in bytes for any input, not only in entries:
 # C(n, k) < 2^n, so a memoised row holds at most 64 * 65 bits; and
@@ -88,7 +97,7 @@ def _share_table(n: int, p: int) -> tuple[tuple[int, ...], int]:
 
 def weighted_power_sum(weights: Iterable[int], p: int) -> Fraction:
     """sum_{k=1..n} w_k / k^p exactly, for integer weights w_1..w_n and p >= 0."""
-    _check_integer("weighted_power_sum", "exponent", p, 0)
+    _check_integer("weighted_power_sum", "exponent", p, 0, _MAX_EXPONENT)
     weights = tuple(weights)
     shares, denominator = _share_table(len(weights), p)
     return Fraction(sum(map(mul, weights, shares)), denominator)
@@ -116,8 +125,8 @@ def _signed_binomials(n: int) -> tuple[int, ...]:
 def harmonic_exact(n: int, r: int = 1) -> tuple[int, int]:
     """Generalised harmonic number sum_{k=1..n} 1/k^r, exactly, as the
     unreduced pair (numerator, lcm(1..n)^r)."""
-    _check_integer("harmonic_exact", "n", n, 1)
-    _check_integer("harmonic_exact", "exponent", r, 1)
+    _check_integer("harmonic_exact", "n", n, 1, _MAX_N)
+    _check_integer("harmonic_exact", "exponent", r, 1, _MAX_EXPONENT)
     shares, denominator = _share_table(n, r)
     return sum(shares), denominator
 
@@ -128,8 +137,8 @@ def alt_binomial_sum(n: int, p: int) -> tuple[int, int]:
 
     For p = 1 the sum telescopes to -H_n, the negated harmonic number.
     """
-    _check_integer("alt_binomial_sum", "n", n, 1)
-    _check_integer("alt_binomial_sum", "exponent", p, 1)
+    _check_integer("alt_binomial_sum", "n", n, 1, _MAX_N)
+    _check_integer("alt_binomial_sum", "exponent", p, 1, _MAX_EXPONENT)
     shares, denominator = _share_table(n, p)
     return sum(map(mul, _signed_binomials(n)[1:], shares)), denominator
 
@@ -146,8 +155,8 @@ def moment_integral_exact(n: int, p: int) -> tuple[int, int]:
 
         moment_integral_exact(n, p) = p! * alt_binomial_sum(n, p)
     """
-    _check_integer("moment_integral_exact", "n", n, 1)
-    _check_integer("moment_integral_exact", "exponent", p, 1)
+    _check_integer("moment_integral_exact", "n", n, 1, _MAX_N)
+    _check_integer("moment_integral_exact", "exponent", p, 1, _MAX_EXPONENT)
     # (-1)^(p+1) * n * sum_j C(n-1, j) (-1)^j (-1)^p p!/(j+1)^(p+1)
     # collapses to -n * p! * sum_j C(n-1, j) (-1)^j / (j+1)^(p+1).
     shares, denominator = _share_table(n, p + 1)
@@ -171,12 +180,12 @@ def _extend_bernoulli(m: int) -> None:
 
 
 def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m for even m >= 0, exactly.
+    """Bernoulli number B_m for even m, 0 <= m <= 200, exactly.
 
     Odd indices are rejected: B_1 is a convention question and B_m = 0 for
     odd m >= 3, so nothing downstream ever asks for them.
     """
-    _check_integer("bernoulli", "m", m, 0)
+    _check_integer("bernoulli", "m", m, 0, _MAX_BERNOULLI)
     if m % 2:
         raise ValueError(f"bernoulli is only defined here for even m, got {m}")
     if m >= len(_BERNOULLI):

@@ -50,6 +50,7 @@ evaluate 117,858 points (q = 2) and 6,735 (q = 3).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -72,6 +73,7 @@ _OPENING = range(1, 4)  # levels of the first evaluation pass
 _MIN_DELTA = 1e-300
 
 _EPS = 2.0 ** -52
+_MAX_DOUBLE = sys.float_info.max
 
 _NON_FINITE = "non-finite integrand value at an interior node"
 
@@ -159,13 +161,16 @@ def _passes():
 
 def _check_tol(owner: str, tol: float, floor: float = 0.0) -> None:
     """The package's one rule for tolerances: raise ValueError, naming the
-    owner, unless tol is a real number above 0 and at least floor (NaN,
-    None and a string are not)."""
-    try:
-        ok = tol > 0.0 and tol >= floor
-    except TypeError:  # not a real number at all
-        ok = False
-    if not ok:
+    owner, unless tol is an int or a float (a numpy scalar too; a bool and
+    an array are not) above 0, at least floor and at most the largest
+    double (NaN and inf are not)."""
+    value = tol
+    if type(value) is not float:
+        if isinstance(value, np.generic):
+            value = value.item()  # a Python number, but a long double stays one
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+            value = math.nan
+    if not (0.0 < value <= _MAX_DOUBLE and value >= floor):
         rule = f"tol >= {floor}" if floor else "tol > 0"
         raise ValueError(f"{owner} requires {rule}, got {tol!r}")
 

@@ -61,7 +61,7 @@ class IdentityCase:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tol < inf:  # also rejects NaN
+        if isinstance(self.tol, bool) or not 0.0 <= self.tol < inf:  # also rejects NaN
             raise ValueError(f"case {self.id!r} needs finite tol >= 0, got {self.tol}")
         if self.criterion not in ("abs", "rel"):
             raise ValueError(f"unknown residual criterion {self.criterion!r}")

@@ -3,8 +3,8 @@
 Evaluation strategy for Li_s(x), s >= 3:
 
   * |x| <= 1/2          direct Taylor series (geometric convergence, at
-                        most 42 terms), and all of [-1, 1] from s = 64 on,
-                        where |Li_s(x) - x| < 2^-63,
+                        most 42 terms); from s = 64 on, Li_s(x) is x on
+                        all of [-1, 1], where |Li_s(x) - x| < 2^-63,
   * x in (1/2, 1)       expansion in powers of z = log x around x = 1,
   * x in (-1, -1/2)     square the argument: Li_s(x) = 2^(1-s) Li_s(x^2)
                         - Li_s(-x), which lands both calls in the branches
@@ -24,7 +24,7 @@ and needs 9 of them ('t Hooft & Veltman, Nucl. Phys. B153, 1979; Crandall,
 reflection Li_2(x) = zeta(2) - log x log(1-x) - Li_2(1-x), where 1 - x is
 exact.
 
-Every series is a fixed polynomial for each order s, its coefficients
+Every series is a fixed polynomial for each order s: one tuple of floats,
 computed once and evaluated by Horner's rule. Each entry point writes its
 branch split once, for a float and an array alike (_piecewise): a float
 goes to one kernel, an array calls each kernel once on its own points.
@@ -69,7 +69,7 @@ POLYLOG_ABS_ERROR = 1e-14
 # the largest |z| = |log x| that expansion serves.
 _NEGLIGIBLE = 2.0**-62
 _LOG2 = math.log(2.0)
-_TAYLOR_ONLY_ORDER = 64
+_LI_IS_X_ORDER = 64
 
 # The least t whose Li_0(1 - t) = (1 - t)/t is finite: 1/t overflows at 2^-1024.
 _LI0_MIN_T = math.nextafter(2.0**-1024, 1.0)
@@ -96,26 +96,14 @@ def _zeta_nonpositive(j: int) -> Fraction:
     return -bernoulli(2 * m) / Fraction(2 * m)
 
 
-@lru_cache(maxsize=1024)
-def _array_coeffs(coeffs: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """The same doubles as 0-d float64 arrays, which _horner only reads."""
-    return tuple(map(np.array, coeffs))
-
-
 def _horner(coeffs: tuple[float, ...], x):
-    """Polynomial with coefficients listed from the highest power down.
+    """Polynomial with two or more coefficients, from the highest power down.
 
     x may be a float or a numpy array; both see the same operations, so a
     scalar and an array evaluation differ only where numpy's elementary
     functions round differently from the math module's. An array
-    accumulator is updated in place after its first step and adds the
-    coefficients as 0-d float64 arrays built once per table, the same
-    doubles, which numpy adds a third faster than Python floats.
+    accumulator is updated in place after its first step.
     """
-    if len(coeffs) == 1:
-        return coeffs[0]
-    if isinstance(x, np.ndarray):
-        coeffs = _array_coeffs(coeffs)
     acc = coeffs[0] * x + coeffs[1]
     for c in coeffs[2:]:
         acc *= x
@@ -125,13 +113,13 @@ def _horner(coeffs: tuple[float, ...], x):
 
 @lru_cache(maxsize=1024)
 def _taylor_coeffs(s: int) -> tuple[float, ...]:
-    """1/k^s for k = K..1, with K the shortest series that serves |x| <= 1/2.
+    """1/k^s for k = K..1, with K >= 2 the shortest series serving |x| <= 1/2.
 
     The terms after k = K sum to less than 2 (1/2)^K / (K+1)^s times |x|,
     and |Li_s(x)| >= 7/8 |x| there for s >= 2, so K + s log2(K+1) >= 58
     keeps the truncation below 1e-17 relative.
     """
-    k_max = 1
+    k_max = 2
     while k_max + s * math.log2(k_max + 1) < 58.0:
         k_max += 1
     return tuple(1 / k**s for k in range(k_max, 0, -1))
@@ -250,8 +238,8 @@ def _polylog(s: int, x):
         return x / (1.0 - x)
     if s == 1:
         return -_lib(x).log1p(-x)
-    if s >= _TAYLOR_ONLY_ORDER:
-        return _taylor(s, x)
+    if s >= _LI_IS_X_ORDER:
+        return x * 1.0  # a copy of x
     if s == 2:
         # 1 - x is exact for x in (1/2, 1).
         near_zero, near_one = (lambda x: _dilog(_polylog(1, x)),
@@ -342,7 +330,7 @@ def polylog_one_minus(s: int, t):
     z = log1p(-t) (at s = 2, the reflection of Li_2(t)), so t = 1e-300 is
     as accurate as t = 0.3; for t >= 1/2 the complement 1 - t is exact in
     floating point and lies in [0, 1/2], where the Taylor series (at s = 2,
-    the Bernoulli series) serves it; from s = 64 on Taylor serves every t;
+    the Bernoulli series) serves it; from s = 64 on Li_s(1 - t) is 1 - t;
     t = 0 is zeta(s). Order 1 is -log(t), as -log1p(-x) at x = 1 - t for
     t >= 1/2; order 0 is (1 - t)/t, which overflows for t < 5.6e-309
     (ValueError). A scalar t gives a float and an array of t an array,
@@ -356,8 +344,8 @@ def polylog_one_minus(s: int, t):
         if _any(t < _LI0_MIN_T):
             raise ValueError("polylog_one_minus(0, t) overflows for t < 5.6e-309")
         return (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
-    if s >= _TAYLOR_ONLY_ORDER:
-        return _taylor(s, 1.0 - t)
+    if s >= _LI_IS_X_ORDER:
+        return 1.0 - t
     lib = _lib(t)
     if s == 1:
         at_x, near_one = partial(_polylog, 1), lambda t: -lib.log(t)

@@ -365,6 +365,13 @@ class TestEvalErrors:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (0, f"{x}\n", "")
 
+    def test_a_400_digit_order(self):
+        # Li_s(0.9) is 0.9 and zeta(s) is 1.0 to the last bit, with no
+        # conversion of s to a float.
+        s = str(10**400)
+        assert run_cli("eval", "polylog", s, "0.9") == (0, "0.9\n", "")
+        assert run_cli("eval", "zeta", s) == (0, "1.0\n", "")
+
     def test_large_zeta_is_fast(self):
         proc = subprocess.run(
             [sys.executable, "-m", "eulersum", "eval", "gp", "100000"],

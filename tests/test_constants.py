@@ -81,14 +81,16 @@ class TestZeta:
 class TestZetaAboveTable:
     """The float direct sum that serves s > S_MAX."""
 
-    @pytest.mark.parametrize("s", [21, 25, 53, 54, 64, 1000, 20000])
+    @pytest.mark.parametrize("s", [21, 25, 53, 54, 60, 61, 64, 1000, 20000,
+                                   pytest.param(10**400, id="10**400")])
     def test_against_mpmath(self, s):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             exact = mpmath.zeta(s)
             assert abs(mpmath.mpf(zeta(s)) - exact) <= CERTIFIED_ABS_ERROR
 
-    @pytest.mark.parametrize("s", [21, 25, 53, 54, 64, 1000, 20000, 10**9])
+    @pytest.mark.parametrize("s", [21, 25, 53, 54, 64, 1000, 20000, 10**9,
+                                   pytest.param(10**400, id="10**400")])
     def test_each_call_under_a_millisecond(self, s):
         best = math.inf
         for _ in range(5):

@@ -1,8 +1,13 @@
 """Euler sums: the three evaluation routes must agree with each other and
 with the zeta closed forms."""
 
+import inspect
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import MappingProxyType
@@ -33,6 +38,23 @@ TWO_ZETA3 = 2.0 * zeta(3)
 HALF_ZETA2_SQ = 0.5 * zeta(2) ** 2
 SERIES_GOLDEN = Path(__file__).with_name("series_golden.json")
 DEDOELDER = 17.0 / 4.0 * zeta(4)
+
+
+def numpy_dispatch_level():
+    """The highest x86-64 level whose kernels numpy dispatches in this
+    process, "X86_V4" (AVX-512), "X86_V3" (AVX2) or "X86_V2", lowered by
+    NPY_DISABLE_CPU_FEATURES; None on another architecture."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return None
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    if features.get("X86_V4", features.get("AVX512_SKX")):
+        return "X86_V4"
+    if features.get("X86_V3", features.get("AVX2") and features.get("FMA3")):
+        return "X86_V3"
+    return "X86_V2"
 
 
 class TestSpecValidation:
@@ -92,7 +114,7 @@ class TestSumSeries:
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_tolerance_floor(self):
-        for tol in (1e-13, 0.0, -1.0, math.nan, None, "x"):
+        for tol in (1e-13, 0.0, -1.0, math.nan, None, "x", True, math.inf):
             with pytest.raises(ValueError, match="^sum_series requires tol >= 1e-12"):
                 sum_series(EulerSumSpec(1, 2), tol=tol)
         with pytest.raises(ValueError, match="^sum_series requires an EulerSumSpec"):
@@ -343,7 +365,7 @@ class TestSumViaIntegral:
     @pytest.mark.parametrize("q", [3, 63, 64, 10**6])
     def test_tol_floor(self, q):
         # sum_series' floor, checked before the q >= 64 shortcut.
-        for tol in (1e-13, 0.0, -1.0, math.nan, None, "x"):
+        for tol in (1e-13, 0.0, -1.0, math.nan, None, "x", True, math.inf):
             with pytest.raises(ValueError, match="^sum_via_integral requires tol >= 1e-12"):
                 sum_via_integral(q, tol=tol)
         value = sum_via_integral(q, tol=1e-12)
@@ -570,18 +592,33 @@ class TestDoubleIntegral:
     # as hex from the rule with one inner level per call.
     DOUBLES = {
         2: "0x1.266454d7455cep+2", 3: "0x1.a6e5b90d875adp+0",
-        4: "0x1.38cd1fc4c982fp+0", 5: "0x1.17859e0962cf6p+0",
+        5: "0x1.17859e0962cf6p+0",
         6: "0x1.0a9a117cd08dfp+0", 7: "0x1.04fcded88cd16p+0",
         8: "0x1.026726ddcab46p+0", 9: "0x1.012c81cf7d054p+0",
         10: "0x1.00940b9ddba2ep+0", 11: "0x1.004951d4f6e5ap+0",
     }
+    # numpy's float64 log, log1p, exp and ** round differently in its
+    # AVX-512, AVX2 and baseline kernels, and q = 4 moves by one ulp with
+    # them: read natively on an AVX-512 CPU, then with
+    # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4", and with
+    # X86_V3 added. On another architecture no q = 4 double is pinned.
+    DOUBLES_BY_LEVEL = {
+        "X86_V4": {4: "0x1.38cd1fc4c982fp+0"},
+        "X86_V3": {4: "0x1.38cd1fc4c982ep+0"},
+        "X86_V2": {4: "0x1.38cd1fc4c982ep+0"},
+    }
+
+    @classmethod
+    def doubles(cls, level) -> dict:
+        return {**cls.DOUBLES, **cls.DOUBLES_BY_LEVEL.get(level, {})}
 
     @pytest.mark.parametrize("q", range(2, 12))
     def test_every_order_against_series(self, q):
         result = quadratic_sum_double_integral(q)
         assert result.converged
         assert result.evaluations == 5_625
-        assert result.value.hex() == self.DOUBLES[q]
+        pinned = self.doubles(numpy_dispatch_level())
+        assert q not in pinned or result.value.hex() == pinned[q]
         assert abs(result.value - sum_series(EulerSumSpec(2, q))) <= 1e-8
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -604,3 +641,45 @@ class TestDoubleIntegral:
                 double_integral_kernel(q)
             with pytest.raises(ValueError):
                 quadratic_sum_double_integral(q)
+
+
+# Every double that tests and CI pin through numpy's transcendental ufuncs,
+# computed in one process: the 2-D rule for q = 2..11 (CI pins q = 2 and 3
+# as the 2-D cases' lhs_value), sum_series (numpy's ** on its tables; every
+# q < 64, CI's hsum pins among them), CI's `eval integral 2` and `5`, and
+# dedoelder-halflog3's quadrature.
+NUMPY_PINS = """
+import json
+import platform
+from eulersum.eulersums import (EulerSumSpec, quadratic_sum_double_integral,
+                                sum_series, sum_via_integral)
+from eulersum.registry import builtin_registry
+(halflog3,) = [c for c in builtin_registry() if c.id == "dedoelder-halflog3"]
+print(json.dumps({
+    "level": numpy_dispatch_level(),
+    "doubles": {q: quadratic_sum_double_integral(q).value.hex() for q in range(2, 12)},
+    "series": {m: {q: sum_series(EulerSumSpec(m, q)).hex() for q in range(2, 64)}
+               for m in (1, 2)},
+    "integral": [sum_via_integral(2), sum_via_integral(5)],
+    "halflog3": halflog3.lhs().value,
+}))
+"""
+
+
+@pytest.mark.skipif(numpy_dispatch_level() is None, reason="numpy's x86 kernels only")
+@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
+def test_numpy_derived_pins_at_reduced_dispatch(disabled):
+    # A CPU without AVX-512 (or AVX2) runs the kernels that this setting
+    # selects: every pin must hold there as that level's pin.
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+    script = inspect.getsource(numpy_dispatch_level) + NUMPY_PINS
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          text=True, capture_output=True)
+    got = json.loads(proc.stdout)
+    assert got["level"] in ("X86_V3", "X86_V2")  # the setting took effect
+    pinned = TestDoubleIntegral.doubles(got["level"])
+    assert got["doubles"] == {str(q): h for q, h in pinned.items()}
+    assert got["series"] == json.loads(SERIES_GOLDEN.read_text())
+    assert got["integral"] == [2.4041138063191885, 1.057879959255969]
+    assert got["halflog3"] == 3.2469697011334144

@@ -100,7 +100,8 @@ class TestWeightedPowerSum:
     def test_zero_exponent_sums_the_weights(self):
         assert weighted_power_sum([1, 2], 0) == 3
 
-    @pytest.mark.parametrize("p", [-1, 1.5, 2.0, True, None])
+    @pytest.mark.parametrize("p", [-1, 1.5, 2.0, True, None, 21,
+                                   pytest.param(10**400, id="10**400")])
     def test_bad_exponent_is_a_value_error(self, p):
         with pytest.raises(ValueError):
             weighted_power_sum([1, 2], p)
@@ -165,6 +166,18 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match="integer n"):
             fn(n, 1)
 
+    @pytest.mark.parametrize("fn", [harmonic_exact, alt_binomial_sum, moment_integral_exact])
+    @pytest.mark.parametrize(
+        "n, p, rule",
+        [(10**400, 1, "1 <= n <= 2000"), (2001, 1, "1 <= n <= 2000"),
+         (5, 10**400, "1 <= exponent <= 20"), (5, 21, "1 <= exponent <= 20")],
+        ids=["n=10**400", "n=2001", "exponent=10**400", "exponent=21"])
+    def test_ceilings(self, fn, n, p, rule):
+        # Checked before any big-integer work: 10**400 neither hangs nor
+        # overflows, and harmonic_exact(2000, 4) is the largest test input.
+        with pytest.raises(ValueError, match=f"^{fn.__name__} requires {rule}, got {max(n, p)}$"):
+            fn(n, p)
+
     @pytest.mark.parametrize("m", [2.0, False, True, 0.0, "2", None])
     def test_bernoulli_index(self, m):
         with pytest.raises(ValueError, match="integer m"):
@@ -196,6 +209,9 @@ class TestBernoulli:
             bernoulli(3)
         with pytest.raises(ValueError):
             bernoulli(-2)
+        for m in (202, 10**400):  # no hang: refused before the recurrence runs
+            with pytest.raises(ValueError, match=f"^bernoulli requires 0 <= m <= 200, got {m}$"):
+                bernoulli(m)
 
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")

@@ -112,7 +112,8 @@ class TestIntegrate:
 
     def test_domain_errors(self):
         # A tol that is not a positive real number names the entry point.
-        for tol in (0.0, -1e-10, math.nan, None, "x"):
+        # A bool, an array and inf are not tolerances either.
+        for tol in (0.0, -1e-10, math.nan, None, "x", True, np.array([1e-8, 1e-9]), math.inf):
             with pytest.raises(ValueError, match="^integrate requires tol > 0, got "):
                 integrate(lambda t: 1.0, tol)
         # A value that does not broadcast to the nodes names the entry point.
@@ -190,7 +191,8 @@ class TestIntegrate2d:
         assert "inner" in r.message
 
     def test_domain_errors(self):
-        for tol in (0.0, math.nan, None, "x"):
+        # tol / 10 would overflow at 10**400, too large for a double.
+        for tol in (0.0, math.nan, None, "x", True, np.array([[0.5]]), math.inf, 10**400):
             with pytest.raises(ValueError, match="^integrate2d requires tol > 0, got "):
                 integrate2d(lambda t, u: 1.0, tol)
         # A value that does not broadcast to the (rows, nodes) block names

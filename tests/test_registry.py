@@ -180,7 +180,7 @@ class TestRegistryContents:
         with pytest.raises(ValueError):
             IdentityCase("x", "d", lambda: 1, lambda: 1, tol=1e-3, criterion="norm")
 
-    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf, -math.inf, True, False])
     def test_tol_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="tol"):
             IdentityCase("x", "d", lambda: 1.0, lambda: 1.0, tol=tol)

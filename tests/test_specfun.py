@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from eulersum import specfun
+from eulersum import eulersums, specfun
 from eulersum.cli import main
 from eulersum.constants import zeta
 from eulersum.exactmath import harmonic_exact
@@ -64,8 +64,8 @@ class TestPolylogValues:
 class TestHighOrder:
     @pytest.mark.parametrize("x", [0.51, 0.75, 0.9, 0.999999, -0.51, -0.75, -0.9, -0.999999])
     def test_orders_172_to_200_against_mpmath(self, x):
-        # Both sides of x = +-1/2 and near +-1, at orders that take the
-        # one-term Taylor kernel.
+        # Both sides of x = +-1/2 and near +-1, at orders where Li_s(x)
+        # is returned as x.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         for s in range(172, 201):
@@ -74,8 +74,8 @@ class TestHighOrder:
 
 
 class TestTaylorOnlyOrders:
-    """From s = 64 on every |x| < 1 takes the one-term Taylor kernel, so the
-    cost does not grow with the order."""
+    """From s = 64 on Li_s(x) is x to the last bit on all of [-1, 1], and
+    Li_s(1 - t) is 1 - t, so the cost does not grow with the order."""
 
     X = [1e-300, 0.3, 0.5, 0.51, 0.75, 0.9, 0.999999, 1.0 - 2.0**-40,
          -0.3, -0.51, -0.75, -0.9, -0.999999, -1.0 + 2.0**-40]
@@ -100,8 +100,8 @@ class TestTaylorOnlyOrders:
 
     def test_orders_6_to_70_within_four_ulps(self):
         # Up to and past the switch every value is within a few roundings of
-        # the truth; a switch at a low order would leave the one-term Taylor
-        # kernel short of terms near x = +-1.
+        # the truth; a switch at a low order would return x where Li_s(x)
+        # differs from it near x = +-1.
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             for s in range(6, 71):
@@ -110,7 +110,7 @@ class TestTaylorOnlyOrders:
                     ulps = abs(polylog(s, x) - reference) / np.spacing(abs(reference))
                     assert ulps <= 4.0, (s, x)
 
-    @pytest.mark.parametrize("s", [10**6, 10**12])
+    @pytest.mark.parametrize("s", [10**6, 10**12, pytest.param(10**400, id="10**400")])
     def test_huge_orders_are_fast(self, s):
         calls = [
             (lambda: [polylog(s, x) for x in (0.9, -0.9, 0.3, 1.0, -1.0)],
@@ -126,6 +126,9 @@ class TestTaylorOnlyOrders:
             start = time.perf_counter()
             assert call() == expected
             assert time.perf_counter() - start < 1.0
+        # The array result is a copy: writing to it leaves the argument as it was.
+        x = np.array([0.9, -0.9])
+        assert not np.shares_memory(polylog_array(s, x), x)
 
 
 def branch_grid() -> np.ndarray:
@@ -621,8 +624,6 @@ class TestPolylogEval:
 def float_horner(coeffs, x: float) -> float:
     """Horner's rule on one Python float, the reference for _horner's array
     path: the same multiply and add per coefficient, without numpy."""
-    if len(coeffs) == 1:
-        return coeffs[0]
     acc = coeffs[0] * x + coeffs[1]
     for c in coeffs[2:]:
         acc = acc * x + c
@@ -630,8 +631,8 @@ def float_horner(coeffs, x: float) -> float:
 
 
 class TestHornerArrayPath:
-    """The array path adds 0-d float64 coefficients; every double it returns
-    is that of the Python-float loop on the same point."""
+    """The array path adds the same float coefficients in place; every
+    double it returns is that of the Python-float loop on the same point."""
 
     ORDERS = [*range(2, 12), 63]
 
@@ -645,10 +646,22 @@ class TestHornerArrayPath:
         ]
         for coeffs, x in tables:
             values = specfun._horner(coeffs, x)
-            if len(coeffs) == 1:  # a constant (Taylor from s = 57) stays a float
-                values = np.full_like(x, values)
             assert type(values) is np.ndarray and values.shape == x.shape
             assert values.tolist() == [float_horner(coeffs, p) for p in x.tolist()]
+
+    def test_every_table_has_two_terms(self):
+        # _horner has no one-term case: every table it reads opens with
+        # coeffs[0] * x + coeffs[1]. Orders from 64 on build no table.
+        tables = [specfun._dilog_coeffs(), *eulersums._TAIL_POLYNOMIALS]
+        for s in range(3, 64):
+            tables += [specfun._taylor_coeffs(s), specfun._log_expansion_coeffs(s)[0]]
+        assert all(type(t) is tuple and len(t) >= 2 for t in tables)
+        assert all(type(c) is float for t in tables for c in t)
+        assert specfun._taylor_coeffs(57) == (2.0**-57, 1.0)
+        built = specfun._taylor_coeffs.cache_info().currsize
+        polylog(100, np.array([0.3, 0.9, -0.9]))
+        polylog_one_minus(100, 0.3)
+        assert specfun._taylor_coeffs.cache_info().currsize == built
 
     def test_scalar_paths_return_python_floats(self):
         # Taylor, log expansion, argument squaring; then t < 1/2 and t >= 1/2.
