@@ -120,6 +120,11 @@ def _hurwitz_tail_polynomials(n: int) -> tuple:
 
 
 _TAIL_POLYNOMIALS = _hurwitz_tail_polynomials(SERIES_CUTOFF)
+# Per item exponent i <= 2: C(i, l) log(N)^(i-l), N l!, l + 1, (-1)^l P^(l), l <= i.
+_TAIL_TERMS = tuple(tuple((math.comb(i, l) * math.log(SERIES_CUTOFF) ** (i - l),
+                           SERIES_CUTOFF * math.factorial(l), l + 1,
+                           tuple(-c if l % 2 else c for c in _TAIL_POLYNOMIALS[l]))
+                          for l in range(i + 1)) for i in range(3))
 
 
 def _tail_sum(p, q: int) -> float:
@@ -127,20 +132,17 @@ def _tail_sum(p, q: int) -> float:
 
     With N = SERIES_CUTOFF and s = q + e, each item's tail is
     (-d/ds)^i of the Hurwitz-zeta tail N^-s (N/(s-1) + P(s)), by Leibniz
-        c N^-s sum_{l<=i} C(i, l) log(N)^(i-l) (N l!/(s-1)^(l+1) + (-1)^l P^(l)(s)).
-    Tests check it against mpmath's Hurwitz-zeta derivatives for q = 2..11.
+        c N^-s sum_{l<=i} C(i, l) log(N)^(i-l) (N l!/(s-1)^(l+1) + (-1)^l P^(l)(s)),
+    whose factors free of s come from _TAIL_TERMS. Tests check it against
+    mpmath's Hurwitz-zeta derivatives for q = 2..11.
     """
-    n = float(SERIES_CUTOFF)
-    log_n = math.log(n)
     total = 0.0
     for (i, e), c in p:
         s = float(q + e)
         val = 0.0
-        for l in range(i + 1):
-            integral = n * math.factorial(l) / (s - 1.0) ** (l + 1)
-            correction = (-1) ** l * _horner(_TAIL_POLYNOMIALS[l], s)
-            val += math.comb(i, l) * log_n ** (i - l) * (integral + correction)
-        total += c * n**-s * val
+        for weight, n_factorial, power, table in _TAIL_TERMS[i]:
+            val += weight * (n_factorial / (s - 1.0) ** power + _horner(table, s))
+        total += c * float(SERIES_CUTOFF) ** -s * val
     return total
 
 
@@ -272,8 +274,9 @@ def inner_integral_quadrature(u: float) -> QuadratureResult:
 def outer_integrand(u):
     """Integrand of the reduced 1-D form of S(2; 2): log u/(1-u) Li_2(-(1-u)/u).
 
-    Takes a scalar or an array of u.
+    Takes a scalar or an array of u in (0, 1).
     """
+    u = _real("outer_integrand", "u", u, lambda u: (0.0 < u) & (u < 1.0), "(0, 1)")
     return np.log(u) / (1.0 - u) * dilog_neg_ratio(u)
 
 

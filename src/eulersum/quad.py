@@ -328,6 +328,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureRe
     result (converged False, infinite error estimate), never an exception;
     a complex value raises ValueError.
     """
+    if not callable(f):
+        raise ValueError(f"integrate requires a callable f, got {type(f).__name__}")
     _check_tol("integrate", tol)
 
     def evaluate(x):
@@ -366,5 +368,7 @@ def integrate2d(
     f(t, u) must broadcast over numpy arrays: it is called with a row of t
     values against a column of u values. A complex value raises ValueError.
     """
+    if not callable(f):
+        raise ValueError(f"integrate2d requires a callable f, got {type(f).__name__}")
     _check_tol("integrate2d", tol)
     return _rule(tol, partial(_integrate_rows, f, tol / 10.0), "outer refinement")

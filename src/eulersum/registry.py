@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from math import factorial, gcd, inf, isfinite
+from math import factorial, gcd, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import eulersums
 from .constants import zeta
 from .exactmath import alt_binomial_sum, harmonic_exact, moment_integral_exact
-from .quad import QuadratureError, QuadratureResult, integrate
+from .quad import QuadratureError, QuadratureResult, _check_tol, integrate
 from .specfun import dilog_neg_ratio, polylog_array
 
 __all__ = [
@@ -47,9 +47,9 @@ class IdentityCase:
 
     A tol of 0 makes an exact case, whose closures return integer pairs
     (numerator, denominator), the denominator positive and the pair not
-    necessarily reduced; a positive tol makes a numeric case. A closure may
-    return a QuadratureResult, whose convergence flag and evaluation count
-    are honoured.
+    necessarily reduced; any other tol, read by quad's rule for tolerances,
+    makes a numeric case. A closure may return a QuadratureResult, whose
+    convergence flag and evaluation count are honoured.
     """
 
     id: str
@@ -61,8 +61,9 @@ class IdentityCase:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if isinstance(self.tol, bool) or not 0.0 <= self.tol < inf:  # also rejects NaN
-            raise ValueError(f"case {self.id!r} needs finite tol >= 0, got {self.tol}")
+        tol = self.tol.item() if isinstance(self.tol, np.generic) else self.tol
+        if type(tol) not in (int, float) or tol:  # 0 makes an exact case
+            _check_tol(f"case {self.id!r} (exact at tol 0)", self.tol)
         if self.criterion not in ("abs", "rel"):
             raise ValueError(f"unknown residual criterion {self.criterion!r}")
 

@@ -17,21 +17,19 @@ slow. It needs zeta at non-positive integers, which come from Bernoulli
 numbers; its radius of convergence is |z| < 2 pi, so on (1/2, 1) each term
 shrinks by better than a factor of 9.
 
-Li_2 keeps the same split with its own two kernels: on |x| <= 1/2 the
-Bernoulli series in u = -log(1-x), which shrinks like (u/2 pi)^2 per term
-and needs 9 of them ('t Hooft & Veltman, Nucl. Phys. B153, 1979; Crandall,
-"Note on fast polylogarithm computation", 2006), and on (1/2, 1) the
-reflection Li_2(x) = zeta(2) - log x log(1-x) - Li_2(1-x), where 1 - x is
-exact.
+Li_2 has its own two kernels: up to 1/2 the Bernoulli series in
+u = -log(1-x), which shrinks like (u/2 pi)^2 per term and needs 9 of them
+('t Hooft & Veltman, Nucl. Phys. B153, 1979; Crandall, "Note on fast
+polylogarithm computation", 2006), and past it the reflection Li_2(x) =
+zeta(2) - log x log(1-x) - Li_2(1-x), where 1 - x is exact.
 
-Every series is a fixed polynomial for each order s: one tuple of floats,
-computed once and evaluated by Horner's rule. Each entry point writes its
-branch split once, for a float and an array alike (_piecewise): a float
-goes to one kernel, an array calls each kernel once on its own points.
-The arithmetic stays apart: a float runs on Python floats and the math
-module, an array on numpy, since one point costs 3-6 us as a float but
-36-42 us as a one-element array (dilog_neg_ratio, timeit minimum on a
-2-core Xeon), and a suite pass makes 5 such float calls.
+Every series is a fixed polynomial for each order s, evaluated by Horner's
+rule. Orders 1 and 2 are one elementwise formula (_li12): every point takes
+the same log1p, log and series and then its branch, so an array makes one
+pass of each, unsplit. From order 3 on, _piecewise sends a float to one
+kernel and calls each kernel once on an array's own points. A float runs
+on the math module, an array on numpy (_lib): one point costs 2-3 us as a
+float, 30 us as a one-element array (dilog_neg_ratio, timeit, 2-core Xeon).
 
 polylog_one_minus(s, t) computes Li_s(1-t) directly from t, so callers
 integrating toward t = 0 keep full accuracy even when 1-t is not
@@ -44,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,6 +72,8 @@ _LI_IS_X_ORDER = 64
 
 # The least t whose Li_0(1 - t) = (1 - t)/t is finite: 1/t overflows at 2^-1024.
 _LI0_MIN_T = math.nextafter(2.0**-1024, 1.0)
+_FLOAT_LIB = SimpleNamespace(log=math.log, log1p=math.log1p, minimum=min, maximum=max,
+                             where=lambda condition, a, b: a if condition else b)
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,24 @@ def _dilog(u):
     return u + w * (-0.25 + u * _horner(_dilog_coeffs(), w))
 
 
-def _dilog_one_minus(t):
-    """Li_2(1 - t) for 0 < t < 1/2: zeta(2) + u log t - Li_2(t), u = -log(1-t)."""
-    u = -_lib(t).log1p(-t)
-    return zeta(2) + u * _lib(t).log(t) - _dilog(u)
+def _dilog_one_minus(u, log_t, series):
+    """Li_2(1 - t) for 0 <= t < 1/2 by the reflection zeta(2) + u log t - Li_2(t),
+    given u = -log(1 - t), log t and series = Li_2(t)."""
+    return zeta(2) + u * log_t - series
+
+
+def _li12(s: int, a, reflect):
+    """Li_s(a) for |a| <= 1/2, or Li_s(1 - a) for 0 <= a < 1/2 where reflect
+    holds, s = 1 or 2: every point takes one log1p, one log (of at least 2^-1074,
+    so a = 0 gives zeta(2)) and one series, then Li_1(1 - t) = -log t or the
+    reflection of the series at t where reflect holds."""
+    lib = _lib(a)
+    u = -lib.log1p(-a)
+    log_t = lib.log(lib.maximum(a, 5e-324))
+    if s == 1:
+        return lib.where(reflect, -log_t, u)
+    series = _dilog(u)
+    return lib.where(reflect, _dilog_one_minus(u, log_t, series), series)
 
 
 @lru_cache(maxsize=1024)
@@ -196,26 +211,31 @@ def _log_expansion_coeffs(s: int) -> tuple[tuple[float, ...], float, float]:
 
 
 def _lib(x):
-    """The math module for a float, numpy for an array; both have log and log1p."""
-    return np if isinstance(x, np.ndarray) else math
+    """numpy for an array; for a float, numpy's names on math, min and max."""
+    return np if isinstance(x, np.ndarray) else _FLOAT_LIB
 
 
 def _piecewise(x, pieces):
     """Evaluate x piecewise by (condition, kernel) pairs, disjoint and covering x.
 
     A float goes to the kernel whose condition holds; an array calls each
-    kernel once, on its points, and skips a piece with none: a kernel costs
-    a few dozen numpy calls however few points it gets.
+    kernel once, on its points, until they are all met: a kernel costs a few
+    dozen numpy calls however few points it gets. A piece holding every
+    point returns its kernel's own array, so a kernel returns an array.
     """
     if not isinstance(x, np.ndarray):
         for condition, kernel in pieces:
             if condition:
                 return kernel(x)
-    out = np.empty_like(x)
+    out, left = np.empty_like(x), x.size
     for condition, kernel in pieces:
         part = x[condition]
+        if part.size == x.size:
+            return kernel(x)
         if part.size:
-            out[condition] = kernel(part)
+            out[condition], left = kernel(part), left - part.size
+        if not left:
+            break
     return out
 
 
@@ -241,38 +261,43 @@ def _polylog(s: int, x):
     if s >= _LI_IS_X_ORDER:
         return x * 1.0  # a copy of x
     if s == 2:
-        # 1 - x is exact for x in (1/2, 1).
-        near_zero, near_one = (lambda x: _dilog(_polylog(1, x)),
-                               lambda x: _dilog_one_minus(1.0 - x))
-    else:
-        near_zero, near_one = (partial(_taylor, s),
-                               lambda x: _log_expansion(s, _lib(x).log(x)))
+        # Li_2(v) by the series up to 1/2, past it by reflection at the exact 1 - v;
+        # x in [-1, -1/2) takes Li_2(x^2)/2 - Li_2(-x), for an array in one call.
+        li2 = lambda v: _li12(2, _lib(v).minimum(v, 1.0 - v), v > 0.5)
+        lib, squared = _lib(x), x < -0.5
+        y = lib.where(squared, x * x, x)
+        if not _any(squared):
+            return li2(y)
+        v1, v2 = li2(np.array((y, -x))) if lib is np else (li2(y), li2(-x))
+        return lib.where(squared, 0.5 * v1 - v2, v1)
+    near_zero, near_one = partial(_taylor, s), lambda x: _log_expansion(s, _lib(x).log(x))
     return _piecewise(x, (
         (abs(x) <= 0.5, near_zero),
         ((0.5 < x) & (x < 1.0), near_one),
         # x in (-1, -1/2): argument-squaring identity.
         ((-1.0 < x) & (x < -0.5), lambda x: 2.0 ** (1 - s) * _polylog(s, x * x)
                                             - near_one(-x)),
-        (x == 1.0, lambda x: zeta(s)),
-        (x == -1.0, lambda x: -(1.0 - 2.0 ** (1 - s)) * zeta(s)),
+        (x == 1.0, lambda x: zeta(s) * x),
+        (x == -1.0, lambda x: (1.0 - 2.0 ** (1 - s)) * zeta(s) * x),
     ))
 
 
 def _real(name: str, var: str, x, inside, domain: str):
     """The one reading of a real argument for every Li_s entry point: a
-    float as it is (no numpy call), a numpy scalar or 0-d array as a float,
-    anything with dimensions as a float array. Any dtype but bool, int and
-    float, and a point where inside(x) fails (NaN too; a Python int is
-    tested as it is, at any size, alone or in a list), raise ValueError."""
+    float and a float64 array as they are, a numpy scalar or 0-d array as a
+    float, anything else with dimensions as a float array. A bool, any dtype
+    but int and float, and a point where inside(x) fails (NaN too; a Python
+    int is tested as it is, at any size, alone or in a list), raise ValueError."""
     if type(x) is int and not inside(x):  # numpy's ints stop at 64 bits
         raise ValueError(f"{name} requires {var} in {domain}, got {x}")
-    if type(x) is not float:
+    if not (type(x) is float or type(x) is np.ndarray and x.ndim and x.dtype.char == "d"):
         a = np.asarray(x)
         if a.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in a.flat):
             for v in a.flat:  # Python numbers, ints beyond 64 bits among them
-                _real(name, var, v, inside, domain)
+                if type(v) is int:
+                    _real(name, var, v, inside, domain)
             a = a.astype(float)
-        if a.dtype.kind not in "biuf":
+        if a.dtype.kind not in "iuf":
             raise ValueError(f"{name} requires real {var}, got {a.dtype}")
         x = a.astype(float, copy=False) if a.ndim else float(a)
     ok = inside(x)
@@ -290,7 +315,7 @@ def _any(hits):
 def _checked_polylog(name: str, s: int, x):
     """polylog and polylog_array: their checks, under the caller's name."""
     _check_integer(name, "order s", s, 0)
-    x = _real(name, "x", x, lambda x: (-1.0 <= x) & (x <= 1.0), "[-1, 1]")
+    x = _real(name, "x", x, lambda x: abs(x) <= 1.0, "[-1, 1]")
     if s < 2 and _any(x == 1.0):
         raise ValueError(f"{name}(s={s}, x=1) diverges")
     return _polylog(s, x)
@@ -310,8 +335,7 @@ def polylog(s: int, x):
 def polylog_array(s: int, x) -> np.ndarray:
     """polylog(s, x) as an array, 0-d for a scalar x.
 
-    Each branch evaluates all of its arguments in one kernel call, so a
-    grid costs a few numpy passes instead of a Python call per point, and
+    A grid costs a few numpy passes instead of a Python call per point, and
     agrees with a float polylog() to a few units in the last place.
     """
     return np.asarray(_checked_polylog("polylog_array", s, x))
@@ -327,14 +351,12 @@ def polylog_one_minus(s: int, t):
     """Li_s(1 - t) for t in [0, 1], accurate uniformly in t.
 
     For 0 < t < 1/2 this goes straight into the x = 1 expansion with
-    z = log1p(-t) (at s = 2, the reflection of Li_2(t)), so t = 1e-300 is
-    as accurate as t = 0.3; for t >= 1/2 the complement 1 - t is exact in
-    floating point and lies in [0, 1/2], where the Taylor series (at s = 2,
-    the Bernoulli series) serves it; from s = 64 on Li_s(1 - t) is 1 - t;
-    t = 0 is zeta(s). Order 1 is -log(t), as -log1p(-x) at x = 1 - t for
-    t >= 1/2; order 0 is (1 - t)/t, which overflows for t < 5.6e-309
-    (ValueError). A scalar t gives a float and an array of t an array,
-    through the same split.
+    z = log1p(-t) (order 2: the reflection of Li_2(t); order 1: -log t), so
+    t = 1e-300 is as accurate as t = 0.3; for t >= 1/2 the complement 1 - t
+    is exact, in [0, 1/2], where the Taylor series (order 2: the Bernoulli
+    series; order 1: -log1p(-(1 - t))) serves it; from s = 64 on it is
+    1 - t; t = 0 is zeta(s). Order 0 is (1 - t)/t, which overflows for
+    t < 5.6e-309 (ValueError). A scalar t gives a float, an array an array.
     """
     _check_integer("polylog_one_minus", "order s", s, 0)
     t = _real("polylog_one_minus", "t", t, lambda t: (0.0 <= t) & (t <= 1.0), "[0, 1]")
@@ -346,17 +368,12 @@ def polylog_one_minus(s: int, t):
         return (1.0 - t) / t  # also x/(1-x) at x = 1 - t >= 0, exactly
     if s >= _LI_IS_X_ORDER:
         return 1.0 - t
-    lib = _lib(t)
-    if s == 1:
-        at_x, near_one = partial(_polylog, 1), lambda t: -lib.log(t)
-    elif s == 2:
-        at_x, near_one = lambda x: _dilog(_polylog(1, x)), _dilog_one_minus
-    else:
-        at_x, near_one = partial(_taylor, s), lambda t: _log_expansion(s, lib.log1p(-t))
+    if s <= 2:  # 1 - t is exact for t >= 1/2, in [0, 1/2]
+        return _li12(s, _lib(t).minimum(t, 1.0 - t), t < 0.5)
     return _piecewise(t, (
-        (t >= 0.5, lambda t: at_x(1.0 - t)),  # 1 - t is exact, in [0, 1/2]
-        ((0.0 < t) & (t < 0.5), near_one),
-        (t == 0.0, lambda t: zeta(s)),
+        (t >= 0.5, lambda t: _taylor(s, 1.0 - t)),  # 1 - t is exact, in [0, 1/2]
+        ((0.0 < t) & (t < 0.5), lambda t: _log_expansion(s, _lib(t).log1p(-t))),
+        (t == 0.0, lambda t: zeta(s) + t),
     ))
 
 
@@ -367,12 +384,12 @@ def dilog_neg_ratio(u):
     argument that runs off to -infinity as u -> 0 for quantities that stay
     tame on the whole interval; this function IS that right-hand side, so
     the identity itself is only testable against an independent Li_2 on
-    the subdomain u >= 1/2 where -(1-u)/u lands back in [-1, 0]. Accepts a
-    scalar or an array of u, through the same body; u = 1 gives -0.0.
+    the subdomain u >= 1/2 where -(1-u)/u lands back in [-1, 0]. A scalar or
+    an array of u takes polylog_one_minus(2, u)'s formula; u = 1 gives -0.0.
     """
     u = _real("dilog_neg_ratio", "u", u, lambda u: (0.0 < u) & (u <= 1.0), "(0, 1]")
     log_u = _lib(u).log(u)
-    return -0.5 * log_u * log_u - polylog_one_minus(2, u)
+    return -0.5 * log_u * log_u - _li12(2, _lib(u).minimum(u, 1.0 - u), u < 0.5)
 
 
 def harmonic_float(n: int) -> float:

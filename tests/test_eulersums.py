@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -500,6 +501,16 @@ class TestQuadraticSumOuter:
         lead = -0.5 * math.log(u) ** 3
         assert abs(outer_integrand(u) - lead) / abs(lead) < 0.2
 
+    @pytest.mark.parametrize("u, message", [
+        (True, "real u, got bool"), (np.array([0.5, 1.0]), "u in (0, 1), got 1.0"),
+        (0.0, "u in (0, 1), got 0.0"), ("0.5", "real u, got <U3"),
+    ], ids=["bool", "one", "zero", "str"])
+    def test_outer_integrand_names_itself(self, u, message):
+        # Its argument is read as Li_s's are; numpy's log(True) would give a
+        # float16 NaN, with a RuntimeWarning, instead.
+        with pytest.raises(ValueError, match=f"^outer_integrand requires {re.escape(message)}$"):
+            outer_integrand(u)
+
 
 class TestDoubleIntegral:
     """The kernel after u = t v against the paper's raw kernel (tests/
@@ -646,7 +657,7 @@ class TestDoubleIntegral:
 # Every double that tests and CI pin through numpy's transcendental ufuncs,
 # computed in one process: the 2-D rule for q = 2..11 (CI pins q = 2 and 3
 # as the 2-D cases' lhs_value), sum_series (numpy's ** on its tables; every
-# q < 64, CI's hsum pins among them), CI's `eval integral 2` and `5`, and
+# q < 64, CI's hsum pins among them), CI's `eval integral 2`, `3` and `5`, and
 # dedoelder-halflog3's quadrature.
 NUMPY_PINS = """
 import json
@@ -660,7 +671,7 @@ print(json.dumps({
     "doubles": {q: quadratic_sum_double_integral(q).value.hex() for q in range(2, 12)},
     "series": {m: {q: sum_series(EulerSumSpec(m, q)).hex() for q in range(2, 64)}
                for m in (1, 2)},
-    "integral": [sum_via_integral(2), sum_via_integral(5)],
+    "integral": [sum_via_integral(2), sum_via_integral(3), sum_via_integral(5)],
     "halflog3": halflog3.lhs().value,
 }))
 """
@@ -681,5 +692,5 @@ def test_numpy_derived_pins_at_reduced_dispatch(disabled):
     pinned = TestDoubleIntegral.doubles(got["level"])
     assert got["doubles"] == {str(q): h for q, h in pinned.items()}
     assert got["series"] == json.loads(SERIES_GOLDEN.read_text())
-    assert got["integral"] == [2.4041138063191885, 1.057879959255969]
+    assert got["integral"] == [2.4041138063191885, 1.352904042138923, 1.057879959255969]
     assert got["halflog3"] == 3.2469697011334144

@@ -123,6 +123,15 @@ class TestIntegrate:
                 integrate(f, 1e-8)
         assert integrate(lambda t: np.full(1, 2.0), 1e-8).value == 2.0
 
+    @pytest.mark.parametrize("f", [3, None, "f", np.arange(1000.0)],
+                             ids=["int", "None", "str", "array"])
+    @pytest.mark.parametrize("rule", [integrate, integrate2d], ids=lambda rule: rule.__name__)
+    def test_non_callable_integrand_is_an_error(self, rule, f):
+        # One line that names the rule, not Python's "object is not callable".
+        name = rule.__name__
+        with pytest.raises(ValueError, match=f"^{name} requires a callable f, got [A-Za-z]+$"):
+            rule(f, 1e-8)
+
     @pytest.mark.parametrize("f", [lambda x: x + 1j * x, lambda x: 1j], ids=["array", "constant"])
     def test_complex_integrand_is_an_error(self, f):
         # A float cast would drop the imaginary part and report the real

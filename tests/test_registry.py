@@ -185,6 +185,20 @@ class TestRegistryContents:
         with pytest.raises(ValueError, match="tol"):
             IdentityCase("x", "d", lambda: 1.0, lambda: 1.0, tol=tol)
 
+    @pytest.mark.parametrize("tol", [None, "1e-9", np.array([1e-9, 1e-9]), 10**400],
+                             ids=["None", "str", "1-d-array", "10**400"])
+    def test_tol_is_read_by_the_tolerance_rule(self, tol):
+        # quad._check_tol's rule, with 0 kept for exact cases: one line that
+        # names the case, never a TypeError or numpy's ambiguous truth value.
+        with pytest.raises(ValueError,
+                           match=r"^case 'x' \(exact at tol 0\) requires tol > 0, got ") as error:
+            IdentityCase("x", "d", lambda: 1.0, lambda: 1.0, tol=tol)
+        assert "\n" not in str(error.value)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, -0.0, np.float64(0.0), np.int64(0)])
+    def test_every_zero_makes_an_exact_case(self, tol):
+        assert IdentityCase("x", "d", lambda: 1, lambda: 1, tol=tol).kind == "exact"
+
     def test_kind_follows_tol(self):
         assert IdentityCase("x", "d", lambda: 1, lambda: 1).kind == "exact"
         assert IdentityCase("x", "d", lambda: 1, lambda: 1, tol=0.0).kind == "exact"
@@ -728,8 +742,9 @@ class TestBlindSpotSweep:
 
     @pytest.mark.parametrize("kernel", ["_dilog", "_dilog_one_minus"])
     def test_li2_kernel_scaled_by_1e_10_is_caught(self, monkeypatch, kernel):
+        # The series takes u, the reflection (u, log t, Li_2(t)).
         real = getattr(specfun, kernel)
-        scaled = (specfun, kernel, lambda x: real(x) * (1.0 + 1e-10))
+        scaled = (specfun, kernel, lambda *args: real(*args) * (1.0 + 1e-10))
         failing = self.failing(monkeypatch, [scaled])
         # The float path (inner-integral's closed form) and the array path
         # (landen-grid's stable form) each catch it.
@@ -743,8 +758,25 @@ class TestBlindSpotSweep:
         # The series serves both sides of landen-grid; the reflection only
         # its direct side, for arguments in (-1, -1/2).
         real = getattr(specfun, kernel)
-        scaled = (specfun, kernel, lambda x: real(x) * (1.0 + eps))
+        scaled = (specfun, kernel, lambda *args: real(*args) * (1.0 + eps))
         assert "landen-grid" in self.failing(monkeypatch, [scaled])
+
+    @pytest.mark.parametrize("order, eps, caught", [
+        (1, 1e-10, {"euler-q2-integral"}),
+        (2, 1e-10, {"landen-grid", "euler-q3-integral"}),
+        (2, 1e-11, {"landen-grid"}),
+    ], ids=["li1-1e-10", "li2-1e-10", "li2-1e-11"])
+    def test_one_formula_kernel_scaled_is_caught(self, monkeypatch, order, eps, caught):
+        # specfun._li12 is the one elementwise formula of Li_1 and Li_2 for
+        # floats and arrays: order 1 in the integrand of S(1; 2), order 2 in
+        # both sides of landen-grid and the integrand of S(1; 3). Each eps is
+        # the smallest power of ten at which all of its cases fail.
+        real = specfun._li12
+
+        def scaled(s, *args):
+            return real(s, *args) * (1.0 + eps) if s == order else real(s, *args)
+
+        assert caught <= self.failing(monkeypatch, [(specfun, "_li12", scaled)])
 
     @pytest.mark.parametrize("name, patch, family, size", [
         ("_factorial_times_alt_sum", plus_one, "binomial-exact/", 48),

@@ -1,13 +1,21 @@
 """Polylogarithms: brute-force series, finite differences and closed forms
 serve as oracles for the fast evaluation paths."""
 
+import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
+import li12_reference
 import numpy as np
 import pytest
+from test_eulersums import numpy_dispatch_level
 
 from eulersum import eulersums, specfun
 from eulersum.cli import main
@@ -141,14 +149,15 @@ def branch_grid() -> np.ndarray:
 
 def watch_kernels(monkeypatch, evaluate):
     """Run evaluate() and return, per kernel name, every point handed to it
-    as one flat array: x for _taylor, u = -log(1-x) for _dilog, z for
-    _log_expansion and t for _dilog_one_minus. The kernels are restored
-    after."""
+    as one flat array: x for _taylor, z for _log_expansion, and
+    u = -log(1-x) for _dilog and _dilog_one_minus (whose u is its first
+    argument). The kernels are restored after."""
     seen = {name: [np.empty(0)] for name in
             ("_taylor", "_log_expansion", "_dilog", "_dilog_one_minus")}
     for name in seen:
-        def watched(*args, real=getattr(specfun, name), points=seen[name]):
-            points.append(np.ravel(args[-1]))
+        def watched(*args, real=getattr(specfun, name), points=seen[name],
+                    at=int(name in ("_taylor", "_log_expansion"))):
+            points.append(np.ravel(args[at]))
             return real(*args)
 
         monkeypatch.setattr(specfun, name, watched)
@@ -181,11 +190,12 @@ class TestPolylogArray:
 
     @pytest.mark.parametrize("s", [2, 3, 10])
     def test_each_branch_sees_only_its_own_points(self, s, monkeypatch):
-        # Li_2: the Bernoulli series serves |x| <= 1/2 and the reflection
-        # t = 1 - |x| in (0, 1/2); the Taylor and log kernels get no call.
-        # Higher orders: the Taylor series serves |x| <= 1/2 and the
-        # expansion about x = 1 serves z = log|x| in (-log 2, 0).
-        # x = +-1 reaches no kernel.
+        # Li_2 is one formula: the Bernoulli series and the reflection both
+        # see every point's u, that of x for |x| <= 1/2 and of t = 1 - |x|
+        # past it, and the Taylor and log kernels get no call. Higher
+        # orders: the Taylor series serves |x| <= 1/2 and the expansion
+        # about x = 1 serves z = log|x| in (-log 2, 0); x = +-1 reaches no
+        # kernel.
         x = branch_grid()
         assert np.isin([-1.0, -0.5, 0.5, 1.0], x).all()
         near_one = x[(0.5 < np.abs(x)) & (np.abs(x) < 1.0)]
@@ -198,13 +208,14 @@ class TestPolylogArray:
             if s == 2:
                 series, reflected = seen["_dilog"], seen["_dilog_one_minus"]
                 assert seen["_taylor"].size == seen["_log_expansion"].size == 0
-                # u of [-1/2, 1/2]: -log(3/2) <= u <= log 2, by the path's log1p.
-                low, high = -log1p(np.array(0.5)), -log1p(np.array(-0.5))
+                assert series.tolist() == reflected.tolist()
+                # u of [-1, 1/2] (argument squaring's -x among them, unused
+                # where x >= -1/2): -log 2 <= u <= log 2, by the path's log1p.
+                low, high = -log1p(np.array(1.0)), -log1p(np.array(-0.5))
                 assert ((low <= series) & (series <= high)).all()
-                assert ((0.0 < reflected) & (reflected < 0.5)).all()
                 # Every point reaches its own branch.
                 assert np.isin(-log1p(-x[np.abs(x) <= 0.5]), series).all()
-                assert np.isin(1.0 - np.abs(near_one), reflected).all()
+                assert np.isin(-log1p(-(1.0 - np.abs(near_one))), reflected).all()
                 continue
             taylor_points, log_points = seen["_taylor"], seen["_log_expansion"]
             assert seen["_dilog"].size == seen["_dilog_one_minus"].size == 0
@@ -216,11 +227,11 @@ class TestPolylogArray:
 
     @pytest.mark.parametrize("s", [2, 3, 10])
     def test_one_minus_each_branch_sees_only_its_own_points(self, s, monkeypatch):
-        # Li_2: the Bernoulli series at 1 - t for t >= 1/2 and the
-        # reflection at 0 < t < 1/2, whose own series call takes the
-        # u = -log(1-t) it computed. Higher orders: Taylor at 1 - t for
-        # t >= 1/2 and the expansion about x = 1 at z = log1p(-t) for
-        # 0 < t < 1/2. t = 0 reaches no kernel.
+        # Li_2 is one formula: the series and the reflection both see the
+        # u = -log(1-x) of every t, x = 1 - t for t >= 1/2 and x = t below
+        # (t = 0 too). Higher orders: Taylor at 1 - t for t >= 1/2 and the
+        # expansion about x = 1 at z = log1p(-t) for 0 < t < 1/2; t = 0
+        # reaches no kernel.
         t = np.array([0.0, 1e-300, 0.25, np.nextafter(0.5, 0.0), 0.5,
                       np.nextafter(0.5, 1.0), 0.75, 1.0])
         at_x, near_one = 1.0 - t[t >= 0.5], t[(0.0 < t) & (t < 0.5)]
@@ -230,9 +241,9 @@ class TestPolylogArray:
             seen = watch_kernels(monkeypatch, evaluate)
             if s == 2:
                 assert seen["_taylor"].size == seen["_log_expansion"].size == 0
-                series = -log1p(-np.concatenate([at_x, near_one]))
+                series = -log1p(-np.concatenate([at_x, near_one, [0.0]]))
                 assert sorted(seen["_dilog"].tolist()) == sorted(series.tolist())
-                assert sorted(seen["_dilog_one_minus"].tolist()) == sorted(near_one)
+                assert sorted(seen["_dilog_one_minus"].tolist()) == sorted(series.tolist())
                 continue
             taylor_points, log_points = seen["_taylor"], seen["_log_expansion"]
             assert seen["_dilog"].size == seen["_dilog_one_minus"].size == 0
@@ -544,6 +555,14 @@ class TestRealArgumentRule:
             ENTRY_POINTS[name](x)
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.array([True, False])],
+                             ids=["True", "False", "numpy", "array"])
+    def test_a_bool_is_not_real(self, name, flag):
+        # As exactmath._check_integer refuses a bool order: True is not 1.0.
+        with pytest.raises(ValueError, match=f"^{name} requires real [xtu], got bool$"):
+            ENTRY_POINTS[name](flag)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
     def test_an_object_array_of_anything_else_is_not_real(self, name):
         with pytest.raises(ValueError, match=f"^{name} requires real [xtu], got object$"):
             ENTRY_POINTS[name](["0.5", 2**70])
@@ -688,3 +707,74 @@ class TestHornerArrayPath:
             assert float(mpmath.polylog(2, 0.5)) == 0.5822405264650125
         assert main(["eval", "polylog", "2", "0.5"]) == 0
         assert capsys.readouterr().out == "0.5822405264650125\n"
+
+
+class TestOneFormulaForOrdersOneAndTwo:
+    """Orders 1 and 2 take every point through one elementwise formula: one
+    series call for all of an array's points, the branch picked afterwards.
+    Every double is that of the per-branch formulas in li12_reference, to
+    the bit and signed zeros included, at each numpy dispatch level."""
+
+    def test_bit_identical_to_the_branch_formulas(self):
+        assert li12_reference.mismatches() == {}
+
+    @pytest.mark.skipif(numpy_dispatch_level() is None, reason="numpy's x86 kernels only")
+    @pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                          "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
+    def test_bit_identical_at_reduced_dispatch(self, disabled):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+        script = inspect.getsource(numpy_dispatch_level) + (
+            "import json, platform, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from li12_reference import mismatches\n"
+            "print(json.dumps([numpy_dispatch_level(), mismatches()]))\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                              check=True, text=True, capture_output=True)
+        level, found = json.loads(proc.stdout)
+        assert level in ("X86_V3", "X86_V2")  # the setting took effect
+        assert found == {}
+
+    def test_one_series_call_per_array(self, monkeypatch):
+        calls = []
+        real = specfun._dilog
+        monkeypatch.setattr(specfun, "_dilog", lambda u: calls.append(u.shape) or real(u))
+        monkeypatch.setattr(specfun, "_piecewise", None)  # orders 1 and 2 never split
+        x = branch_grid()
+        polylog_array(2, x)  # argument squaring: a second value per point
+        polylog_array(2, x[x >= -0.5])
+        polylog_one_minus(2, np.abs(x))
+        polylog_one_minus(1, np.abs(x)[x != 0.0])
+        dilog_neg_ratio(np.abs(x)[x != 0.0].reshape(-1, 2))
+        assert calls == [(2, x.size), ((x >= -0.5).sum(),), (x.size,),
+                         ((x != 0.0).sum() // 2, 2)]
+
+
+class TestPiecewise:
+    """From order 3 on, an array's points are split between the kernels."""
+
+    def test_a_piece_holding_every_point_returns_its_kernels_own_array(self):
+        x = np.array([[0.1, 0.2], [0.3, 0.4]])
+        kernel_result = []
+
+        def kernel(points):
+            assert points is x  # the array itself, not its points copied out
+            kernel_result.append(points * 2.0)
+            return kernel_result[0]
+
+        out = specfun._piecewise(x, ((x > 1.0, None), (x <= 1.0, kernel)))
+        assert out is kernel_result[0] and out.shape == x.shape
+
+    def test_stops_once_every_point_is_met(self):
+        # A piece after the points are all met is not even indexed.
+        x = np.array([0.2, 0.7])
+        out = specfun._piecewise(x, ((x < 0.5, lambda p: p + 1.0),
+                                     (x >= 0.5, lambda p: p - 1.0),
+                                     ("never indexed", None)))
+        assert out.tolist() == [1.2, -0.30000000000000004]
+
+    @pytest.mark.parametrize("s", [3, 7])
+    def test_every_point_on_one_constant_piece(self, s):
+        # x = 1 and x = -1 alone, and t = 0 alone, keep their array shape.
+        assert polylog_array(s, np.ones((2, 2))).tolist() == [[zeta(s)] * 2] * 2
+        assert polylog_array(s, -np.ones(3)).tolist() == [polylog(s, -1.0)] * 3
+        assert polylog_one_minus(s, np.zeros(2)).tolist() == [zeta(s)] * 2
